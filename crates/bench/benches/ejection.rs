@@ -1,30 +1,29 @@
 //! Indexed vs linear-scan victim search, and bitmask vs per-row slot search.
 //!
-//! Three measurements:
+//! Four measurements:
 //!
 //! * `victim_search/*` — end-to-end wall time to schedule the
 //!   ejection-churn-heavy suite (see `hcrf_workloads::churn`) with the
 //!   `SlotIndex`-backed `pick_victim` against the paper-literal O(active
-//!   nodes) scan it replaced. Both policies choose bit-identical victims
-//!   (asserted by `tests/victim_equivalence.rs` and the randomized property
-//!   test), so any ratio isolates the victim-search cost inside an otherwise
-//!   identical scheduler. `4C16S64` is the configuration whose churn-heavy
+//!   nodes) scan it replaced (`Oracles::linear_victim_scan`). Both policies
+//!   choose bit-identical victims (asserted by `tests/victim_equivalence.rs`
+//!   and the randomized property test), so any ratio isolates the
+//!   victim-search cost inside an otherwise identical scheduler. `4C16S64` is the configuration whose churn-heavy
 //!   loops bounded PR 2 at 1.2×; `S128` is the no-regression control.
 //! * `victim_probe/*` — the isolated victim search on a fully occupied
 //!   512-node store, where the asymptotic O(nodes) → O(row occupants) gap
 //!   is visible without the rest of the scheduler around it.
 //! * `slot_search/*` — end-to-end wall time with the availability-bitmask
 //!   `Mrt::first_free_row_in` window search against the per-row `can_place`
-//!   walk it replaced (`with_linear_slot_scan`), on the churn suite (the
+//!   walk it replaced (`Oracles::linear_slot_scan`), on the churn suite (the
 //!   scan re-runs after every ejection) and the wide-window suite (crowded
 //!   large-II tables where the scan dominates without any churn). Both
 //!   scans pick bit-identical slots (`tests/slot_equivalence.rs`).
-//! * `arena_ladder/*` — the PR 5 mechanisms on the churn suite: the
-//!   persistent `AttemptArena` against per-attempt rebuilds
-//!   (`with_fresh_arena`), batched row ejection against the per-victim loop
-//!   (`with_per_victim_ejection`), and the budget-aware II-ladder skipping
-//!   against the unit ladder (`with_unit_ladder`). Bit-identical schedules
-//!   across all four (`tests/ladder_equivalence.rs`).
+//! * `arena_ladder/*` — on the churn suite: the persistent `AttemptArena`
+//!   against per-attempt rebuilds (`Oracles::fresh_arena`, bit-identical
+//!   schedules per `tests/ladder_equivalence.rs`), and the budget-aware
+//!   II-ladder skipping against the unit ladder (`with_unit_ladder`, never a
+//!   higher final II per `tests/warmstart_equivalence.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hcrf_ir::{DdgBuilder, OpKind, OpLatencies};
@@ -32,7 +31,7 @@ use hcrf_machine::{MachineConfig, RfOrganization};
 use hcrf_sched::mrt::ResourceCaps;
 use hcrf_sched::order::priority_order;
 use hcrf_sched::workgraph::WorkGraph;
-use hcrf_sched::{IterativeScheduler, PlacementStore, SchedulerParams, StoreTuning};
+use hcrf_sched::{IterativeScheduler, Oracles, PlacementStore, SchedulerParams};
 use hcrf_workloads::{churn_suite, wide_window_suite};
 
 fn victim_search(c: &mut Criterion) {
@@ -45,7 +44,10 @@ fn victim_search(c: &mut Criterion) {
     for config in ["4C16S64", "S128"] {
         let machine = MachineConfig::paper_baseline(RfOrganization::parse(config).unwrap());
         let indexed = IterativeScheduler::new(machine.clone(), params);
-        let linear = IterativeScheduler::new(machine, params).with_linear_victim_scan();
+        let linear = IterativeScheduler::new(machine, params).with_oracles(Oracles {
+            linear_victim_scan: true,
+            ..Oracles::default()
+        });
         group.bench_with_input(BenchmarkId::new("indexed", config), &indexed, |b, s| {
             b.iter(|| {
                 loops
@@ -78,8 +80,11 @@ fn victim_probe(c: &mut Criterion) {
     let w = WorkGraph::new(&g, &machine);
     let caps = ResourceCaps::from_machine(&machine);
     let order = priority_order(&w, &lat, ii);
-    let mut store =
-        PlacementStore::new(ii, caps, g.num_nodes(), order, StoreTuning::tracking(false));
+    let oracles = Oracles {
+        batch_pressure: true,
+        ..Oracles::default()
+    };
+    let mut store = PlacementStore::new(ii, caps, g.num_nodes(), order, oracles);
     for (i, n) in nodes.iter().enumerate() {
         store.place(&w, *n, (i % ii as usize) as i64, 0, &lat);
     }
@@ -113,7 +118,10 @@ fn slot_search(c: &mut Criterion) {
         for config in ["4C16S64", "S128"] {
             let machine = MachineConfig::paper_baseline(RfOrganization::parse(config).unwrap());
             let bitset = IterativeScheduler::new(machine.clone(), params);
-            let linear = IterativeScheduler::new(machine, params).with_linear_slot_scan();
+            let linear = IterativeScheduler::new(machine, params).with_oracles(Oracles {
+                linear_slot_scan: true,
+                ..Oracles::default()
+            });
             let id = format!("{suite}/{config}");
             group.bench_with_input(BenchmarkId::new("bitset", &id), &bitset, |b, s| {
                 b.iter(|| {
@@ -137,26 +145,22 @@ fn slot_search(c: &mut Criterion) {
 }
 
 fn arena_and_ladder(c: &mut Criterion) {
-    // The PR 5 stack, each oracle isolating one mechanism on the churn
-    // suite: `fresh` rebuilds WorkGraph/order/store per II attempt instead
-    // of resetting the persistent arena, `per_victim` forces slots one
-    // pick_victim+eject transaction at a time instead of the batched row
-    // drain, and `unit_ladder` climbs the II ladder by 1 instead of the
-    // budget-aware geometric skip. All four produce bit-identical schedules
-    // (`tests/ladder_equivalence.rs`; the unit ladder differs only in which
-    // failing rungs it pays for).
+    // Each variant isolates one mechanism on the churn suite: `fresh`
+    // rebuilds WorkGraph/order/store per II attempt instead of resetting the
+    // persistent arena, and `unit_ladder` climbs the II ladder by 1 instead
+    // of the budget-aware geometric skip (it differs only in which failing
+    // rungs it pays for).
     let loops = churn_suite(32);
     let params = SchedulerParams::default().without_schedule();
     let machine = MachineConfig::paper_baseline(RfOrganization::parse("4C16S64").unwrap());
-    let variants: [(&str, IterativeScheduler); 4] = [
+    let variants: [(&str, IterativeScheduler); 3] = [
         ("default", IterativeScheduler::new(machine.clone(), params)),
         (
             "fresh_arena",
-            IterativeScheduler::new(machine.clone(), params).with_fresh_arena(),
-        ),
-        (
-            "per_victim",
-            IterativeScheduler::new(machine.clone(), params).with_per_victim_ejection(),
+            IterativeScheduler::new(machine.clone(), params).with_oracles(Oracles {
+                fresh_arena: true,
+                ..Oracles::default()
+            }),
         ),
         (
             "unit_ladder",

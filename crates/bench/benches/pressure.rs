@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hcrf_machine::{MachineConfig, RfOrganization};
-use hcrf_sched::{IterativeScheduler, SchedulerParams};
+use hcrf_sched::{IterativeScheduler, Oracles, SchedulerParams};
 use hcrf_workloads::small_suite;
 
 fn pressure_engines(c: &mut Criterion) {
@@ -18,7 +18,10 @@ fn pressure_engines(c: &mut Criterion) {
     for config in ["S128", "S32", "4C16S64", "8C16S16"] {
         let machine = MachineConfig::paper_baseline(RfOrganization::parse(config).unwrap());
         let incremental = IterativeScheduler::new(machine.clone(), params);
-        let batch = IterativeScheduler::new(machine, params).with_batch_pressure_oracle();
+        let batch = IterativeScheduler::new(machine, params).with_oracles(Oracles {
+            batch_pressure: true,
+            ..Oracles::default()
+        });
         group.bench_with_input(
             BenchmarkId::new("incremental", config),
             &incremental,

@@ -197,12 +197,6 @@ fn run_fsck(dir: &PathBuf) -> ! {
                 report.records,
                 report.live_keys,
             );
-            if report.legacy_files > 0 {
-                println!(
-                    "  {} legacy per-point file(s) pending migration",
-                    report.legacy_files
-                );
-            }
             if report.quarantined_bytes > 0 {
                 println!(
                     "  {} byte(s) in quarantine from previous recoveries",
@@ -226,7 +220,7 @@ fn run_fsck(dir: &PathBuf) -> ! {
     }
 }
 
-/// `explore --compact`: open (recovering + migrating) and rewrite the store
+/// `explore --compact`: open (recovering) and rewrite the store
 /// to exactly its live records.
 fn run_compact(dir: &PathBuf, verbosity: Verbosity) -> ! {
     let telemetry = Telemetry::reporter(verbosity);

@@ -106,8 +106,9 @@ mod tests {
         // On the reduced kernel suite (recurrence heavy) the clock advantage
         // does not always fully offset the extra cycles, but the time picture
         // must be a large improvement over the cycle picture and stay in the
-        // same ballpark as the baseline. The full-suite run (fig6 bench)
-        // reproduces the paper's >1 speedups.
+        // same ballpark as the baseline. The full-suite run does not yet
+        // reproduce the paper's >1 speedups either: its geometric-mean
+        // hierarchical speedup is about 0.81, and 8C16S16 sits at 0.68.
         let suite = small_suite(0);
         let bars = run_configs(&suite, &RunOptions::fast(), &["S64", "8C16S16"]);
         let s64 = bars.iter().find(|b| b.config == "S64").unwrap();

@@ -16,8 +16,7 @@
 //! [`ResultStore`] (`store.rs`): append-only checksummed segment files with
 //! a recovery scan on open, so a torn or corrupted entry degrades into a
 //! miss (a re-run), never a wrong result. Every record embeds the full key
-//! components, verified on lookup, so a digest collision misses too. Legacy
-//! one-JSON-file-per-key directories are migrated into the store on open.
+//! components, verified on lookup, so a digest collision misses too.
 //! [`ResultCache`] is the thin session facade the executor talks to: it
 //! owns the hit/miss/store counters and the telemetry wiring.
 
@@ -274,7 +273,7 @@ impl CacheStats {
 }
 
 /// One session over the content-addressed result store: the facade the
-/// executor talks to. Persistence (sharding, recovery, migration) lives in
+/// executor talks to. Persistence (sharding, recovery, compaction) lives in
 /// [`ResultStore`]; this type owns the session counters and telemetry.
 #[derive(Debug)]
 pub struct ResultCache {
@@ -285,7 +284,7 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// Cache rooted at `dir` (created if missing). Opening runs the store's
-    /// recovery scan and migrates any legacy per-point JSON entries.
+    /// recovery scan.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         Self::open_traced(dir, &Telemetry::disabled())
     }
@@ -474,60 +473,6 @@ mod tests {
         // A fresh cache session sees the same entry.
         let mut reopened = ResultCache::open(&dir).unwrap();
         assert!(reopened.lookup(&key).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_and_mismatched_legacy_entries_miss_and_are_counted() {
-        let dir = temp_dir("corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let key = sample_key();
-        // An unparseable legacy entry is quarantined at open and counted.
-        std::fs::write(dir.join(key.file_name()), "not json").unwrap();
-        let mut cache = ResultCache::open(&dir).unwrap();
-        assert!(cache.lookup(&key).is_none());
-        assert_eq!(cache.stats().corrupt, 1);
-        assert!(
-            dir.join("quarantine").join(key.file_name()).exists(),
-            "damaged legacy entry must move to the quarantine sidecar"
-        );
-        // A legacy entry whose embedded key disagrees with its file name
-        // (digest collision or tampering) is quarantined too, not served.
-        let other = CacheKey {
-            suite: key.suite ^ 1,
-            ..key
-        };
-        std::fs::write(
-            dir.join(key.file_name()),
-            sample_result().to_json(&other).to_pretty(),
-        )
-        .unwrap();
-        let mut cache = ResultCache::open(&dir).unwrap();
-        assert!(cache.lookup(&key).is_none());
-        assert!(cache.lookup(&other).is_none());
-        assert_eq!(cache.stats().corrupt, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_per_point_entries_migrate_into_the_store() {
-        let dir = temp_dir("migrate");
-        std::fs::create_dir_all(&dir).unwrap();
-        let key = sample_key();
-        let result = sample_result();
-        // A well-formed legacy entry, as the pre-store cache wrote it.
-        std::fs::write(dir.join(key.file_name()), result.to_json(&key).to_pretty()).unwrap();
-        let mut cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.lookup(&key), Some(result.clone()));
-        assert!(
-            !dir.join(key.file_name()).exists(),
-            "migrated legacy file must be removed"
-        );
-        assert_eq!(cache.stats().corrupt, 0);
-        // The migrated record survives further reopens from the shards.
-        drop(cache);
-        let mut cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.lookup(&key), Some(result));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,7 +7,6 @@
 //! ```text
 //! <dir>/shard-00.seg .. shard-0f.seg   framed records, append-only
 //! <dir>/quarantine/shard-XX.bad        checksum-failed bytes, for autopsy
-//! <dir>/quarantine/<legacy>.json       unreadable legacy per-point files
 //! ```
 //!
 //! Each record is framed as
@@ -38,12 +37,9 @@
 //! interleave whole records, never bytes, and a `kill -9` leaves at most
 //! one torn tail. Duplicate appends of one digest are resolved
 //! last-write-wins by the in-memory index and folded away by
-//! [`ResultStore::compact`].
-//!
-//! **Migration.** Legacy `<digest>.json` per-point files found in the
-//! directory are ingested into the shards on open (and removed); files that
-//! do not parse or whose content disagrees with their name move to the
-//! quarantine directory instead.
+//! [`ResultStore::compact`]. Shard rewrites (recovery, compaction) go
+//! through a tmp file renamed over the shard; a tmp file a crash leaves
+//! behind is never live data and is deleted on the next open.
 
 use crate::cache::{CacheKey, CachedResult};
 use crate::json::Json;
@@ -123,8 +119,6 @@ pub struct StoreCounters {
     pub corrupt: u64,
     /// Bytes of torn tail truncated by recovery.
     pub torn_bytes: u64,
-    /// Legacy per-point JSON files ingested into the shards.
-    pub migrated: u64,
     /// Records appended this session.
     pub appends: u64,
 }
@@ -142,16 +136,13 @@ pub struct FsckReport {
     pub corrupt_records: u64,
     /// Bytes of torn tail (interrupted final append).
     pub torn_bytes: u64,
-    /// Legacy per-point JSON files not yet migrated.
-    pub legacy_files: u64,
     /// Bytes quarantined by previous recoveries.
     pub quarantined_bytes: u64,
 }
 
 impl FsckReport {
-    /// Whether every segment is clean (legacy files and an existing
-    /// quarantine sidecar are not damage — they migrate or are already
-    /// isolated).
+    /// Whether every segment is clean (an existing quarantine sidecar is
+    /// not damage — it is already isolated).
     pub fn is_clean(&self) -> bool {
         self.corrupt_records == 0 && self.torn_bytes == 0
     }
@@ -248,8 +239,8 @@ pub struct ResultStore {
 
 impl ResultStore {
     /// Open (creating if missing) the store at `dir`: run the recovery scan
-    /// over every shard, rebuild the in-memory index, and migrate any legacy
-    /// per-point JSON files into the shards.
+    /// over every shard, rebuild the in-memory index, and delete tmp files
+    /// left behind by an interrupted shard rewrite.
     pub fn open(dir: impl AsRef<Path>, telemetry: &Telemetry) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -264,7 +255,7 @@ impl ResultStore {
         for shard in 0..SHARDS {
             store.recover_shard(shard)?;
         }
-        store.migrate_legacy()?;
+        store.sweep_tmp_droppings()?;
         store.counters.live_keys = store.index.len() as u64;
         store.publish_open_counters();
         Ok(store)
@@ -390,7 +381,7 @@ impl ResultStore {
     }
 
     /// Read-only integrity scan of a store directory: no rewrite, no
-    /// quarantine, no migration. Safe to run concurrently with readers.
+    /// quarantine. Safe to run concurrently with readers.
     pub fn fsck(dir: impl AsRef<Path>) -> io::Result<FsckReport> {
         let dir = dir.as_ref();
         let mut report = FsckReport::default();
@@ -411,13 +402,6 @@ impl ResultStore {
             }
         }
         report.live_keys = live.len() as u64;
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                if is_legacy_entry_name(&entry.file_name().to_string_lossy()) {
-                    report.legacy_files += 1;
-                }
-            }
-        }
         if let Ok(entries) = std::fs::read_dir(quarantine_dir(dir)) {
             for entry in entries.flatten() {
                 if let Ok(meta) = entry.metadata() {
@@ -501,56 +485,13 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Ingest legacy one-file-per-point entries (`<16-hex-digest>.json`)
-    /// into the shards, removing each file once its record is durable.
-    /// Unreadable or mismatched files move to the quarantine directory.
-    /// Stale `.tmp.` droppings from the old writer are deleted outright.
-    fn migrate_legacy(&mut self) -> io::Result<()> {
-        let entries: Vec<_> = std::fs::read_dir(&self.dir)?.flatten().collect();
-        for entry in entries {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.contains(".tmp.") {
+    /// Delete `.tmp.` files an interrupted [`ResultStore::rewrite_atomic`]
+    /// left behind: the rename never happened, so they are not live data.
+    fn sweep_tmp_droppings(&self) -> io::Result<()> {
+        for entry in std::fs::read_dir(&self.dir)?.flatten() {
+            if entry.file_name().to_string_lossy().contains(".tmp.") {
                 let _ = std::fs::remove_file(entry.path());
-                continue;
             }
-            if !is_legacy_entry_name(&name) {
-                continue;
-            }
-            let path = entry.path();
-            let parsed = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| Json::parse(&text).ok())
-                .and_then(|doc| CachedResult::from_json(&doc))
-                // The digest named the file; the embedded key must agree.
-                .filter(|(key, _)| format!("{:016x}.json", key.digest()) == name);
-            match parsed {
-                Some((key, result)) => {
-                    self.store(&key, &result)?;
-                    // The record is synced; only now is the legacy file
-                    // redundant.
-                    std::fs::remove_file(&path)?;
-                    self.counters.migrated += 1;
-                }
-                None => {
-                    let qdir = quarantine_dir(&self.dir);
-                    std::fs::create_dir_all(&qdir)?;
-                    std::fs::rename(&path, qdir.join(&name))?;
-                    self.counters.corrupt += 1;
-                    self.telemetry.warn(format!(
-                        "explore store: quarantined unreadable legacy entry {}",
-                        path.display()
-                    ));
-                }
-            }
-        }
-        // Migration appends are not user stores; report them separately.
-        self.counters.appends -= self.counters.migrated;
-        if self.counters.migrated > 0 {
-            self.telemetry.debug(format!(
-                "explore store: migrated {} legacy entr(ies) into {}",
-                self.counters.migrated,
-                self.dir.display()
-            ));
         }
         Ok(())
     }
@@ -583,14 +524,7 @@ impl ResultStore {
             .counter_add("explore.store.corrupt", c.corrupt);
         self.telemetry
             .counter_add("explore.store.torn_bytes", c.torn_bytes);
-        self.telemetry
-            .counter_add("explore.store.migrated", c.migrated);
     }
-}
-
-/// Whether `name` looks like a legacy per-point entry (`<16 hex>.json`).
-fn is_legacy_entry_name(name: &str) -> bool {
-    name.len() == 21 && name.ends_with(".json") && name[..16].bytes().all(|b| b.is_ascii_hexdigit())
 }
 
 #[cfg(test)]

@@ -26,14 +26,14 @@
 //! Every reset must leave the arena indistinguishable (for scheduling
 //! decisions) from a freshly built one: `tests/ladder_equivalence.rs`
 //! asserts bit-identical suite results against the
-//! [`crate::IterativeScheduler::with_fresh_arena`] oracle, and the
+//! [`Oracles::fresh_arena`] oracle, and the
 //! randomized arena property test validates the store (including the MRT
 //! availability masks) after every reset.
 
 use crate::mrt::ResourceCaps;
 use crate::order::{priority_order_into, OrderScratch, PriorityOrder};
-use crate::store::{PlacementStore, StoreTuning};
-use crate::types::SchedulerStats;
+use crate::store::PlacementStore;
+use crate::types::{Oracles, SchedulerStats};
 use crate::workgraph::WorkGraph;
 use hcrf_ir::{Ddg, EdgeId, NodeId, OpLatencies};
 use hcrf_machine::MachineConfig;
@@ -99,13 +99,13 @@ impl AttemptArena {
     /// Build the arena for one loop on one machine: clones the body into a
     /// working graph, marks it pristine and shapes an empty placement store.
     /// [`AttemptArena::reset`] must run before the first attempt.
-    pub fn new(ddg: &Ddg, machine: &MachineConfig, tuning: StoreTuning) -> Self {
+    pub fn new(ddg: &Ddg, machine: &MachineConfig, oracles: Oracles) -> Self {
         let mut w = WorkGraph::new(ddg, machine);
         w.mark_pristine();
         let caps = ResourceCaps::from_machine(machine);
         let pristine_nodes = w.ddg.num_nodes();
         let order_ii_sensitive = w.has_loop_carried_deps();
-        let store = PlacementStore::new(1, caps, pristine_nodes, PriorityOrder::empty(), tuning);
+        let store = PlacementStore::new(1, caps, pristine_nodes, PriorityOrder::empty(), oracles);
         AttemptArena {
             w,
             store,
@@ -136,15 +136,15 @@ impl AttemptArena {
     /// [`AttemptArena::new`]: `tests/engine_equivalence.rs` proves suite
     /// results are bit-identical whether arenas are pooled across loops,
     /// reused within one loop, or rebuilt per attempt
-    /// ([`crate::IterativeScheduler::with_fresh_arena`]).
-    pub fn rebind(&mut self, ddg: &Ddg, machine: &MachineConfig, tuning: StoreTuning) {
+    /// ([`Oracles::fresh_arena`]).
+    pub fn rebind(&mut self, ddg: &Ddg, machine: &MachineConfig, oracles: Oracles) {
         self.w.rebind(ddg, machine);
         self.w.mark_pristine();
         let caps = ResourceCaps::from_machine(machine);
         self.pristine_nodes = self.w.ddg.num_nodes();
         self.order_ii_sensitive = self.w.has_loop_carried_deps();
         self.order_ready = false;
-        self.store.rebind(caps, self.pristine_nodes, tuning);
+        self.store.rebind(caps, self.pristine_nodes, oracles);
         self.budget = 0;
         self.stats = SchedulerStats::default();
         self.ii = 1;
@@ -339,21 +339,16 @@ impl ArenaPool {
 
     /// Take an arena bound to `(ddg, machine)`: rebind the pooled one when
     /// present, build a fresh one otherwise.
-    pub fn take(
-        &mut self,
-        ddg: &Ddg,
-        machine: &MachineConfig,
-        tuning: StoreTuning,
-    ) -> AttemptArena {
+    pub fn take(&mut self, ddg: &Ddg, machine: &MachineConfig, oracles: Oracles) -> AttemptArena {
         match self.arena.take() {
             Some(mut a) => {
-                a.rebind(ddg, machine, tuning);
+                a.rebind(ddg, machine, oracles);
                 self.rebinds += 1;
                 a
             }
             None => {
                 self.builds += 1;
-                AttemptArena::new(ddg, machine, tuning)
+                AttemptArena::new(ddg, machine, oracles)
             }
         }
     }
@@ -414,7 +409,7 @@ mod tests {
     #[test]
     fn spill_growth_does_not_leak_into_next_reset() {
         let machine = MachineConfig::paper_baseline(RfOrganization::parse("S16").unwrap());
-        let mut arena = AttemptArena::new(&spill_heavy(), &machine, StoreTuning::default());
+        let mut arena = AttemptArena::new(&spill_heavy(), &machine, Oracles::default());
         let pristine_nodes = arena.workgraph().ddg.num_nodes();
         let pristine_edges = arena.workgraph().ddg.num_edges();
         arena.reset(3, &lat());
@@ -468,7 +463,7 @@ mod tests {
     #[test]
     fn rebind_to_new_loop_and_machine_matches_fresh_build() {
         let m1 = MachineConfig::paper_baseline(RfOrganization::parse("S16").unwrap());
-        let mut arena = AttemptArena::new(&spill_heavy(), &m1, StoreTuning::default());
+        let mut arena = AttemptArena::new(&spill_heavy(), &m1, Oracles::default());
         arena.reset(3, &lat());
         // Dirty the arena exactly like a failing attempt would.
         let (w, store) = arena.parts_mut();
@@ -487,9 +482,9 @@ mod tests {
         // Re-target at a clustered-hierarchical machine and a new loop.
         let g2 = recurrence_kernel();
         let m2 = MachineConfig::paper_baseline(RfOrganization::parse("4C16S64").unwrap());
-        arena.rebind(&g2, &m2, StoreTuning::default());
+        arena.rebind(&g2, &m2, Oracles::default());
         let fresh = {
-            let mut f = AttemptArena::new(&g2, &m2, StoreTuning::default());
+            let mut f = AttemptArena::new(&g2, &m2, Oracles::default());
             f.reset(2, &lat());
             f
         };
@@ -555,7 +550,10 @@ mod tests {
         let params = SchedulerParams::default();
         let reused = IterativeScheduler::new(machine.clone(), params).schedule(&g);
         let fresh = IterativeScheduler::new(machine, params)
-            .with_fresh_arena()
+            .with_oracles(Oracles {
+                fresh_arena: true,
+                ..Oracles::default()
+            })
             .schedule(&g);
         assert!(!reused.failed);
         assert!(reused.stats.ii_restarts > 1, "ladder should have restarted");

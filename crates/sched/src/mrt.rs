@@ -592,7 +592,7 @@ impl Mrt {
     /// kept as the equivalence oracle (`tests/slot_equivalence.rs`, the
     /// randomized property tests and `benches/ejection.rs` compare against
     /// it; the scheduler selects it via
-    /// [`crate::IterativeScheduler::with_linear_slot_scan`]).
+    /// [`crate::Oracles::linear_slot_scan`]).
     pub fn first_free_row_linear(
         &self,
         kind: OpKind,
@@ -1041,7 +1041,7 @@ mod tests {
 
     /// The word-parallel [`Mrt::fu_adjust_span`] must leave the table
     /// bit-identical to the split per-row walk it fuses (the store's
-    /// `with_split_row_update` oracle): same packed counts, free-slot
+    /// `split_row_update` oracle): same packed counts, free-slot
     /// totals and availability masks after every step, across occupancies
     /// spanning the pipelined case, multi-row divides and `occ > II`
     /// multi-copy reservations, IIs around the lane and mask word

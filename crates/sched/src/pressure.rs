@@ -288,7 +288,7 @@ pub struct PressureTracker {
     /// Epoch at which each def's contribution was last re-derived.
     clean: Vec<u32>,
     /// When set, skip-eligible refreshes rescan anyway (the
-    /// [`crate::IterativeScheduler::with_eager_refresh`] oracle); the epoch
+    /// [`crate::Oracles::eager_refresh`] oracle); the epoch
     /// bookkeeping and both counters below are maintained identically, and
     /// in debug builds the redundant rescan asserts it was a no-op.
     eager: bool,

@@ -22,7 +22,7 @@
 //! The free-slot window search runs over the MRT's row-availability bitmasks
 //! ([`crate::mrt::Mrt::first_free_row_in`], O(words) per window instead of a
 //! per-row `can_place` walk; oracle kept behind
-//! [`IterativeScheduler::with_linear_slot_scan`]), and forced placements
+//! [`Oracles::linear_slot_scan`]), and forced placements
 //! whose conflict the summary proves *structurally unsatisfiable* (a divide
 //! longer than the II can accommodate on this cluster's units) are abandoned
 //! before their ejection cascade, counted in
@@ -33,8 +33,9 @@ use crate::cluster::select_cluster_recording;
 use crate::pressure::{
     pick_spill_candidate, pick_spill_candidate_from, pressure, Pressure, PressureQuery,
 };
-use crate::store::{RowEjectOutcome, StoreTuning};
-use crate::types::{BankAssignment, Placement, ScheduleResult, SchedulerParams, SchedulerStats};
+use crate::types::{
+    BankAssignment, Oracles, Placement, ScheduleResult, SchedulerParams, SchedulerStats,
+};
 use crate::workgraph::WorkGraph;
 use hcrf_ir::{mii as mii_mod, Ddg, DepKind, NodeId, OpKind, OpLatencies};
 use hcrf_machine::MachineConfig;
@@ -80,15 +81,9 @@ pub fn schedule_loop_baseline36(ddg: &Ddg, machine: &MachineConfig) -> ScheduleR
 pub struct IterativeScheduler {
     machine: MachineConfig,
     params: SchedulerParams,
-    batch_pressure: bool,
-    linear_victim: bool,
-    linear_slot: bool,
-    fresh_arena: bool,
-    per_victim_ejection: bool,
+    oracles: Oracles,
     unit_ladder: bool,
     cold_attempts: bool,
-    eager_refresh: bool,
-    split_row_update: bool,
     telemetry: Telemetry,
 }
 
@@ -99,7 +94,7 @@ pub struct IterativeScheduler {
 pub struct PhaseTimings {
     /// Building the [`AttemptArena`] (working-graph clone + memory-interface
     /// insertion). Once per loop under arena reuse; once per attempt under
-    /// the [`IterativeScheduler::with_fresh_arena`] oracle.
+    /// the [`Oracles::fresh_arena`] oracle.
     pub graph_build: Duration,
     /// Priority-order computation (skipped by resets when the order is
     /// II-independent).
@@ -180,15 +175,9 @@ impl IterativeScheduler {
         IterativeScheduler {
             machine,
             params,
-            batch_pressure: false,
-            linear_victim: false,
-            linear_slot: false,
-            fresh_arena: false,
-            per_victim_ejection: false,
+            oracles: Oracles::default(),
             unit_ladder: false,
             cold_attempts: false,
-            eager_refresh: false,
-            split_row_update: false,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -204,62 +193,25 @@ impl IterativeScheduler {
         self
     }
 
-    /// Answer every register-pressure query by recomputing the batch
-    /// [`pressure`] snapshot from scratch instead of consulting the
-    /// incremental tracker. Scheduling decisions are bit-identical either
-    /// way (the equivalence tests assert it); this exists so benches and
-    /// tests can measure and cross-check the incremental engine against the
-    /// paper-literal recompute-the-world implementation.
-    pub fn with_batch_pressure_oracle(mut self) -> Self {
-        self.batch_pressure = true;
+    /// Swap each decision-invisible fast path whose flag is set for its
+    /// paper-literal oracle (see [`Oracles`]). Results are bit-identical to
+    /// the default's under any selection (the `tests/*_equivalence.rs`
+    /// oracle suites assert it); this exists so tests and benches can
+    /// cross-check and measure the fast paths one at a time or all together.
+    pub fn with_oracles(mut self, oracles: Oracles) -> Self {
+        self.oracles = oracles;
         self
     }
 
-    /// Answer every victim search with the O(active nodes) linear scan
-    /// instead of the [`crate::store::SlotIndex`] lookup. Victim choices are
-    /// bit-identical either way (`tests/victim_equivalence.rs` asserts it);
-    /// this exists so `benches/ejection.rs` can measure the indexed search
-    /// against the scan it replaced.
-    pub fn with_linear_victim_scan(mut self) -> Self {
-        self.linear_victim = true;
-        self
-    }
-
-    /// Answer every free-slot window search with the per-row `can_place`
-    /// walk instead of the availability-bitmask
-    /// [`crate::mrt::Mrt::first_free_row_in`]. Slot choices are bit-identical
-    /// either way (`tests/slot_equivalence.rs` asserts it); this exists so
-    /// `benches/ejection.rs` can measure the bitmask search against the scan
-    /// it replaced.
-    pub fn with_linear_slot_scan(mut self) -> Self {
-        self.linear_slot = true;
-        self
-    }
-
-    /// Rebuild the complete per-attempt state (working graph, priority
-    /// order, placement store) from scratch for every II attempt instead of
-    /// resetting the persistent [`AttemptArena`]. Scheduling decisions are
-    /// bit-identical either way (`tests/ladder_equivalence.rs` asserts it);
-    /// this exists so the arena's reset paths can be cross-checked against
-    /// the rebuild they replaced.
-    pub fn with_fresh_arena(mut self) -> Self {
-        self.fresh_arena = true;
-        self
-    }
-
-    /// Force a slot by ejecting conflicting occupants one `pick_victim` +
-    /// `eject` transaction at a time instead of the batched
-    /// [`crate::store::PlacementStore::eject_row_occupants`]. Victim choices
-    /// are bit-identical either way (`tests/ladder_equivalence.rs` asserts
-    /// it); this is the oracle the batched transaction is checked against.
-    pub fn with_per_victim_ejection(mut self) -> Self {
-        self.per_victim_ejection = true;
-        self
+    /// Run every oracle at once ([`Oracles::REFERENCE`]): the paper-literal
+    /// reference scheduler.
+    pub fn with_reference(self) -> Self {
+        self.with_oracles(Oracles::REFERENCE)
     }
 
     /// Climb the II ladder strictly one step at a time, disabling the
     /// budget-aware skipping (and its success-side gap verification). This
-    /// is the oracle ladder policy: `tests/ladder_equivalence.rs` asserts
+    /// is the oracle ladder policy: `tests/warmstart_equivalence.rs` asserts
     /// the skipping ladder never lands on a higher final II than this one.
     pub fn with_unit_ladder(mut self) -> Self {
         self.unit_ladder = true;
@@ -276,30 +228,6 @@ impl IterativeScheduler {
     /// remap).
     pub fn with_cold_attempts(mut self) -> Self {
         self.cold_attempts = true;
-        self
-    }
-
-    /// Rescan every pressure-refresh request instead of letting the
-    /// tracker's lifetime epochs prove skip-eligible requests up to date in
-    /// O(1). Lifetimes, scheduling decisions and the refresh/skip
-    /// classification counters are bit-identical either way
-    /// (`tests/refresh_equivalence.rs` and the `refresh_skip_matches_eager`
-    /// property test assert it; in debug builds the eager path additionally
-    /// asserts every skipped rescan would have been a no-op). This is the
-    /// oracle the epoch-skip fast path is checked against.
-    pub fn with_eager_refresh(mut self) -> Self {
-        self.eager_refresh = true;
-        self
-    }
-
-    /// Maintain the MRT's FU rows with the split per-row update (one scalar
-    /// count/mask/free-total adjustment per occupied row) instead of the
-    /// fused word-parallel span pass. The resulting MRT state and schedules
-    /// are bit-identical either way (`tests/refresh_equivalence.rs` and the
-    /// in-module MRT tests assert it); this is the oracle the fused row
-    /// maintenance is checked against.
-    pub fn with_split_row_update(mut self) -> Self {
-        self.split_row_update = true;
         self
     }
 
@@ -333,8 +261,8 @@ impl IterativeScheduler {
     /// execution engine gives each worker its own pool. Pooling is
     /// decision-invisible: results are bit-identical to an empty pool's
     /// (which this method degenerates to under the
-    /// [`IterativeScheduler::with_fresh_arena`] oracle — fresh builds never
-    /// touch the pool).
+    /// [`Oracles::fresh_arena`] oracle — fresh builds never touch the
+    /// pool).
     pub fn schedule_with_timings_pooled(
         &self,
         ddg: &Ddg,
@@ -566,14 +494,14 @@ impl IterativeScheduler {
             timings.publish(&self.telemetry);
             if let Some(a) = arena.as_ref() {
                 a.store.mrt().publish_metrics(&self.telemetry);
-                if !self.batch_pressure {
+                if !self.oracles.batch_pressure {
                     a.store.tracker().publish_metrics(&self.telemetry);
                 }
             }
         }
         // Hand the arena back for the pool's next loop. Fresh-arena oracle
         // runs never pooled their builds, so they return nothing either.
-        if !self.fresh_arena {
+        if !self.oracles.fresh_arena {
             if let Some(a) = arena {
                 pool.put(a);
             }
@@ -598,21 +526,16 @@ impl IterativeScheduler {
         trace: &mut TraceBuf,
         warm: Option<&[(NodeId, i64, u32)]>,
     ) -> AttemptOutcome {
-        if arena.is_none() || self.fresh_arena {
+        if arena.is_none() || self.oracles.fresh_arena {
             let t = Instant::now();
             let t0 = trace.now_ns();
-            let tuning = StoreTuning {
-                track_pressure: !self.batch_pressure,
-                eager_refresh: self.eager_refresh,
-                split_row_update: self.split_row_update,
-            };
             // The fresh-arena oracle rebuilds per attempt and must stay a
             // true from-scratch baseline, so it never draws from the pool.
-            let (a, rebound) = if self.fresh_arena {
-                (AttemptArena::new(ddg, &self.machine, tuning), false)
+            let (a, rebound) = if self.oracles.fresh_arena {
+                (AttemptArena::new(ddg, &self.machine, self.oracles), false)
             } else {
                 let before = pool.rebinds();
-                let a = pool.take(ddg, &self.machine, tuning);
+                let a = pool.take(ddg, &self.machine, self.oracles);
                 (a, pool.rebinds() > before)
             };
             *arena = Some(a);
@@ -763,7 +686,7 @@ impl IterativeScheduler {
             // that could need communication in the same walk that scores the
             // clusters, so step 2 does not have to re-walk the neighbourhood.
             let mut comm_cands = std::mem::take(&mut state.comm_cands);
-            let (choice, cands_complete) = if self.batch_pressure {
+            let (choice, cands_complete) = if self.oracles.batch_pressure {
                 // Oracle mode never consults the tracker; the store discards
                 // the dirty set so it cannot grow for the whole attempt.
                 state.store.sync_pressure(&mut state.w);
@@ -846,7 +769,7 @@ impl IterativeScheduler {
             };
         }
         if self.has_bounded_banks() {
-            let over = if self.batch_pressure {
+            let over = if self.oracles.batch_pressure {
                 let pr = pressure(
                     &state.w,
                     state.store.placements(),
@@ -1016,7 +939,7 @@ impl IterativeScheduler {
         loop {
             // One pressure probe per round: the over-capacity bank and, if
             // any, the spill candidate picked from the same lifetime set.
-            let probe = if self.batch_pressure {
+            let probe = if self.oracles.batch_pressure {
                 let pr = self.current_pressure(state, lat);
                 self.over_capacity_bank(&pr)
                     .map(|bank| (bank, pick_spill_candidate(&state.w, &pr, bank).copied()))
@@ -1159,7 +1082,7 @@ impl IterativeScheduler {
             (Some(e), Some(l)) => (e, l.min(e + ii - 1), true),
         };
 
-        let found = if self.linear_slot {
+        let found = if self.oracles.linear_slot_scan {
             state.store.mrt().first_free_row_linear(
                 kind,
                 cluster,
@@ -1214,64 +1137,37 @@ impl IterativeScheduler {
             }
         }
 
-        // Eject the operations holding the resources we need. The default
-        // path batches the whole forced row into one store transaction
-        // (single ranked drain of the conflicting SlotIndex row, deferred
-        // tracker touches and worklist re-insertions); the per-victim loop
-        // below is the decision-identical oracle, also used when the linear
-        // victim scan is selected (the snapshot ranking is the index's).
+        // Eject the operations holding the resources we need, one victim
+        // search + `eject` transaction at a time.
         let mut cascade_ejections = 0u64;
-        if self.per_victim_ejection || self.linear_victim {
-            let mut guard = 0u32;
-            while !state.store.mrt().can_place(kind, force_at, cluster, lat) {
-                guard += 1;
-                if guard > EJECTION_GUARD_LIMIT {
-                    state.stats.guard_trips += 1;
-                    return false;
-                }
-                let victim = if self.linear_victim {
-                    state
-                        .store
-                        .pick_victim_linear(&state.w, u, kind, force_at, cluster, lat)
-                } else {
-                    state
-                        .store
-                        .pick_victim(&state.w, u, kind, force_at, cluster)
-                };
-                let Some(victim) = victim else {
-                    // Nothing ejectable frees the resource (e.g. a divide
-                    // longer than the II); abandon the attempt.
-                    return false;
-                };
-                let ejected = state.store.eject(&mut state.w, victim, lat);
-                state.stats.ejections += ejected;
-                cascade_ejections += ejected;
-                if !state.w.is_active(u) {
-                    // The ejection cascade removed the chain `u` belongs to;
-                    // there is nothing left to place.
-                    return true;
-                }
+        let mut guard = 0u32;
+        while !state.store.mrt().can_place(kind, force_at, cluster, lat) {
+            guard += 1;
+            if guard > EJECTION_GUARD_LIMIT {
+                state.stats.guard_trips += 1;
+                return false;
             }
-        } else {
-            let report = state.store.eject_row_occupants(
-                &mut state.w,
-                u,
-                kind,
-                force_at,
-                cluster,
-                lat,
-                EJECTION_GUARD_LIMIT,
-            );
-            state.stats.ejections += report.ejections;
-            cascade_ejections += report.ejections;
-            match report.outcome {
-                RowEjectOutcome::Freed => {}
-                RowEjectOutcome::GuardTripped => {
-                    state.stats.guard_trips += 1;
-                    return false;
-                }
-                RowEjectOutcome::NoVictim => return false,
-                RowEjectOutcome::OwnerDeactivated => return true,
+            let victim = if self.oracles.linear_victim_scan {
+                state
+                    .store
+                    .pick_victim_linear(&state.w, u, kind, force_at, cluster, lat)
+            } else {
+                state
+                    .store
+                    .pick_victim(&state.w, u, kind, force_at, cluster)
+            };
+            let Some(victim) = victim else {
+                // Nothing ejectable frees the resource (e.g. a divide
+                // longer than the II); abandon the attempt.
+                return false;
+            };
+            let ejected = state.store.eject(&mut state.w, victim, lat);
+            state.stats.ejections += ejected;
+            cascade_ejections += ejected;
+            if !state.w.is_active(u) {
+                // The ejection cascade removed the chain `u` belongs to;
+                // there is nothing left to place.
+                return true;
             }
         }
         state.store.place(&state.w, u, force_at, cluster, lat);
@@ -1629,7 +1525,10 @@ mod tests {
             for g in &loops {
                 let inc = IterativeScheduler::new(m.clone(), params).schedule(g);
                 let batch = IterativeScheduler::new(m.clone(), params)
-                    .with_batch_pressure_oracle()
+                    .with_oracles(Oracles {
+                        batch_pressure: true,
+                        ..Oracles::default()
+                    })
                     .schedule(g);
                 assert_eq!(inc, batch, "engines diverged on {} / {}", g.name, cfg);
             }
@@ -1647,7 +1546,10 @@ mod tests {
             for g in &loops {
                 let indexed = IterativeScheduler::new(m.clone(), params).schedule(g);
                 let linear = IterativeScheduler::new(m.clone(), params)
-                    .with_linear_victim_scan()
+                    .with_oracles(Oracles {
+                        linear_victim_scan: true,
+                        ..Oracles::default()
+                    })
                     .schedule(g);
                 assert_eq!(
                     indexed, linear,

@@ -27,6 +27,7 @@
 use crate::mrt::{Mrt, ResourceCaps};
 use crate::order::PriorityOrder;
 use crate::pressure::{PlacementView, PressureTracker};
+use crate::types::Oracles;
 use crate::workgraph::{ChainKind, WorkGraph};
 use hcrf_ir::{NodeId, OpKind, OpLatencies, ResourceClass};
 use std::cmp::Reverse;
@@ -417,45 +418,6 @@ impl RankQueue {
     }
 }
 
-/// Engine/oracle selection for a store's internal fast paths, stamped at
-/// construction and re-stamped by [`PlacementStore::rebind`]. The scheduler
-/// builds it from its `with_*` oracle knobs; everything else uses the
-/// default (every fast path on, tracker maintained).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreTuning {
-    /// Maintain the incremental pressure tracker (`false` = the scheduler
-    /// runs the batch-pressure oracle and the tracker stays empty).
-    pub track_pressure: bool,
-    /// Run the tracker's eager-refresh oracle: skip-eligible refreshes
-    /// rescan anyway instead of returning in O(1)
-    /// ([`crate::IterativeScheduler::with_eager_refresh`]).
-    pub eager_refresh: bool,
-    /// Route FU row maintenance through the split per-row oracle instead of
-    /// the fused word-parallel span update
-    /// ([`crate::IterativeScheduler::with_split_row_update`]).
-    pub split_row_update: bool,
-}
-
-impl Default for StoreTuning {
-    fn default() -> Self {
-        StoreTuning {
-            track_pressure: true,
-            eager_refresh: false,
-            split_row_update: false,
-        }
-    }
-}
-
-impl StoreTuning {
-    /// Default tuning with the pressure tracker on or off.
-    pub fn tracking(track_pressure: bool) -> Self {
-        StoreTuning {
-            track_pressure,
-            ..Self::default()
-        }
-    }
-}
-
 /// The unified placement state of one II attempt. See the module docs.
 #[derive(Debug, Clone)]
 pub struct PlacementStore {
@@ -465,13 +427,11 @@ pub struct PlacementStore {
     /// Per-node hot fields (placement + `prev_cycle`), structure-of-arrays.
     hot: Vec<NodeHot>,
     tracker: PressureTracker,
-    /// `false` in batch-pressure-oracle mode: the tracker is never consulted,
-    /// so transactions skip its maintenance (keeping the oracle benchmark an
-    /// honest recompute-the-world baseline).
-    track_pressure: bool,
-    /// Route FU row maintenance through the split per-row oracle
-    /// (see [`StoreTuning::split_row_update`]).
-    split_row_update: bool,
+    /// The store reads three flags: `batch_pressure` (the tracker is never
+    /// consulted, so transactions skip its maintenance, keeping the oracle
+    /// an honest recompute-the-world baseline), `eager_refresh` (handed to
+    /// the tracker) and `split_row_update` (FU row maintenance).
+    oracles: Oracles,
     /// Rows maintained by [`PlacementStore::apply_reservation`] this attempt
     /// (counts+masks+index lists moved together for each) — the event-volume
     /// side of [`crate::SchedulerStats::fused_row_updates`]. Identical in
@@ -480,7 +440,7 @@ pub struct PlacementStore {
     fused_rows: u64,
     order: PriorityOrder,
     worklist: RankQueue,
-    /// `true` while [`PlacementStore::eject_row_occupants`] runs: tracker
+    /// `true` while [`PlacementStore::eject_violators`] runs: tracker
     /// touches and worklist requeues are deferred into the two buffers below
     /// and flushed once at the end of the batch.
     batch_active: bool,
@@ -497,41 +457,12 @@ pub struct PlacementStore {
     chain_ids_scratch: Vec<usize>,
     /// Scratch for the member nodes of one removed chain (reused).
     chain_members_scratch: Vec<NodeId>,
-    /// Reusable snapshot buffer for the ranked row candidates of a batched
-    /// row ejection (the forced-placement path runs hundreds of thousands
-    /// of times per churn suite; it should not allocate).
-    batch_cands: Vec<NodeId>,
     /// Reusable drain buffer for the graph's pressure-dirty set (swapped
     /// back and forth so neither side reallocates at steady state).
     dirty_scratch: Vec<NodeId>,
     /// Reusable `(rank, snapshot index)` sort buffer for
     /// [`PlacementStore::warm_remap`].
     warm_scratch: Vec<(usize, u32)>,
-}
-
-/// How a batched forced-row ejection ended (see
-/// [`PlacementStore::eject_row_occupants`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowEjectOutcome {
-    /// The resource is now free at the forced cycle: place and continue.
-    Freed,
-    /// The ejection guard limit was reached; abandon the attempt.
-    GuardTripped,
-    /// No ejectable occupant frees the resource; abandon the attempt.
-    NoVictim,
-    /// An ejection cascade removed the chain the forced node belongs to;
-    /// there is nothing left to place.
-    OwnerDeactivated,
-}
-
-/// Result of one [`PlacementStore::eject_row_occupants`] transaction.
-#[derive(Debug, Clone, Copy)]
-pub struct RowEjectReport {
-    /// Total ejections performed (cascades included), for
-    /// [`crate::types::SchedulerStats::ejections`].
-    pub ejections: u64,
-    /// How the batch ended.
-    pub outcome: RowEjectOutcome,
 }
 
 impl PlacementStore {
@@ -541,20 +472,19 @@ impl PlacementStore {
         caps: ResourceCaps,
         num_nodes: usize,
         order: PriorityOrder,
-        tuning: StoreTuning,
+        oracles: Oracles,
     ) -> Self {
         let ii = ii.max(1);
         let clusters = caps.clusters;
         let mut tracker = PressureTracker::new(ii, clusters, num_nodes);
-        tracker.set_eager_refresh(tuning.eager_refresh);
+        tracker.set_eager_refresh(oracles.eager_refresh);
         PlacementStore {
             ii,
             mrt: Mrt::new(ii, caps),
             index: SlotIndex::new(ii, &caps),
             hot: vec![NodeHot::EMPTY; num_nodes],
             tracker,
-            track_pressure: tuning.track_pressure,
-            split_row_update: tuning.split_row_update,
+            oracles,
             fused_rows: 0,
             order,
             worklist: RankQueue::default(),
@@ -563,7 +493,6 @@ impl PlacementStore {
             batch_active: false,
             batch_touched: Vec::new(),
             batch_requeue: Vec::new(),
-            batch_cands: Vec::new(),
             dirty_scratch: Vec::new(),
             warm_scratch: Vec::new(),
         }
@@ -591,32 +520,29 @@ impl PlacementStore {
         debug_assert!(!self.batch_active);
         self.batch_touched.clear();
         self.batch_requeue.clear();
-        self.batch_cands.clear();
     }
 
-    /// Re-target the store at a new machine's capacities (and tuning) and
+    /// Re-target the store at a new machine's capacities (and oracles) and
     /// clear it for a fresh II ladder — equivalent to
     /// [`PlacementStore::new`] with an empty order but reusing the MRT,
     /// slot-index, tracker and per-node array allocations. `num_nodes` is
     /// the pristine node count of the newly bound working graph. The
     /// priority order is recomputed separately by the arena's first reset
     /// (via [`PlacementStore::order_mut`]), exactly as after `new`.
-    pub fn rebind(&mut self, caps: ResourceCaps, num_nodes: usize, tuning: StoreTuning) {
+    pub fn rebind(&mut self, caps: ResourceCaps, num_nodes: usize, oracles: Oracles) {
         self.ii = 1;
         self.mrt.rebind(1, caps);
         self.index.rebind(1, &caps);
         self.hot.clear();
         self.hot.resize(num_nodes, NodeHot::EMPTY);
         self.tracker.rebind(1, caps.clusters, num_nodes);
-        self.tracker.set_eager_refresh(tuning.eager_refresh);
-        self.track_pressure = tuning.track_pressure;
-        self.split_row_update = tuning.split_row_update;
+        self.tracker.set_eager_refresh(oracles.eager_refresh);
+        self.oracles = oracles;
         self.fused_rows = 0;
         self.worklist.clear();
         debug_assert!(!self.batch_active);
         self.batch_touched.clear();
         self.batch_requeue.clear();
-        self.batch_cands.clear();
     }
 
     /// Mutable access to the priority order, for the attempt arena's
@@ -686,8 +612,8 @@ impl PlacementStore {
     }
 
     /// Push a node (back) onto the worklist at its priority rank. During a
-    /// batched row ejection the push is deferred (heap insertion order never
-    /// affects pops: they follow the total `(rank, id)` order).
+    /// batched ejection the push is deferred (insertion order never affects
+    /// pops: they follow the total `(rank, id)` order).
     pub fn requeue(&mut self, n: NodeId) {
         if self.batch_active {
             self.batch_requeue.push(n);
@@ -729,7 +655,7 @@ impl PlacementStore {
         }
         let mut dirty = std::mem::take(&mut self.dirty_scratch);
         w.swap_pressure_dirty(&mut dirty);
-        if self.track_pressure {
+        if !self.oracles.batch_pressure {
             // One chain rewiring pushes the same def once per flow edge it
             // touches; refresh is idempotent and order-independent, so the
             // duplicates are pure waste — each one re-derives the def's full
@@ -767,7 +693,7 @@ impl PlacementStore {
         self.fused_rows += span as u64;
         match class {
             ResourceClass::Fu => {
-                if self.split_row_update {
+                if self.oracles.split_row_update {
                     // Split oracle: the pre-fusion per-row walk, one scalar
                     // count/mask/free update per occupied row.
                     for k in 0..span {
@@ -817,7 +743,7 @@ impl PlacementStore {
             cluster,
             flags: NodeHot::PLACED | NodeHot::HAS_PREV,
         };
-        if self.track_pressure {
+        if !self.oracles.batch_pressure {
             self.tracker.touch(w, self.hot.as_slice(), n);
         }
     }
@@ -831,7 +757,7 @@ impl PlacementStore {
             self.apply_reservation(kind, n, cycle, cluster, lat, false);
             self.hot[n.index()].flags &= !NodeHot::PLACED;
         }
-        if self.track_pressure {
+        if !self.oracles.batch_pressure {
             if self.batch_active {
                 // Deferred to the batch flush: touching is idempotent and
                 // placements only disappear during a batch, so one touch per
@@ -920,8 +846,7 @@ impl PlacementStore {
         cluster: u32,
     ) -> Option<NodeId> {
         let class = kind.resource_class();
-        let row = cycle.rem_euclid(self.ii as i64) as u32;
-        let cands = self.index.candidates(class, row, cluster);
+        let cands = self.index.candidates(class, self.row_of(cycle), cluster);
         self.best_victim(w, u, cands.iter().copied())
     }
 
@@ -939,7 +864,7 @@ impl PlacementStore {
     ) -> Option<NodeId> {
         let ii = self.ii;
         let class = kind.resource_class();
-        let row = cycle.rem_euclid(ii as i64) as u32;
+        let row = self.row_of(cycle);
         let caps = self.mrt.caps();
         let global = matches!(class, ResourceClass::Bus)
             || (class == ResourceClass::MemPort && caps.memory_is_shared());
@@ -964,98 +889,11 @@ impl PlacementStore {
         self.best_victim(w, u, candidates)
     }
 
-    /// Eject every occupant of the forced row that stands between `kind` and
-    /// its placement at `cycle` on `cluster`, as one batched transaction:
-    ///
-    /// * the conflicting row's [`SlotIndex`] list is drained (snapshotted and
-    ///   ranked) **once** instead of re-running `pick_victim`'s max-scan per
-    ///   ejection — cascades can only *remove* candidates, so walking the
-    ///   ranked snapshot with an is-placed filter reproduces the
-    ///   per-victim choices exactly;
-    /// * pressure-tracker touches are deferred and applied once per unplaced
-    ///   node at the end of the batch (idempotent; a producer feeding several
-    ///   victims is no longer rescanned once per victim);
-    /// * worklist re-insertions are deferred into one extend.
-    ///
-    /// Decision-equivalent to the per-victim loop it replaces
-    /// (`tests/ladder_equivalence.rs` asserts bit-identical suite results
-    /// against [`crate::IterativeScheduler::with_per_victim_ejection`]).
-    /// `guard_limit` mirrors [`crate::EJECTION_GUARD_LIMIT`] accounting: one
-    /// guard tick per conflicting-row probe, [`RowEjectOutcome::GuardTripped`]
-    /// when exceeded.
-    #[allow(clippy::too_many_arguments)]
-    pub fn eject_row_occupants(
-        &mut self,
-        w: &mut WorkGraph,
-        u: NodeId,
-        kind: OpKind,
-        cycle: i64,
-        cluster: u32,
-        lat: &OpLatencies,
-        guard_limit: u32,
-    ) -> RowEjectReport {
-        // Nothing to eject when the forced slot is already free (the force
-        // cycle can sit past `prev_cycle` in an empty row) — same zero
-        // iterations the per-victim loop would do, without snapshotting.
-        if self.mrt.can_place(kind, cycle, cluster, lat) {
-            return RowEjectReport {
-                ejections: 0,
-                outcome: RowEjectOutcome::Freed,
-            };
-        }
-        let class = kind.resource_class();
-        let row = cycle.rem_euclid(self.ii as i64) as u32;
-        // One snapshot of the row occupants (into the reusable scratch),
-        // ranked once: descending victim preference, exactly the key
-        // `best_victim` maximises.
-        let mut cands = std::mem::take(&mut self.batch_cands);
-        cands.clear();
-        cands.extend_from_slice(self.index.candidates(class, row, cluster));
-        cands.sort_unstable_by_key(|&v| {
-            Reverse((!w.is_inserted(v), self.order.rank_of(v), Reverse(v.0)))
-        });
-        debug_assert!(!self.batch_active);
-        self.batch_active = true;
-        let mut cursor = 0usize;
-        let mut ejections = 0u64;
-        let mut guard = 0u32;
-        let outcome = loop {
-            if self.mrt.can_place(kind, cycle, cluster, lat) {
-                break RowEjectOutcome::Freed;
-            }
-            guard += 1;
-            if guard > guard_limit {
-                break RowEjectOutcome::GuardTripped;
-            }
-            // Next still-placed snapshot entry = pick_victim's choice.
-            let victim = loop {
-                let Some(&v) = cands.get(cursor) else {
-                    break None;
-                };
-                cursor += 1;
-                if v != u && self.hot[v.index()].is_placed() {
-                    break Some(v);
-                }
-            };
-            let Some(victim) = victim else {
-                break RowEjectOutcome::NoVictim;
-            };
-            ejections += self.eject(w, victim, lat);
-            if !w.is_active(u) {
-                break RowEjectOutcome::OwnerDeactivated;
-            }
-        };
-        self.batch_cands = cands;
-        self.flush_batch(w);
-        RowEjectReport { ejections, outcome }
-    }
-
     /// Eject a list of dependence violators as one batched transaction:
     /// pressure-tracker touches and worklist re-insertions are deferred to a
-    /// single flush exactly like [`PlacementStore::eject_row_occupants`]
-    /// (touches are idempotent and converge to the tracker state the eager
-    /// per-ejection touches reach; the worklist heap pops in total
-    /// `(rank, id)` order, so insertion order never matters). A producer
+    /// single flush (touches are idempotent and converge to the tracker
+    /// state the eager per-ejection touches reach; the worklist pops in
+    /// total `(rank, id)` order, so insertion order never matters). A producer
     /// feeding several violators is rescanned once instead of once per
     /// ejection. `skip` is the just-forced node itself, which must keep its
     /// slot.
@@ -1079,7 +917,7 @@ impl PlacementStore {
     }
 
     /// Apply the deferred tracker touches and worklist insertions of a
-    /// batched row ejection.
+    /// batched ejection.
     fn flush_batch(&mut self, w: &WorkGraph) {
         self.batch_active = false;
         self.tracker
@@ -1093,6 +931,12 @@ impl PlacementStore {
             }
         }
         self.batch_requeue.clear();
+    }
+
+    /// The MRT row a forced placement at `cycle` conflicts in — the one row
+    /// both victim searches draw their candidates from.
+    fn row_of(&self, cycle: i64) -> u32 {
+        cycle.rem_euclid(self.ii as i64) as u32
     }
 
     /// Shared victim ranking: max over `(is_original, rank, lowest id)`.
@@ -1269,7 +1113,7 @@ mod tests {
     fn store_for(w: &WorkGraph, m: &MachineConfig, ii: u32) -> PlacementStore {
         let caps = ResourceCaps::from_machine(m);
         let order = priority_order(w, &lat(), ii);
-        PlacementStore::new(ii, caps, w.ddg.num_nodes(), order, StoreTuning::default())
+        PlacementStore::new(ii, caps, w.ddg.num_nodes(), order, Oracles::default())
     }
 
     #[test]

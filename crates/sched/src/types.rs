@@ -90,6 +90,49 @@ impl SchedulerParams {
     }
 }
 
+/// Oracle selection for the scheduler's decision-invisible fast paths: one
+/// flag per fast path, each swapping it for the paper-literal code it
+/// replaced. Schedules and [`SchedulerStats`] equality are bit-identical
+/// for each flag alone and for all of them at once (`tests/*_equivalence.rs`;
+/// `tests/oracle_equivalence.rs` runs the full set), so the set only exists
+/// to cross-check and measure the fast paths. The default selects
+/// every fast path; [`Oracles::REFERENCE`] selects every oracle.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Oracles {
+    /// Rebuild the working graph, priority order and placement store for
+    /// every II attempt instead of resetting a persistent (and pooled)
+    /// [`crate::AttemptArena`].
+    pub fresh_arena: bool,
+    /// Answer victim searches with the O(active nodes) scan instead of the
+    /// [`crate::SlotIndex`] row lists.
+    pub linear_victim_scan: bool,
+    /// Answer free-slot window searches with the per-row `can_place` walk
+    /// instead of the MRT availability bitmasks.
+    pub linear_slot_scan: bool,
+    /// Recompute the batch [`crate::pressure::pressure`] snapshot for every
+    /// register-pressure query; the incremental tracker is never maintained.
+    pub batch_pressure: bool,
+    /// Rescan every pressure-refresh request instead of skipping the ones
+    /// the tracker's lifetime epochs prove up to date (debug builds assert
+    /// each skippable rescan changes nothing).
+    pub eager_refresh: bool,
+    /// Maintain the MRT's FU rows one scalar row at a time instead of the
+    /// fused word-parallel span pass.
+    pub split_row_update: bool,
+}
+
+impl Oracles {
+    /// Every oracle on: the paper-literal reference scheduler.
+    pub const REFERENCE: Oracles = Oracles {
+        fresh_arena: true,
+        linear_victim_scan: true,
+        linear_slot_scan: true,
+        batch_pressure: true,
+        eager_refresh: true,
+        split_row_update: true,
+    };
+}
+
 /// Counters describing the work the scheduler performed.
 ///
 /// Equality is *schedule equality*, not byte equality: the pressure-refresh
@@ -115,7 +158,7 @@ pub struct SchedulerStats {
     pub ii_skips: u32,
     /// Attempt-state preparations beyond the first: arena resets under the
     /// default reuse policy, full rebuilds under the
-    /// [`crate::IterativeScheduler::with_fresh_arena`] oracle (counted the
+    /// [`Oracles::fresh_arena`] oracle (counted the
     /// same so results stay bit-comparable between the two).
     pub arena_resets: u32,
     /// Attempts that failed on a budget-family limit (scheduling budget,
@@ -152,14 +195,14 @@ pub struct SchedulerStats {
     pub pressure_refreshes: u64,
     /// Pressure-tracker refresh requests proven up to date by the lifetime
     /// epoch and skipped in O(1) (identical under the
-    /// [`crate::IterativeScheduler::with_eager_refresh`] oracle, which
+    /// [`Oracles::eager_refresh`] oracle, which
     /// classifies the same but rescans anyway). Zero in batch-pressure
     /// mode; excluded from `PartialEq`.
     pub refresh_skips: u64,
     /// MRT rows maintained by place/unplace reservations — the row volume
     /// the fused word-parallel update collapses into packed-word passes.
     /// Counted identically in fused and split
-    /// ([`crate::IterativeScheduler::with_split_row_update`]) mode: it
+    /// ([`Oracles::split_row_update`]) mode: it
     /// measures the transaction's row traffic, not which engine moved it.
     pub fused_row_updates: u64,
 }

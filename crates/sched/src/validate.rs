@@ -309,7 +309,7 @@ mod tests {
         let caps = ResourceCaps::from_machine(&m);
         let order = priority_order(&w, &lat, 4);
         let mut store =
-            PlacementStore::new(4, caps, g.num_nodes(), order, crate::StoreTuning::default());
+            PlacementStore::new(4, caps, g.num_nodes(), order, crate::Oracles::default());
         store.place(&w, NodeId(0), 0, 0, &lat);
         store.place(&w, NodeId(1), 2, 0, &lat);
         assert!(validate_store(&store, &w, &lat).is_ok());

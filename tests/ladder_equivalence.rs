@@ -1,79 +1,18 @@
-//! The persistent `AttemptArena` and the batched victim ejection must be
-//! decision-invisible, and the budget-aware II-ladder acceleration must
-//! never cost schedule quality:
-//!
-//! * scheduling entire suites with the reused arena produces results — and
-//!   therefore `SuiteAggregate`s — bit-identical to rebuilding the complete
-//!   per-attempt state for every II (`with_fresh_arena`), on the standard,
-//!   churn and wide suites across the four standard machine configurations;
-//! * the batched `eject_row_occupants` transaction produces results
-//!   bit-identical to the per-victim `pick_victim` + `eject` loop it
-//!   replaces (`with_per_victim_ejection`);
-//! * the skipping ladder never lands on a *higher* final II than the
-//!   one-step oracle (`with_unit_ladder`) — since the ladders scan upward,
-//!   the skipping result can never be lower either, so this is exact final
-//!   II equality — and agrees on failure.
+//! The persistent `AttemptArena` must be decision-invisible: scheduling
+//! entire suites with the arena reset (not rebuilt) across II restarts, and
+//! pooled across loops, produces results — and therefore `SuiteAggregate`s
+//! — bit-identical to rebuilding the complete per-attempt state for every
+//! II (`Oracles::fresh_arena`), on the standard, churn and wide suites
+//! across the four standard machine configurations.
 
-use hcrf::driver::ConfiguredMachine;
-use hcrf_perf::{LoopPerformance, SuiteAggregate};
-use hcrf_sched::{IterativeScheduler, SchedulerParams};
-use hcrf_telemetry::Telemetry;
+mod common;
+
+use common::{assert_bit_identical, churn_params, only, CONFIGS};
+use hcrf_sched::{Oracles, SchedulerParams};
 use hcrf_workloads::{churn_suite, small_suite, wide_window_suite};
 
-const CONFIGS: [&str; 4] = ["S128", "4C32S16", "8C16S16", "4C16S64"];
-
-fn assert_bit_identical(
-    loops: &[hcrf_ir::Loop],
-    params: SchedulerParams,
-    suite_name: &str,
-    oracle_of: impl Fn(IterativeScheduler) -> IterativeScheduler,
-    oracle_name: &str,
-) {
-    for name in CONFIGS {
-        let cfg = ConfiguredMachine::from_name(name).unwrap();
-        // The default side runs with live tracing so every equivalence
-        // suite also proves enabled-vs-disabled telemetry bit-identity.
-        let default = IterativeScheduler::new(cfg.machine.clone(), params)
-            .with_telemetry(Telemetry::enabled());
-        let oracle = oracle_of(IterativeScheduler::new(cfg.machine.clone(), params));
-        let mut agg_def = SuiteAggregate::new(name, cfg.hardware.clock_ns);
-        let mut agg_ora = SuiteAggregate::new(name, cfg.hardware.clock_ns);
-        for l in loops {
-            let a = default.schedule(&l.ddg);
-            let b = oracle.schedule(&l.ddg);
-            // Full structural equality: II, MaxLive per bank, spill and
-            // communication counts, placements, stats — everything.
-            assert_eq!(
-                a, b,
-                "{suite_name} / {name} / {}: default diverged from {oracle_name}",
-                l.ddg.name
-            );
-            agg_def.add(&LoopPerformance::from_schedule(&a, l, 0));
-            agg_ora.add(&LoopPerformance::from_schedule(&b, l, 0));
-        }
-        assert_eq!(
-            agg_def.sum_ii, agg_ora.sum_ii,
-            "{suite_name}/{name}: sum_ii"
-        );
-        assert_eq!(
-            agg_def.useful_cycles, agg_ora.useful_cycles,
-            "{suite_name}/{name}: useful_cycles"
-        );
-        assert_eq!(
-            agg_def.memory_traffic, agg_ora.memory_traffic,
-            "{suite_name}/{name}: memory_traffic"
-        );
-        assert_eq!(agg_def.loops_at_mii, agg_ora.loops_at_mii);
-        assert_eq!(agg_def.failed_loops, agg_ora.failed_loops);
-    }
-}
-
-fn churn_params() -> SchedulerParams {
-    // The churn family climbs long II ladders by design; give it room.
-    SchedulerParams {
-        max_ii: 256,
-        ..Default::default()
-    }
+fn fresh_arena() -> [(&'static str, Oracles); 1] {
+    [("fresh_arena", only(|o| o.fresh_arena = true))]
 }
 
 #[test]
@@ -82,8 +21,8 @@ fn arena_reuse_bit_identical_to_fresh_build_small_suite() {
         &small_suite(8),
         SchedulerParams::default(),
         "small_suite",
-        |s| s.with_fresh_arena(),
-        "fresh-build",
+        &CONFIGS,
+        &fresh_arena(),
     );
 }
 
@@ -93,8 +32,8 @@ fn arena_reuse_bit_identical_to_fresh_build_churn_suite() {
         &churn_suite(6),
         churn_params(),
         "churn_suite",
-        |s| s.with_fresh_arena(),
-        "fresh-build",
+        &CONFIGS,
+        &fresh_arena(),
     );
 }
 
@@ -104,99 +43,7 @@ fn arena_reuse_bit_identical_to_fresh_build_wide_suite() {
         &wide_window_suite(6),
         SchedulerParams::default(),
         "wide_suite",
-        |s| s.with_fresh_arena(),
-        "fresh-build",
+        &CONFIGS,
+        &fresh_arena(),
     );
-}
-
-#[test]
-fn batched_ejection_bit_identical_to_per_victim_small_suite() {
-    assert_bit_identical(
-        &small_suite(8),
-        SchedulerParams::default(),
-        "small_suite",
-        |s| s.with_per_victim_ejection(),
-        "per-victim ejection",
-    );
-}
-
-#[test]
-fn batched_ejection_bit_identical_to_per_victim_churn_suite() {
-    assert_bit_identical(
-        &churn_suite(6),
-        churn_params(),
-        "churn_suite",
-        |s| s.with_per_victim_ejection(),
-        "per-victim ejection",
-    );
-}
-
-#[test]
-fn batched_ejection_bit_identical_to_per_victim_wide_suite() {
-    assert_bit_identical(
-        &wide_window_suite(6),
-        SchedulerParams::default(),
-        "wide_suite",
-        |s| s.with_per_victim_ejection(),
-        "per-victim ejection",
-    );
-}
-
-/// The budget-aware ladder (cold-attempts oracle: skipping only engages
-/// there — the default warm ladder climbs rung by rung) skips rungs but
-/// re-checks the final gap from below on success, so it must never land on
-/// a higher final II than the unit ladder — and since both scan upward,
-/// "never higher" means the final IIs (and the failure outcomes) are
-/// exactly equal.
-#[test]
-fn skipping_ladder_never_lands_on_higher_final_ii() {
-    let suites: [(&str, Vec<hcrf_ir::Loop>, SchedulerParams); 3] = [
-        ("small_suite", small_suite(8), SchedulerParams::default()),
-        ("churn_suite", churn_suite(6), churn_params()),
-        (
-            "wide_suite",
-            wide_window_suite(6),
-            SchedulerParams::default(),
-        ),
-    ];
-    for (suite_name, loops, params) in &suites {
-        for name in CONFIGS {
-            let cfg = ConfiguredMachine::from_name(name).unwrap();
-            let skipping = IterativeScheduler::new(cfg.machine.clone(), *params)
-                .with_cold_attempts()
-                .with_telemetry(Telemetry::enabled());
-            let unit = IterativeScheduler::new(cfg.machine.clone(), *params)
-                .with_unit_ladder()
-                .with_cold_attempts();
-            for l in loops {
-                let s = skipping.schedule(&l.ddg);
-                let u = unit.schedule(&l.ddg);
-                assert!(
-                    s.ii <= u.ii,
-                    "{suite_name} / {name} / {}: skipping ladder landed on II {} above the \
-                     unit ladder's {}",
-                    l.ddg.name,
-                    s.ii,
-                    u.ii
-                );
-                assert_eq!(
-                    s.failed, u.failed,
-                    "{suite_name} / {name} / {}: ladders disagree on failure",
-                    l.ddg.name
-                );
-                // Every rung the unit ladder attempted was either attempted
-                // or skipped by the skipping ladder (it may additionally
-                // have attempted overshoot rungs above the final II).
-                assert!(
-                    s.stats.ii_restarts + s.stats.ii_skips >= u.stats.ii_restarts,
-                    "{suite_name} / {name} / {}: skip accounting broken \
-                     ({} restarts + {} skips < {} unit restarts)",
-                    l.ddg.name,
-                    s.stats.ii_restarts,
-                    s.stats.ii_skips,
-                    u.stats.ii_restarts
-                );
-            }
-        }
-    }
 }

@@ -1,47 +1,48 @@
 //! The incremental register-pressure engine must be decision-invisible:
-//! scheduling an entire suite with the `PressureTracker` produces results —
-//! and therefore `SuiteAggregate`s — bit-identical to the batch `pressure()`
-//! recompute-the-world path it replaces.
+//! scheduling entire suites with the `PressureTracker` produces results —
+//! and therefore `SuiteAggregate`s — bit-identical to the batch
+//! `pressure()` recompute-the-world path it replaces
+//! (`Oracles::batch_pressure`).
 
-use hcrf::driver::ConfiguredMachine;
-use hcrf_perf::{LoopPerformance, SuiteAggregate};
-use hcrf_sched::{IterativeScheduler, SchedulerParams};
-use hcrf_telemetry::Telemetry;
-use hcrf_workloads::small_suite;
+mod common;
+
+use common::{assert_bit_identical, churn_params, only, CONFIGS};
+use hcrf_sched::{Oracles, SchedulerParams};
+use hcrf_workloads::{churn_suite, small_suite, wide_window_suite};
+
+fn batch_pressure() -> [(&'static str, Oracles); 1] {
+    [("batch_pressure", only(|o| o.batch_pressure = true))]
+}
 
 #[test]
 fn suite_aggregates_bit_identical_between_pressure_engines() {
-    let loops = small_suite(8);
-    let params = SchedulerParams::default();
-    for name in ["S128", "4C32S16", "8C16S16"] {
-        let cfg = ConfiguredMachine::from_name(name).unwrap();
-        // Tracing on the default side: equivalence doubles as proof that
-        // an enabled telemetry sink is decision-invisible.
-        let incremental = IterativeScheduler::new(cfg.machine.clone(), params)
-            .with_telemetry(Telemetry::enabled());
-        let batch =
-            IterativeScheduler::new(cfg.machine.clone(), params).with_batch_pressure_oracle();
-        let mut agg_inc = SuiteAggregate::new(name, cfg.hardware.clock_ns);
-        let mut agg_batch = SuiteAggregate::new(name, cfg.hardware.clock_ns);
-        for l in &loops {
-            let a = incremental.schedule(&l.ddg);
-            let b = batch.schedule(&l.ddg);
-            // Full structural equality: II, MaxLive per bank, spill and
-            // communication counts, placements — everything.
-            assert_eq!(a, b, "{name} / {}: engines diverged", l.ddg.name);
-            agg_inc.add(&LoopPerformance::from_schedule(&a, l, 0));
-            agg_batch.add(&LoopPerformance::from_schedule(&b, l, 0));
-        }
-        assert_eq!(agg_inc.sum_ii, agg_batch.sum_ii, "{name}: sum_ii");
-        assert_eq!(
-            agg_inc.useful_cycles, agg_batch.useful_cycles,
-            "{name}: useful_cycles"
-        );
-        assert_eq!(
-            agg_inc.memory_traffic, agg_batch.memory_traffic,
-            "{name}: memory_traffic"
-        );
-        assert_eq!(agg_inc.loops_at_mii, agg_batch.loops_at_mii);
-        assert_eq!(agg_inc.failed_loops, agg_batch.failed_loops);
-    }
+    assert_bit_identical(
+        &small_suite(8),
+        SchedulerParams::default(),
+        "small_suite",
+        &CONFIGS,
+        &batch_pressure(),
+    );
+}
+
+#[test]
+fn churn_suite_bit_identical_between_pressure_engines() {
+    assert_bit_identical(
+        &churn_suite(6),
+        churn_params(),
+        "churn_suite",
+        &CONFIGS,
+        &batch_pressure(),
+    );
+}
+
+#[test]
+fn wide_window_suite_bit_identical_between_pressure_engines() {
+    assert_bit_identical(
+        &wide_window_suite(6),
+        SchedulerParams::default(),
+        "wide_suite",
+        &CONFIGS,
+        &batch_pressure(),
+    );
 }

@@ -9,8 +9,8 @@ use hcrf_sched::mrt::ResourceCaps;
 use hcrf_sched::order::priority_order;
 use hcrf_sched::workgraph::WorkGraph;
 use hcrf_sched::{
-    schedule_loop, validate_schedule, validate_store, AttemptArena, PlacementStore, PressureQuery,
-    PressureTracker, SchedulerParams, StoreTuning,
+    schedule_loop, validate_schedule, validate_store, AttemptArena, Oracles, PlacementStore,
+    PressureQuery, PressureTracker, SchedulerParams,
 };
 use proptest::prelude::*;
 
@@ -255,7 +255,7 @@ proptest! {
         let mut w = WorkGraph::new(&ddg, &machine);
         let caps = ResourceCaps::from_machine(&machine);
         let order = priority_order(&w, &lat, ii);
-        let mut store = PlacementStore::new(ii, caps, w.ddg.num_nodes(), order, StoreTuning::default());
+        let mut store = PlacementStore::new(ii, caps, w.ddg.num_nodes(), order, Oracles::default());
         store.sync_pressure(&mut w);
         let nodes: Vec<_> = w.active_nodes().collect();
         let probe_kinds = [OpKind::FAdd, OpKind::FDiv, OpKind::Load, OpKind::LoadR, OpKind::StoreR];
@@ -360,7 +360,7 @@ proptest! {
     ) {
         let lat = OpLatencies::paper_baseline();
         let machine = &machines()[which];
-        let mut arena = AttemptArena::new(&ddg, machine, StoreTuning::default());
+        let mut arena = AttemptArena::new(&ddg, machine, Oracles::default());
         let pristine_nodes = arena.workgraph().ddg.num_nodes();
         let pristine_edges = arena.workgraph().ddg.num_edges();
         for ii in iis {
@@ -438,7 +438,7 @@ proptest! {
     ) {
         let lat = OpLatencies::paper_baseline();
         let machine = &machines()[which];
-        let mut arena = AttemptArena::new(&ddg, machine, StoreTuning::default());
+        let mut arena = AttemptArena::new(&ddg, machine, Oracles::default());
         arena.reset(ii0, &lat);
         let (w, store) = arena.parts_mut();
         let nodes: Vec<_> = w.active_nodes().collect();

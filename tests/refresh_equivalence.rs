@@ -3,91 +3,29 @@
 //!
 //! * scheduling entire suites with the epoch-gated refresh skip produces
 //!   results bit-identical to the always-rescan oracle
-//!   ([`IterativeScheduler::with_eager_refresh`]), on the standard, churn
-//!   and wide suites across the four standard machine configurations —
-//!   including the `pressure_refreshes` / `refresh_skips` classification,
-//!   which schedule equality deliberately ignores (they are engine counters,
-//!   not schedule behaviour) and this suite therefore asserts explicitly:
-//!   both modes see the identical refresh-request stream, the oracle merely
-//!   *performs* the rescans the fast path skips;
+//!   (`Oracles::eager_refresh`), on the standard, churn and wide suites
+//!   across the four standard machine configurations — including the
+//!   `pressure_refreshes` / `refresh_skips` classification, which the
+//!   shared harness asserts explicitly: both modes see the identical
+//!   refresh-request stream, the oracle merely *performs* the rescans the
+//!   fast path skips;
 //! * the fused FU span transaction produces results — and a
 //!   `fused_row_updates` row count, which IS part of schedule equality —
 //!   bit-identical to the split per-row walk it replaces
-//!   ([`IterativeScheduler::with_split_row_update`]).
+//!   (`Oracles::split_row_update`).
 
-use hcrf::driver::ConfiguredMachine;
-use hcrf_perf::{LoopPerformance, SuiteAggregate};
-use hcrf_sched::{IterativeScheduler, SchedulerParams};
-use hcrf_telemetry::Telemetry;
+mod common;
+
+use common::{assert_bit_identical, churn_params, only, CONFIGS};
+use hcrf_sched::{Oracles, SchedulerParams};
 use hcrf_workloads::{churn_suite, small_suite, wide_window_suite};
 
-const CONFIGS: [&str; 4] = ["S128", "4C32S16", "8C16S16", "4C16S64"];
-
-fn assert_bit_identical(
-    loops: &[hcrf_ir::Loop],
-    params: SchedulerParams,
-    suite_name: &str,
-    oracle_of: impl Fn(IterativeScheduler) -> IterativeScheduler,
-    oracle_name: &str,
-    refresh_counters_must_match: bool,
-) {
-    for name in CONFIGS {
-        let cfg = ConfiguredMachine::from_name(name).unwrap();
-        // The default side runs with live tracing so the suite also keeps
-        // proving enabled-vs-disabled telemetry bit-identity.
-        let default = IterativeScheduler::new(cfg.machine.clone(), params)
-            .with_telemetry(Telemetry::enabled());
-        let oracle = oracle_of(IterativeScheduler::new(cfg.machine.clone(), params));
-        let mut agg_def = SuiteAggregate::new(name, cfg.hardware.clock_ns);
-        let mut agg_ora = SuiteAggregate::new(name, cfg.hardware.clock_ns);
-        for l in loops {
-            let a = default.schedule(&l.ddg);
-            let b = oracle.schedule(&l.ddg);
-            // Full structural equality: II, MaxLive per bank, spill and
-            // communication counts, placements, stats (including the
-            // fused_row_updates row-maintenance volume) — everything except
-            // the refresh classification, asserted separately below.
-            assert_eq!(
-                a, b,
-                "{suite_name} / {name} / {}: default diverged from {oracle_name}",
-                l.ddg.name
-            );
-            if refresh_counters_must_match {
-                assert_eq!(
-                    (a.stats.pressure_refreshes, a.stats.refresh_skips),
-                    (b.stats.pressure_refreshes, b.stats.refresh_skips),
-                    "{suite_name} / {name} / {}: refresh/skip classification diverged \
-                     from {oracle_name} (the oracle performs skipped rescans but must \
-                     still count them as skips)",
-                    l.ddg.name
-                );
-            }
-            agg_def.add(&LoopPerformance::from_schedule(&a, l, 0));
-            agg_ora.add(&LoopPerformance::from_schedule(&b, l, 0));
-        }
-        assert_eq!(
-            agg_def.sum_ii, agg_ora.sum_ii,
-            "{suite_name}/{name}: sum_ii"
-        );
-        assert_eq!(
-            agg_def.useful_cycles, agg_ora.useful_cycles,
-            "{suite_name}/{name}: useful_cycles"
-        );
-        assert_eq!(
-            agg_def.memory_traffic, agg_ora.memory_traffic,
-            "{suite_name}/{name}: memory_traffic"
-        );
-        assert_eq!(agg_def.loops_at_mii, agg_ora.loops_at_mii);
-        assert_eq!(agg_def.failed_loops, agg_ora.failed_loops);
-    }
+fn eager_refresh() -> [(&'static str, Oracles); 1] {
+    [("eager_refresh", only(|o| o.eager_refresh = true))]
 }
 
-fn churn_params() -> SchedulerParams {
-    // The churn family climbs long II ladders by design; give it room.
-    SchedulerParams {
-        max_ii: 256,
-        ..Default::default()
-    }
+fn split_row_update() -> [(&'static str, Oracles); 1] {
+    [("split_row_update", only(|o| o.split_row_update = true))]
 }
 
 #[test]
@@ -96,9 +34,8 @@ fn refresh_skip_bit_identical_to_eager_small_suite() {
         &small_suite(8),
         SchedulerParams::default(),
         "small_suite",
-        |s| s.with_eager_refresh(),
-        "eager-refresh",
-        true,
+        &CONFIGS,
+        &eager_refresh(),
     );
 }
 
@@ -108,9 +45,8 @@ fn refresh_skip_bit_identical_to_eager_churn_suite() {
         &churn_suite(6),
         churn_params(),
         "churn_suite",
-        |s| s.with_eager_refresh(),
-        "eager-refresh",
-        true,
+        &CONFIGS,
+        &eager_refresh(),
     );
 }
 
@@ -120,9 +56,8 @@ fn refresh_skip_bit_identical_to_eager_wide_suite() {
         &wide_window_suite(6),
         SchedulerParams::default(),
         "wide_suite",
-        |s| s.with_eager_refresh(),
-        "eager-refresh",
-        true,
+        &CONFIGS,
+        &eager_refresh(),
     );
 }
 
@@ -132,9 +67,8 @@ fn fused_rows_bit_identical_to_split_small_suite() {
         &small_suite(8),
         SchedulerParams::default(),
         "small_suite",
-        |s| s.with_split_row_update(),
-        "split-row-update",
-        false,
+        &CONFIGS,
+        &split_row_update(),
     );
 }
 
@@ -144,9 +78,8 @@ fn fused_rows_bit_identical_to_split_churn_suite() {
         &churn_suite(6),
         churn_params(),
         "churn_suite",
-        |s| s.with_split_row_update(),
-        "split-row-update",
-        false,
+        &CONFIGS,
+        &split_row_update(),
     );
 }
 
@@ -156,29 +89,7 @@ fn fused_rows_bit_identical_to_split_wide_suite() {
         &wide_window_suite(6),
         SchedulerParams::default(),
         "wide_suite",
-        |s| s.with_split_row_update(),
-        "split-row-update",
-        false,
+        &CONFIGS,
+        &split_row_update(),
     );
-}
-
-/// The suites must actually exercise both sides of the skip decision —
-/// an equivalence proof over zero skips (or zero refreshes) would be
-/// vacuous — and the fused row maintenance must see real traffic.
-#[test]
-fn suites_exercise_the_skip_and_the_fused_path() {
-    let cfg = ConfiguredMachine::from_name("4C16S64").unwrap();
-    let sched = IterativeScheduler::new(cfg.machine.clone(), churn_params());
-    let mut refreshes = 0u64;
-    let mut skips = 0u64;
-    let mut fused = 0u64;
-    for l in churn_suite(6) {
-        let r = sched.schedule(&l.ddg);
-        refreshes += r.stats.pressure_refreshes;
-        skips += r.stats.refresh_skips;
-        fused += r.stats.fused_row_updates;
-    }
-    assert!(refreshes > 0, "churn suite drove no pressure refreshes");
-    assert!(skips > 0, "churn suite never skipped a refresh");
-    assert!(fused > 0, "churn suite drove no fused row updates");
 }

@@ -1,82 +1,51 @@
 //! The availability-bitmask slot search must be decision-invisible:
 //! scheduling entire suites with `Mrt::first_free_row_in` produces results —
 //! and therefore `SuiteAggregate`s — bit-identical to the per-row
-//! `can_place` walk it replaces, on the standard population, the
-//! ejection-churn-heavy suite (where forced placements re-run the window
-//! scan after every ejection) and the wide-window suite (where the scans
-//! walk crowded large-II tables and multi-row divides/square roots exercise
-//! the span checks).
+//! `can_place` walk it replaces (`Oracles::linear_slot_scan`), on the
+//! standard population, the ejection-churn-heavy suite (where forced
+//! placements re-run the window scan after every ejection) and the
+//! wide-window suite (where the scans walk crowded large-II tables and
+//! multi-row divides/square roots exercise the span checks).
 
-use hcrf::driver::ConfiguredMachine;
-use hcrf_perf::{LoopPerformance, SuiteAggregate};
-use hcrf_sched::{IterativeScheduler, SchedulerParams};
-use hcrf_telemetry::Telemetry;
+mod common;
+
+use common::{assert_bit_identical, churn_params, only, CONFIGS};
+use hcrf_sched::{Oracles, SchedulerParams};
 use hcrf_workloads::{churn_suite, small_suite, wide_window_suite};
 
-fn assert_equivalent(loops: &[hcrf_ir::Loop], params: SchedulerParams, suite_name: &str) {
-    for name in ["S128", "4C32S16", "8C16S16", "4C16S64"] {
-        let cfg = ConfiguredMachine::from_name(name).unwrap();
-        // Tracing on the default side: equivalence doubles as proof that
-        // an enabled telemetry sink is decision-invisible.
-        let bitset = IterativeScheduler::new(cfg.machine.clone(), params)
-            .with_telemetry(Telemetry::enabled());
-        let linear = IterativeScheduler::new(cfg.machine.clone(), params).with_linear_slot_scan();
-        let mut agg_bit = SuiteAggregate::new(name, cfg.hardware.clock_ns);
-        let mut agg_lin = SuiteAggregate::new(name, cfg.hardware.clock_ns);
-        for l in loops {
-            let a = bitset.schedule(&l.ddg);
-            let b = linear.schedule(&l.ddg);
-            // Full structural equality: II, MaxLive per bank, spill and
-            // communication counts, placements, stats — everything.
-            assert_eq!(
-                a, b,
-                "{suite_name} / {name} / {}: slot-scan policies diverged",
-                l.ddg.name
-            );
-            agg_bit.add(&LoopPerformance::from_schedule(&a, l, 0));
-            agg_lin.add(&LoopPerformance::from_schedule(&b, l, 0));
-        }
-        assert_eq!(
-            agg_bit.sum_ii, agg_lin.sum_ii,
-            "{suite_name}/{name}: sum_ii"
-        );
-        assert_eq!(
-            agg_bit.useful_cycles, agg_lin.useful_cycles,
-            "{suite_name}/{name}: useful_cycles"
-        );
-        assert_eq!(
-            agg_bit.memory_traffic, agg_lin.memory_traffic,
-            "{suite_name}/{name}: memory_traffic"
-        );
-        assert_eq!(agg_bit.loops_at_mii, agg_lin.loops_at_mii);
-        assert_eq!(agg_bit.failed_loops, agg_lin.failed_loops);
-    }
+fn linear_slot_scan() -> [(&'static str, Oracles); 1] {
+    [("linear_slot_scan", only(|o| o.linear_slot_scan = true))]
 }
 
 #[test]
 fn suite_aggregates_bit_identical_between_slot_scans() {
-    assert_equivalent(&small_suite(8), SchedulerParams::default(), "small_suite");
+    assert_bit_identical(
+        &small_suite(8),
+        SchedulerParams::default(),
+        "small_suite",
+        &CONFIGS,
+        &linear_slot_scan(),
+    );
 }
 
 #[test]
 fn churn_suite_bit_identical_between_slot_scans() {
-    // Forced placements re-run the window search after every ejection, and
-    // the infeasibility cutoff must fire identically under both scans. The
-    // II ladder is long by design, so give it room.
-    let params = SchedulerParams {
-        max_ii: 256,
-        ..Default::default()
-    };
-    assert_equivalent(&churn_suite(6), params, "churn_suite");
+    assert_bit_identical(
+        &churn_suite(6),
+        churn_params(),
+        "churn_suite",
+        &CONFIGS,
+        &linear_slot_scan(),
+    );
 }
 
 #[test]
 fn wide_window_suite_bit_identical_between_slot_scans() {
-    // Crowded large-II tables: the scans walk long runs of full rows, and
-    // the multi-row divides/square roots exercise the span checks.
-    assert_equivalent(
-        &wide_window_suite(4),
+    assert_bit_identical(
+        &wide_window_suite(6),
         SchedulerParams::default(),
-        "wide_window_suite",
+        "wide_suite",
+        &CONFIGS,
+        &linear_slot_scan(),
     );
 }

@@ -27,7 +27,7 @@
 //!   each rung exactly once.
 
 use hcrf::driver::ConfiguredMachine;
-use hcrf_sched::{IterativeScheduler, ScheduleResult, SchedulerParams};
+use hcrf_sched::{IterativeScheduler, Oracles, ScheduleResult, SchedulerParams};
 use hcrf_workloads::{churn_suite, small_suite};
 
 const CONFIGS: [&str; 4] = ["S128", "4C32S16", "8C16S16", "4C16S64"];
@@ -201,7 +201,11 @@ fn counters_stay_consistent_on_the_standard_suite() {
 fn fresh_arena_oracle_counts_resets_identically() {
     let cfg = ConfiguredMachine::from_name("4C16S64").unwrap();
     let reused = IterativeScheduler::new(cfg.machine.clone(), churn_params());
-    let fresh = IterativeScheduler::new(cfg.machine.clone(), churn_params()).with_fresh_arena();
+    let fresh =
+        IterativeScheduler::new(cfg.machine.clone(), churn_params()).with_oracles(Oracles {
+            fresh_arena: true,
+            ..Oracles::default()
+        });
     for l in churn_suite(8) {
         let a = reused.schedule(&l.ddg);
         let b = fresh.schedule(&l.ddg);

@@ -1,67 +1,48 @@
 //! The SlotIndex-backed victim search must be decision-invisible: scheduling
 //! entire suites with the indexed `pick_victim` produces results — and
 //! therefore `SuiteAggregate`s — bit-identical to the linear-scan oracle it
-//! replaces, including on the ejection-churn-heavy suite where victim
-//! selection actually runs hot.
+//! replaces (`Oracles::linear_victim_scan`), including on the
+//! ejection-churn-heavy suite where victim selection actually runs hot.
 
-use hcrf::driver::ConfiguredMachine;
-use hcrf_perf::{LoopPerformance, SuiteAggregate};
-use hcrf_sched::{IterativeScheduler, SchedulerParams};
-use hcrf_telemetry::Telemetry;
-use hcrf_workloads::{churn_suite, small_suite};
+mod common;
 
-fn assert_equivalent(loops: &[hcrf_ir::Loop], params: SchedulerParams, suite_name: &str) {
-    for name in ["S128", "4C32S16", "8C16S16", "4C16S64"] {
-        let cfg = ConfiguredMachine::from_name(name).unwrap();
-        // Tracing on the default side: equivalence doubles as proof that
-        // an enabled telemetry sink is decision-invisible.
-        let indexed = IterativeScheduler::new(cfg.machine.clone(), params)
-            .with_telemetry(Telemetry::enabled());
-        let linear = IterativeScheduler::new(cfg.machine.clone(), params).with_linear_victim_scan();
-        let mut agg_idx = SuiteAggregate::new(name, cfg.hardware.clock_ns);
-        let mut agg_lin = SuiteAggregate::new(name, cfg.hardware.clock_ns);
-        for l in loops {
-            let a = indexed.schedule(&l.ddg);
-            let b = linear.schedule(&l.ddg);
-            // Full structural equality: II, MaxLive per bank, spill and
-            // communication counts, placements, stats — everything.
-            assert_eq!(
-                a, b,
-                "{suite_name} / {name} / {}: victim policies diverged",
-                l.ddg.name
-            );
-            agg_idx.add(&LoopPerformance::from_schedule(&a, l, 0));
-            agg_lin.add(&LoopPerformance::from_schedule(&b, l, 0));
-        }
-        assert_eq!(
-            agg_idx.sum_ii, agg_lin.sum_ii,
-            "{suite_name}/{name}: sum_ii"
-        );
-        assert_eq!(
-            agg_idx.useful_cycles, agg_lin.useful_cycles,
-            "{suite_name}/{name}: useful_cycles"
-        );
-        assert_eq!(
-            agg_idx.memory_traffic, agg_lin.memory_traffic,
-            "{suite_name}/{name}: memory_traffic"
-        );
-        assert_eq!(agg_idx.loops_at_mii, agg_lin.loops_at_mii);
-        assert_eq!(agg_idx.failed_loops, agg_lin.failed_loops);
-    }
+use common::{assert_bit_identical, churn_params, only, CONFIGS};
+use hcrf_sched::{Oracles, SchedulerParams};
+use hcrf_workloads::{churn_suite, small_suite, wide_window_suite};
+
+fn linear_victim_scan() -> [(&'static str, Oracles); 1] {
+    [("linear_victim_scan", only(|o| o.linear_victim_scan = true))]
 }
 
 #[test]
 fn suite_aggregates_bit_identical_between_victim_policies() {
-    assert_equivalent(&small_suite(8), SchedulerParams::default(), "small_suite");
+    assert_bit_identical(
+        &small_suite(8),
+        SchedulerParams::default(),
+        "small_suite",
+        &CONFIGS,
+        &linear_victim_scan(),
+    );
 }
 
 #[test]
 fn churn_suite_bit_identical_between_victim_policies() {
-    // The churn family is where victim search actually runs hot (hundreds of
-    // ejections per loop); the II ladder is long by design, so give it room.
-    let params = SchedulerParams {
-        max_ii: 256,
-        ..Default::default()
-    };
-    assert_equivalent(&churn_suite(6), params, "churn_suite");
+    assert_bit_identical(
+        &churn_suite(6),
+        churn_params(),
+        "churn_suite",
+        &CONFIGS,
+        &linear_victim_scan(),
+    );
+}
+
+#[test]
+fn wide_window_suite_bit_identical_between_victim_policies() {
+    assert_bit_identical(
+        &wide_window_suite(6),
+        SchedulerParams::default(),
+        "wide_suite",
+        &CONFIGS,
+        &linear_victim_scan(),
+    );
 }

@@ -1,10 +1,10 @@
-//! The warm-started II ladder must never cost schedule quality, and the
-//! warm remap must never corrupt the placement store.
+//! The two decision-changing ladder policies must never cost schedule
+//! quality, and the warm remap must never corrupt the placement store.
 //!
-//! Unlike the bit-identical oracle suites (victim / slot / pressure /
-//! ladder / engine), warm starts deliberately change scheduling decisions:
-//! a warm-seeded rung can succeed where a cold attempt fails. The contract
-//! is therefore two-tier:
+//! Unlike the bit-identical oracle suites (`oracle_equivalence`,
+//! `engine_equivalence`), warm starts and rung skipping deliberately change
+//! scheduling decisions: a warm-seeded rung can succeed where a cold attempt
+//! fails, and a skipped rung is never attempted. The contracts are:
 //!
 //! * **relaxed ladder contract** — against the paper-literal
 //!   [`IterativeScheduler::with_cold_attempts`] oracle, the warm ladder's
@@ -16,6 +16,10 @@
 //!   improvement (it happens on the churn family) — asserted per loop on
 //!   the standard, churn and wide suites across the four standard machine
 //!   configurations, plus on the suite `sum_ii` aggregates;
+//! * **skipping ladder contract** — on cold attempts, the budget-aware
+//!   skipping ladder never lands on a higher final II than the
+//!   [`IterativeScheduler::with_unit_ladder`] oracle and agrees with it on
+//!   failure;
 //! * **store integrity** — after every explicit
 //!   [`AttemptArena::capture_warm_snapshot`] + [`AttemptArena::reset_warm`]
 //!   round trip, `validate_store` (slot-index scan, MRT replay and
@@ -25,7 +29,8 @@
 
 use hcrf::driver::ConfiguredMachine;
 use hcrf_ir::{OpKind, OpLatencies};
-use hcrf_sched::{validate_store, AttemptArena, IterativeScheduler, SchedulerParams, StoreTuning};
+use hcrf_sched::{validate_store, AttemptArena, IterativeScheduler, Oracles, SchedulerParams};
+use hcrf_telemetry::Telemetry;
 use hcrf_workloads::{churn_suite, small_suite, wide_window_suite};
 
 const CONFIGS: [&str; 4] = ["S128", "4C32S16", "8C16S16", "4C16S64"];
@@ -94,6 +99,65 @@ fn warm_ladder_never_lands_on_higher_final_ii() {
     );
 }
 
+/// The budget-aware ladder (cold-attempts oracle: skipping only engages
+/// there — the default warm ladder climbs rung by rung) skips rungs but
+/// re-checks the final gap from below on success, so it must never land on
+/// a higher final II than the unit ladder — and since both scan upward,
+/// "never higher" means the final IIs (and the failure outcomes) are
+/// exactly equal.
+#[test]
+fn skipping_ladder_never_lands_on_higher_final_ii() {
+    let suites: [(&str, Vec<hcrf_ir::Loop>, SchedulerParams); 3] = [
+        ("small_suite", small_suite(8), SchedulerParams::default()),
+        ("churn_suite", churn_suite(6), churn_params()),
+        (
+            "wide_suite",
+            wide_window_suite(6),
+            SchedulerParams::default(),
+        ),
+    ];
+    for (suite_name, loops, params) in &suites {
+        for name in CONFIGS {
+            let cfg = ConfiguredMachine::from_name(name).unwrap();
+            let skipping = IterativeScheduler::new(cfg.machine.clone(), *params)
+                .with_cold_attempts()
+                .with_telemetry(Telemetry::enabled());
+            let unit = IterativeScheduler::new(cfg.machine.clone(), *params)
+                .with_unit_ladder()
+                .with_cold_attempts();
+            for l in loops {
+                let s = skipping.schedule(&l.ddg);
+                let u = unit.schedule(&l.ddg);
+                assert!(
+                    s.ii <= u.ii,
+                    "{suite_name} / {name} / {}: skipping ladder landed on II {} above the \
+                     unit ladder's {}",
+                    l.ddg.name,
+                    s.ii,
+                    u.ii
+                );
+                assert_eq!(
+                    s.failed, u.failed,
+                    "{suite_name} / {name} / {}: ladders disagree on failure",
+                    l.ddg.name
+                );
+                // Every rung the unit ladder attempted was either attempted
+                // or skipped by the skipping ladder (it may additionally
+                // have attempted overshoot rungs above the final II).
+                assert!(
+                    s.stats.ii_restarts + s.stats.ii_skips >= u.stats.ii_restarts,
+                    "{suite_name} / {name} / {}: skip accounting broken \
+                     ({} restarts + {} skips < {} unit restarts)",
+                    l.ddg.name,
+                    s.stats.ii_restarts,
+                    s.stats.ii_skips,
+                    u.stats.ii_restarts
+                );
+            }
+        }
+    }
+}
+
 /// Drive explicit snapshot/remap round trips through the arena: greedy
 /// resource-legal placements (deliberately *not* dependence-legal — the
 /// remap must re-validate and drop violators itself) captured at one II and
@@ -105,7 +169,7 @@ fn warm_remap_keeps_the_store_valid() {
         let cfg = ConfiguredMachine::from_name(name).unwrap();
         let clusters = cfg.machine.clusters();
         for l in churn_suite(4) {
-            let mut arena = AttemptArena::new(&l.ddg, &cfg.machine, StoreTuning::default());
+            let mut arena = AttemptArena::new(&l.ddg, &cfg.machine, Oracles::default());
             let ii0 = 4u32;
             arena.reset(ii0, &lat);
             let (w, store) = arena.parts_mut();
