@@ -1,13 +1,15 @@
 //! Scheduler performance-trajectory harness (`bench_sched`).
 //!
-//! Schedules the standard, ejection-churn and wide-window suites on the two
-//! configurations that bound scheduler wall time (`4C16S64`, the 2-FU
-//! hierarchical machine whose churn loops storm the backtracking paths, and
-//! the `S128` monolithic control) and writes per-(suite, config) wall-time
-//! and work counters — ejections, guard trips, infeasible cutoffs, II
-//! restarts — to a JSON trajectory file. Committing the file after a
-//! scheduler-perf PR gives the next PR a baseline to compare against
-//! without re-running the old code.
+//! Schedules the standard, ejection-churn and wide-window suites on four
+//! configurations: the two that bound scheduler wall time (`4C16S64`, the
+//! 2-FU hierarchical machine whose churn loops storm the backtracking paths,
+//! and the `S128` monolithic control) and the paper's two headline
+//! hierarchical organizations (`4C32S16`, `8C16S16`), where the multi-row
+//! victim failures and the ladder-contract violations live. It writes
+//! per-(suite, config) wall-time and work counters — ejections, guard
+//! trips, infeasible cutoffs, II restarts — to a JSON trajectory file.
+//! Committing the file after a scheduler-perf PR gives the next PR a
+//! baseline to compare against without re-running the old code.
 //!
 //! Each sweep runs on the work-stealing [`hcrf_engine::Engine`] with pooled
 //! `AttemptArena`s (`--threads N`, 0 = auto). Work counters are folded in
@@ -47,7 +49,7 @@ use hcrf_workloads::{churn_suite, suite::suite, wide_window_suite, SuiteParams};
 use std::path::PathBuf;
 use std::time::Instant;
 
-const CONFIGS: [&str; 2] = ["4C16S64", "S128"];
+const CONFIGS: [&str; 4] = ["4C16S64", "S128", "4C32S16", "8C16S16"];
 
 struct Args {
     loops: usize,

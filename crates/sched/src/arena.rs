@@ -66,6 +66,11 @@ pub struct AttemptArena {
     /// free slots and hands the rung to the cold retry at the first forced
     /// ejection (set per attempt by the scheduler).
     pub(crate) warm_probe: bool,
+    /// Pops of the current attempt whose node ended its own placement
+    /// unplaced (see the no-progress rule in the scheduler's attempt loop).
+    /// Published as the `sched.self_ejections` telemetry counter, outside
+    /// [`SchedulerStats`].
+    pub(crate) self_ejections: u64,
     /// Work counters of the current attempt only (the ladder accumulates
     /// them across restarts).
     pub(crate) stats: SchedulerStats,
@@ -115,6 +120,7 @@ impl AttemptArena {
             pristine_nodes,
             budget: 0,
             warm_probe: false,
+            self_ejections: 0,
             stats: SchedulerStats::default(),
             ii: 1,
             violators: Vec::new(),

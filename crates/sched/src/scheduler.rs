@@ -589,6 +589,10 @@ impl IterativeScheduler {
         let outcome = self.attempt(a, lat, warm_unplaced);
         std::mem::swap(&mut a.trace, trace);
         timings.attempts += t.elapsed();
+        if a.self_ejections > 0 {
+            self.telemetry
+                .counter_add("sched.self_ejections", a.self_ejections);
+        }
         a.fold_store_counters();
         stats.absorb_attempt(&a.stats);
         if trace.enabled() {
@@ -662,10 +666,16 @@ impl IterativeScheduler {
             None => (self.params.budget_ratio as i64) * (state.w.active_count() as i64).max(1),
         };
         state.warm_probe = warm_unplaced.is_some();
-        // Hard cap on scheduling attempts: the budget can legitimately grow
-        // when spill or communication operations are inserted (the paper adds
-        // Budget_Ratio per inserted node), but a pathological eject/re-insert
-        // ping-pong must not keep the attempt alive forever.
+        state.self_ejections = 0;
+        // Safety net on scheduling attempts. The budget grows by
+        // Budget_Ratio per inserted communication or spill node (as in the
+        // paper), and a pop that ejects itself keeps none of that credit (the
+        // no-progress rule after step 3), so an eject/re-insert ping-pong
+        // ends as an ordinary budget-limited failure long before this cap.
+        // What still reaches it is credit from communication or spill
+        // chains that do stay placed while the attempt keeps cycling; each
+        // hit is counted in `sched.attempt_caps` and traced as an
+        // `attempt_cap` instant.
         let attempt_cap =
             64 * (state.w.active_count() as u64 + 8) * (self.params.budget_ratio as u64).max(1);
         let clusters = self.machine.clusters();
@@ -678,6 +688,17 @@ impl IterativeScheduler {
             }
             state.stats.attempts += 1;
             if state.stats.attempts > attempt_cap {
+                self.telemetry.counter_add("sched.attempt_caps", 1);
+                state.trace.instant(
+                    "attempt_cap",
+                    "sched",
+                    &[
+                        ("ii", ii as i64),
+                        ("attempts", state.stats.attempts as i64),
+                        ("ejections", state.stats.ejections as i64),
+                        ("node", u.0 as i64),
+                    ],
+                );
                 return AttemptOutcome::Exhausted {
                     budget_limited: false,
                 };
@@ -712,6 +733,7 @@ impl IterativeScheduler {
             };
             state.comm_cands = comm_cands;
             // 2. Communication with already placed neighbours.
+            let budget_before = state.budget;
             if !self.insert_and_schedule_communication(
                 state,
                 u,
@@ -728,6 +750,17 @@ impl IterativeScheduler {
                 return AttemptOutcome::Exhausted {
                     budget_limited: false,
                 };
+            }
+            // No-progress rule: when `u` is still active but unplaced, its
+            // forced placement violated the chains step 2 just inserted and
+            // ejecting them ejected their owner, `u` itself. The chains are
+            // gone, so their Budget_Ratio credit goes too and the pop costs
+            // one unit like any other step. Without this, each such pop
+            // re-inserts the chain one cycle later and grows the budget,
+            // and only the attempt cap ends the ping-pong.
+            if state.w.is_active(u) && !state.store.is_placed(u) {
+                state.budget = state.budget.min(budget_before);
+                state.self_ejections += 1;
             }
             // 4. Register pressure / spill.
             if self.has_bounded_banks() {
