@@ -1,6 +1,6 @@
-//! Indexed vs linear-scan victim search, and bitmask vs per-row slot search.
+//! Indexed vs linear-scan victim search, arena reuse and II-ladder skipping.
 //!
-//! Four measurements:
+//! Three measurements:
 //!
 //! * `victim_search/*` — end-to-end wall time to schedule the
 //!   ejection-churn-heavy suite (see `hcrf_workloads::churn`) with the
@@ -13,12 +13,6 @@
 //! * `victim_probe/*` — the isolated victim search on a fully occupied
 //!   512-node store, where the asymptotic O(nodes) → O(row occupants) gap
 //!   is visible without the rest of the scheduler around it.
-//! * `slot_search/*` — end-to-end wall time with the availability-bitmask
-//!   `Mrt::first_free_row_in` window search against the per-row `can_place`
-//!   walk it replaced (`Oracles::linear_slot_scan`), on the churn suite (the
-//!   scan re-runs after every ejection) and the wide-window suite (crowded
-//!   large-II tables where the scan dominates without any churn). Both
-//!   scans pick bit-identical slots (`tests/slot_equivalence.rs`).
 //! * `arena_ladder/*` — on the churn suite: the persistent `AttemptArena`
 //!   against per-attempt rebuilds (`Oracles::fresh_arena`, bit-identical
 //!   schedules per `tests/ladder_equivalence.rs`), and the budget-aware
@@ -32,7 +26,7 @@ use hcrf_sched::mrt::ResourceCaps;
 use hcrf_sched::order::priority_order;
 use hcrf_sched::workgraph::WorkGraph;
 use hcrf_sched::{IterativeScheduler, Oracles, PlacementStore, SchedulerParams};
-use hcrf_workloads::{churn_suite, wide_window_suite};
+use hcrf_workloads::churn_suite;
 
 fn victim_search(c: &mut Criterion) {
     let loops = churn_suite(32);
@@ -109,41 +103,6 @@ fn victim_probe(c: &mut Criterion) {
     group.finish();
 }
 
-fn slot_search(c: &mut Criterion) {
-    let suites: [(&str, Vec<hcrf_ir::Loop>); 2] =
-        [("churn", churn_suite(32)), ("wide", wide_window_suite(12))];
-    let params = SchedulerParams::default().without_schedule();
-    let mut group = c.benchmark_group("slot_search");
-    for (suite, loops) in &suites {
-        for config in ["4C16S64", "S128"] {
-            let machine = MachineConfig::paper_baseline(RfOrganization::parse(config).unwrap());
-            let bitset = IterativeScheduler::new(machine.clone(), params);
-            let linear = IterativeScheduler::new(machine, params).with_oracles(Oracles {
-                linear_slot_scan: true,
-                ..Oracles::default()
-            });
-            let id = format!("{suite}/{config}");
-            group.bench_with_input(BenchmarkId::new("bitset", &id), &bitset, |b, s| {
-                b.iter(|| {
-                    loops
-                        .iter()
-                        .map(|l| s.schedule(&l.ddg).ii as u64)
-                        .sum::<u64>()
-                })
-            });
-            group.bench_with_input(BenchmarkId::new("linear", &id), &linear, |b, s| {
-                b.iter(|| {
-                    loops
-                        .iter()
-                        .map(|l| s.schedule(&l.ddg).ii as u64)
-                        .sum::<u64>()
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
 fn arena_and_ladder(c: &mut Criterion) {
     // Each variant isolates one mechanism on the churn suite: `fresh`
     // rebuilds WorkGraph/order/store per II attempt instead of resetting the
@@ -191,6 +150,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = victim_search, victim_probe, slot_search, arena_and_ladder
+    targets = victim_search, victim_probe, arena_and_ladder
 }
 criterion_main!(benches);

@@ -192,7 +192,6 @@ fn run_sweep(
         sweep.stats.warm_starts += r.stats.warm_starts;
         sweep.stats.warm_nodes_retained += r.stats.warm_nodes_retained;
         sweep.stats.pressure_refreshes += r.stats.pressure_refreshes;
-        sweep.stats.refresh_skips += r.stats.refresh_skips;
         sweep.stats.fused_row_updates += r.stats.fused_row_updates;
         sweep.phases.absorb(phases);
     }
@@ -222,11 +221,10 @@ const EXACT_KEYS: [&str; 14] = [
     "warm_starts",
     "warm_nodes_retained",
     // Row-maintenance volume is schedule-derived (span rows per placement
-    // transaction, identical in split and fused mode), so it gates exactly.
-    // `pressure_refreshes` / `refresh_skips` are recorded but NOT gated:
-    // they classify refresh *requests* by the engine's refresh strategy, so
-    // a legitimate maintenance-policy change moves them without changing
-    // any schedule — mirroring their exclusion from SchedulerStats equality.
+    // transaction), so it gates exactly. `pressure_refreshes` is recorded
+    // but NOT gated: it counts refresh requests of the tracker's maintenance
+    // policy, so a legitimate policy change moves it without changing any
+    // schedule — mirroring its exclusion from SchedulerStats equality.
     "fused_row_updates",
 ];
 
@@ -259,7 +257,6 @@ fn sweep_json(sweep: &Sweep) -> Json {
             "pressure_refreshes",
             Json::u64(sweep.stats.pressure_refreshes),
         ),
-        ("refresh_skips", Json::u64(sweep.stats.refresh_skips)),
         (
             "fused_row_updates",
             Json::u64(sweep.stats.fused_row_updates),
@@ -545,11 +542,8 @@ fn main() {
                 },
             );
             println!(
-                "{:>19} {:>9} pressure refreshes | {:>9} refresh skips | {:>9} fused row updates",
-                "",
-                sweep.stats.pressure_refreshes,
-                sweep.stats.refresh_skips,
-                sweep.stats.fused_row_updates,
+                "{:>19} {:>9} pressure refreshes | {:>9} fused row updates",
+                "", sweep.stats.pressure_refreshes, sweep.stats.fused_row_updates,
             );
             config_objs.push((config.to_string(), sweep_json(&sweep)));
         }

@@ -122,11 +122,6 @@ impl CacheKey {
         h.finish()
     }
 
-    /// File name of the entry holding this key's result.
-    pub fn file_name(&self) -> String {
-        format!("{:016x}.json", self.digest())
-    }
-
     pub(crate) fn to_json(self) -> Json {
         Json::obj(vec![
             ("machine", Json::str(format!("{:016x}", self.machine))),

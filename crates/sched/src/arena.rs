@@ -28,7 +28,7 @@
 //! asserts bit-identical suite results against the
 //! [`Oracles::fresh_arena`] oracle, and the
 //! randomized arena property test validates the store (including the MRT
-//! availability masks) after every reset.
+//! free-slot totals) after every reset.
 
 use crate::mrt::ResourceCaps;
 use crate::order::{priority_order_into, OrderScratch, PriorityOrder};
@@ -282,15 +282,14 @@ impl AttemptArena {
         &self.stats
     }
 
-    /// Drain the store's engine counters (pressure refreshes/skips, fused
+    /// Drain the store's engine counters (pressure refreshes, fused
     /// row updates) into this attempt's stats. The scheduler calls it once
     /// per attempt, right before absorbing the attempt into the ladder
     /// totals — the store zeroes its side on every reset, so nothing can be
     /// counted twice.
     pub fn fold_store_counters(&mut self) {
-        let (refreshes, skips, fused) = self.store.take_engine_counters();
+        let (refreshes, fused) = self.store.take_engine_counters();
         self.stats.pressure_refreshes += refreshes;
-        self.stats.refresh_skips += skips;
         self.stats.fused_row_updates += fused;
     }
 

@@ -278,26 +278,8 @@ pub struct PressureTracker {
     max_shared: Cell<(u32, bool)>,
     /// Reusable buffer for the flow predecessors visited by `touch`.
     scratch: Vec<NodeId>,
-    /// Per-def lifetime-endpoint version: bumped by every event that can
-    /// move the stored contribution of the def (its own placement, a tie or
-    /// final-consumer perturbation from a consumer, a graph rewiring via the
-    /// public [`PressureTracker::refresh`]). Invariant: `epoch[i] ==
-    /// clean[i]` implies the stored lifetime and invariant contribution of
-    /// node `i` equal what a rescan would derive.
-    epoch: Vec<u32>,
-    /// Epoch at which each def's contribution was last re-derived.
-    clean: Vec<u32>,
-    /// When set, skip-eligible refreshes rescan anyway (the
-    /// [`crate::Oracles::eager_refresh`] oracle); the epoch
-    /// bookkeeping and both counters below are maintained identically, and
-    /// in debug builds the redundant rescan asserts it was a no-op.
-    eager: bool,
-    /// Refreshes that had to rescan (`epoch != clean` on entry).
+    /// Refresh requests (each one rescans) since the last drain.
     refreshes: u64,
-    /// Refreshes whose endpoints provably had not moved (`epoch == clean`):
-    /// O(1) skips on the fast path, asserted-no-op rescans under the eager
-    /// oracle.
-    skips: u64,
 }
 
 impl PressureTracker {
@@ -316,30 +298,14 @@ impl PressureTracker {
             max_cluster: vec![Cell::new((0, true)); clusters as usize],
             max_shared: Cell::new((0, true)),
             scratch: Vec::new(),
-            epoch: vec![0; num_nodes],
-            clean: vec![0; num_nodes],
-            eager: false,
             refreshes: 0,
-            skips: 0,
         }
     }
 
-    /// Select the eager-refresh oracle: skip-eligible refreshes rescan (and,
-    /// in debug builds, assert the rescan was a no-op) instead of returning
-    /// early. Counters and epoch bookkeeping are unaffected.
-    pub fn set_eager_refresh(&mut self, eager: bool) {
-        self.eager = eager;
-    }
-
-    /// Drain the `(refreshes, skips)` counters accumulated since the last
-    /// call (or reset). Both count refresh *requests*, classified by whether
-    /// the endpoint epoch had moved — identical between the skip fast path
-    /// and the eager oracle.
-    pub fn take_refresh_counters(&mut self) -> (u64, u64) {
-        let out = (self.refreshes, self.skips);
-        self.refreshes = 0;
-        self.skips = 0;
-        out
+    /// Drain the count of refresh requests accumulated since the last call
+    /// (or reset).
+    pub fn take_refreshes(&mut self) -> u64 {
+        std::mem::take(&mut self.refreshes)
     }
 
     /// II the tracker was built for.
@@ -374,16 +340,7 @@ impl PressureTracker {
         }
         self.max_shared.set((0, true));
         self.scratch.clear();
-        // Epoch state restarts at the all-clean origin: every stored
-        // contribution was just cleared to `None`, which is exactly what a
-        // rescan of the empty placement set derives. The eager-oracle flag
-        // is a mode, not state, and survives the reset.
-        self.epoch.clear();
-        self.epoch.resize(num_nodes, 0);
-        self.clean.clear();
-        self.clean.resize(num_nodes, 0);
         self.refreshes = 0;
-        self.skips = 0;
     }
 
     /// Re-target the tracker at a new machine's cluster count and clear it
@@ -400,23 +357,12 @@ impl PressureTracker {
         self.reset_for_ii(ii, num_nodes);
     }
 
-    /// Keep the per-node arrays in sync with a growing graph. New nodes
-    /// start clean (`epoch == clean == 0`): they are unplaced, so their
-    /// stored `None` contribution already equals what a rescan derives.
+    /// Keep the per-node arrays in sync with a growing graph.
     pub fn grow(&mut self, num_nodes: usize) {
         if num_nodes > self.lifetimes.len() {
             self.lifetimes.resize(num_nodes, None);
             self.invariant_of.resize(num_nodes, None);
-            self.epoch.resize(num_nodes, 0);
-            self.clean.resize(num_nodes, 0);
         }
-    }
-
-    /// Record that an event may have moved node's lifetime endpoints: the
-    /// next [`PressureTracker::refresh`] of the node must rescan.
-    #[inline]
-    fn mark_endpoints_moved(&mut self, node: NodeId) {
-        self.epoch[node.index()] = self.epoch[node.index()].wrapping_add(1);
     }
 
     /// Report that `node` was placed or ejected: re-derives the lifetime of
@@ -481,24 +427,18 @@ impl PressureTracker {
                             // Tie with the current end: `last_consumer`
                             // follows edge order, which only the rescan
                             // knows.
-                            self.mark_endpoints_moved(p);
                             preds.push(p);
                         }
                     }
                     (None, Some(lt)) => {
                         if lt.last_consumer == Some(node) {
-                            self.mark_endpoints_moved(p);
                             preds.push(p);
                         }
                         // Ejecting a non-final consumer cannot move the end.
                     }
                     // No stored lifetime: the producer is unplaced, inactive
-                    // or defines no value. Its epoch is *not* bumped — if no
-                    // other event moved it, the deduplicated rescan below
-                    // degenerates to an O(1) skip (stored `None` is exactly
-                    // what the rescan would re-derive); the push still
-                    // covers a first-ever contribution, whose placement
-                    // event will have bumped the epoch.
+                    // or defines no value; the rescan derives whether it
+                    // contributes now.
                     _ => preds.push(p),
                 }
             }
@@ -506,11 +446,7 @@ impl PressureTracker {
         preds.sort_unstable_by_key(|n| n.index());
         preds.dedup();
         for &p in &preds {
-            // Skip-eligible: rescans only when some event bumped the
-            // producer's endpoint epoch (its own refresh above counts — a
-            // member that is also a pred of a later member was already
-            // rescanned against the final placements and skips here).
-            self.refresh_maybe(w, placements, p);
+            self.refresh(w, placements, p);
         }
         self.scratch = preds;
     }
@@ -518,13 +454,6 @@ impl PressureTracker {
     /// Recompute the stored contribution of one def from the current graph
     /// and placements (idempotent; clears the contribution when the node is
     /// inactive or unplaced).
-    ///
-    /// The public entry always bumps the node's endpoint epoch first — the
-    /// callers that reach it directly (the store's dirty-def drain after
-    /// graph rewiring, `touch_all`'s own-member updates) report events that
-    /// can genuinely move the contribution, so the rescan is never skipped.
-    /// The skip decision lives in [`PressureTracker::refresh_maybe`], which
-    /// `touch_all` uses for the deduplicated producer rescans.
     pub fn refresh<P: PlacementView + ?Sized>(
         &mut self,
         w: &WorkGraph,
@@ -532,53 +461,7 @@ impl PressureTracker {
         node: NodeId,
     ) {
         self.grow(node.index() + 1);
-        // The bump would make `epoch != clean`, so the classification is
-        // fixed: count the refresh, mark the node clean at the bumped epoch
-        // and rescan — one less branch than routing through `refresh_maybe`.
-        let i = node.index();
-        self.epoch[i] = self.epoch[i].wrapping_add(1);
-        self.clean[i] = self.epoch[i];
         self.refreshes += 1;
-        self.rescan(w, placements, node);
-    }
-
-    /// Rescan `node` only if its endpoint epoch moved since the last rescan;
-    /// otherwise the stored contribution is provably current and the call is
-    /// an O(1) skip (under the eager oracle: a rescan asserted to be a
-    /// no-op). Counts every request into the `refreshes`/`skips` counters
-    /// identically in both modes.
-    fn refresh_maybe<P: PlacementView + ?Sized>(
-        &mut self,
-        w: &WorkGraph,
-        placements: &P,
-        node: NodeId,
-    ) {
-        // No `grow` here: every caller reached the node through edges of a
-        // graph the tracker is already sized for (`touch_all` indexed its
-        // stored lifetime before pushing it).
-        let i = node.index();
-        if self.epoch[i] == self.clean[i] {
-            self.skips += 1;
-            if !self.eager {
-                return;
-            }
-            // Eager oracle: pay the rescan the fast path skips, and require
-            // it to change nothing — a skip whose endpoints *had* moved
-            // would silently self-repair here while the fast path diverges,
-            // so surface it immediately in debug builds.
-            #[cfg(debug_assertions)]
-            let before = (self.lifetimes[i], self.invariant_of[i]);
-            self.rescan(w, placements, node);
-            #[cfg(debug_assertions)]
-            debug_assert!(
-                before == (self.lifetimes[i], self.invariant_of[i]),
-                "epoch-clean node {node:?} changed under an eager rescan: \
-                 a refresh-skip event source is missing an epoch bump"
-            );
-            return;
-        }
-        self.refreshes += 1;
-        self.clean[i] = self.epoch[i];
         self.rescan(w, placements, node);
     }
 
@@ -586,9 +469,9 @@ impl PressureTracker {
     ///
     /// The update is a *delta*: the freshly derived lifetime is diffed
     /// against the stored one and only the rows whose register count
-    /// actually changes are touched. It runs for the node and the epoch-
-    /// bumped subset of its flow predecessors on every place/eject plus once
-    /// per dirty def after graph rewiring, and most of those calls end with
+    /// actually changes are touched. It runs for the node and the affected
+    /// subset of its flow predecessors on every place/eject plus once per
+    /// dirty def after graph rewiring, and most of those calls end with
     /// an unchanged (or only slightly stretched) lifetime — the old
     /// clear-and-rebuild paid O(II) row writes and a cache invalidation for
     /// every one of them.

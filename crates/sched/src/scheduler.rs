@@ -19,11 +19,9 @@
 //! every ejection through [`PlacementStore::eject`], which keep the
 //! [`crate::store::SlotIndex`] used by the O(row) victim search consistent.
 //!
-//! The free-slot window search runs over the MRT's row-availability bitmasks
-//! ([`crate::mrt::Mrt::first_free_row_in`], O(words) per window instead of a
-//! per-row `can_place` walk; oracle kept behind
-//! [`Oracles::linear_slot_scan`]), and forced placements
-//! whose conflict the summary proves *structurally unsatisfiable* (a divide
+//! The free-slot window search asks the MRT row by row
+//! ([`crate::mrt::Mrt::first_free_row_in`]), and forced placements whose
+//! conflict is *structurally unsatisfiable* even on an empty table (a divide
 //! longer than the II can accommodate on this cluster's units) are abandoned
 //! before their ejection cascade, counted in
 //! [`SchedulerStats::infeasible_cutoffs`].
@@ -1115,20 +1113,11 @@ impl IterativeScheduler {
             (Some(e), Some(l)) => (e, l.min(e + ii - 1), true),
         };
 
-        let found = if self.oracles.linear_slot_scan {
-            state.store.mrt().first_free_row_linear(
-                kind,
-                cluster,
-                (scan_start, scan_end),
-                upward,
-                lat,
-            )
-        } else {
+        let found =
             state
                 .store
                 .mrt()
-                .first_free_row_in(kind, cluster, (scan_start, scan_end), upward, lat)
-        };
+                .first_free_row_in(kind, cluster, (scan_start, scan_end), upward, lat);
 
         if let Some(t) = found {
             state.store.place(&state.w, u, t, cluster, lat);

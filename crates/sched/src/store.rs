@@ -149,8 +149,8 @@ impl SlotIndex {
     }
 
     /// Add or remove `n` in one row's occupancy list — the slot-index leg of
-    /// the store's fused place/eject transaction, which walks the occupancy
-    /// span once and updates MRT counts, masks and these lists per row.
+    /// the store's place/eject transaction, which moves the MRT counts and
+    /// these lists together.
     pub(crate) fn update_row(
         &mut self,
         class: ResourceClass,
@@ -427,16 +427,13 @@ pub struct PlacementStore {
     /// Per-node hot fields (placement + `prev_cycle`), structure-of-arrays.
     hot: Vec<NodeHot>,
     tracker: PressureTracker,
-    /// The store reads three flags: `batch_pressure` (the tracker is never
+    /// The store reads one flag, `batch_pressure`: the tracker is never
     /// consulted, so transactions skip its maintenance, keeping the oracle
-    /// an honest recompute-the-world baseline), `eager_refresh` (handed to
-    /// the tracker) and `split_row_update` (FU row maintenance).
+    /// an honest recompute-the-world baseline.
     oracles: Oracles,
     /// Rows maintained by [`PlacementStore::apply_reservation`] this attempt
-    /// (counts+masks+index lists moved together for each) — the event-volume
-    /// side of [`crate::SchedulerStats::fused_row_updates`]. Identical in
-    /// split and fused mode: it counts the transaction's row maintenance,
-    /// not which engine performed it.
+    /// (MRT counts and slot-index lists moved together for each) — the
+    /// event-volume side of [`crate::SchedulerStats::fused_row_updates`].
     fused_rows: u64,
     order: PriorityOrder,
     worklist: RankQueue,
@@ -475,15 +472,12 @@ impl PlacementStore {
         oracles: Oracles,
     ) -> Self {
         let ii = ii.max(1);
-        let clusters = caps.clusters;
-        let mut tracker = PressureTracker::new(ii, clusters, num_nodes);
-        tracker.set_eager_refresh(oracles.eager_refresh);
         PlacementStore {
             ii,
             mrt: Mrt::new(ii, caps),
             index: SlotIndex::new(ii, &caps),
             hot: vec![NodeHot::EMPTY; num_nodes],
-            tracker,
+            tracker: PressureTracker::new(ii, caps.clusters, num_nodes),
             oracles,
             fused_rows: 0,
             order,
@@ -536,7 +530,6 @@ impl PlacementStore {
         self.hot.clear();
         self.hot.resize(num_nodes, NodeHot::EMPTY);
         self.tracker.rebind(1, caps.clusters, num_nodes);
-        self.tracker.set_eager_refresh(oracles.eager_refresh);
         self.oracles = oracles;
         self.fused_rows = 0;
         self.worklist.clear();
@@ -576,12 +569,12 @@ impl PlacementStore {
     }
 
     /// Drain the attempt's engine counters:
-    /// `(pressure refreshes, refresh skips, fused row updates)`. The arena
-    /// folds them into its [`crate::SchedulerStats`] after each attempt.
-    pub fn take_engine_counters(&mut self) -> (u64, u64, u64) {
-        let (refreshes, skips) = self.tracker.take_refresh_counters();
+    /// `(pressure refreshes, fused row updates)`. The arena folds them into
+    /// its [`crate::SchedulerStats`] after each attempt.
+    pub fn take_engine_counters(&mut self) -> (u64, u64) {
+        let refreshes = self.tracker.take_refreshes();
         let fused = std::mem::take(&mut self.fused_rows);
-        (refreshes, skips, fused)
+        (refreshes, fused)
     }
 
     /// The scheduling priority order of this attempt.
@@ -669,12 +662,10 @@ impl PlacementStore {
         self.dirty_scratch = dirty;
     }
 
-    /// The fused reservation kernel shared by place and unplace: one walk
-    /// over the occupancy span updates the MRT row counts, the availability
-    /// masks, the incremental FU free-slot total and the [`SlotIndex`] row
-    /// lists together, with the class/span/start-row decode done once
-    /// (previously `Mrt::adjust` and `SlotIndex::insert`/`remove` each
-    /// re-derived them and walked the span separately).
+    /// The reservation kernel shared by place and unplace: the MRT row
+    /// counts and the [`SlotIndex`] row lists move together. Non-FU classes
+    /// pin their MRT resource only in the issue row, but the index lists the
+    /// node across its whole occupancy span.
     fn apply_reservation(
         &mut self,
         kind: OpKind,
@@ -684,44 +675,19 @@ impl PlacementStore {
         lat: &OpLatencies,
         add: bool,
     ) {
+        if add {
+            self.mrt.place(kind, cycle, cluster, lat);
+        } else {
+            self.mrt.remove(kind, cycle, cluster, lat);
+        }
         let class = kind.resource_class();
         let ii = self.ii;
-        let occ = lat.occupancy(kind);
-        let span = occ.min(ii);
+        let span = lat.occupancy(kind).min(ii);
         let start = cycle.rem_euclid(ii as i64) as u32;
-        let delta = if add { 1 } else { -1 };
         self.fused_rows += span as u64;
-        match class {
-            ResourceClass::Fu => {
-                if self.oracles.split_row_update {
-                    // Split oracle: the pre-fusion per-row walk, one scalar
-                    // count/mask/free update per occupied row.
-                    for k in 0..span {
-                        let row = (start + k) % ii;
-                        let copies = self.mrt.fu_copies(occ, k);
-                        self.mrt.fu_adjust_row(row, copies, cluster, delta);
-                        self.index.update_row(class, row, cluster, n, add);
-                    }
-                } else {
-                    // Fused path: one word-parallel pass moves the packed
-                    // counts, the availability masks and the free-slot total
-                    // together; only the index lists still walk per row.
-                    self.mrt.fu_adjust_span(start, occ, cluster, delta);
-                    for k in 0..span {
-                        self.index
-                            .update_row(class, (start + k) % ii, cluster, n, add);
-                    }
-                }
-            }
-            _ => {
-                // Non-FU classes pin their resource only in the issue row;
-                // the index still lists the node across the whole span.
-                self.mrt.adjust_single(class, cycle, cluster, delta);
-                for k in 0..span {
-                    self.index
-                        .update_row(class, (start + k) % ii, cluster, n, add);
-                }
-            }
+        for k in 0..span {
+            self.index
+                .update_row(class, (start + k) % ii, cluster, n, add);
         }
     }
 
@@ -964,8 +930,7 @@ impl PlacementStore {
     ///   the edge needs no communication between the two retained clusters
     ///   — the reset truncated the failed attempt's comm chains, and
     ///   retained nodes never pass through communication insertion;
-    /// * the MRT masks/capacity accept the exact cycle
-    ///   ([`Mrt::first_free_row_in`] over the single-cycle window).
+    /// * the MRT accepts the exact cycle ([`Mrt::can_place`]).
     ///
     /// Entries are processed in ascending `(rank, id)` — worklist pop order
     /// — so when survivors collide in the smaller row space, the node the
@@ -1036,11 +1001,7 @@ impl PlacementStore {
                 }
             }
             let kind = w.ddg.node(n).kind;
-            if self
-                .mrt
-                .first_free_row_in(kind, cluster, (cycle, cycle), true, lat)
-                != Some(cycle)
-            {
+            if !self.mrt.can_place(kind, cycle, cluster, lat) {
                 continue;
             }
             self.place(w, n, cycle, cluster, lat);
@@ -1084,12 +1045,12 @@ impl PlacementStore {
         if mrt != self.mrt {
             return Some("MRT diverges from a table rebuilt from the placements".to_string());
         }
-        // The row-availability bitmasks must summarize the live counts
-        // exactly (the replayed-table equality above compares two masks that
-        // went through the same `adjust` path, so it cannot catch a
-        // maintenance bug on its own).
-        if let Some(diff) = self.mrt.check_masks() {
-            return Some(format!("MRT availability summary stale: {diff}"));
+        // The incremental free-slot totals must match a recount of the
+        // live row counts (the replayed-table equality above compares two
+        // totals that went through the same `adjust` path, so it cannot
+        // catch a maintenance bug on its own).
+        if let Some(diff) = self.mrt.check_fu_free() {
+            return Some(format!("MRT free-slot total stale: {diff}"));
         }
         None
     }

@@ -95,8 +95,9 @@ impl SchedulerParams {
 /// replaced. Schedules and [`SchedulerStats`] equality are bit-identical
 /// for each flag alone and for all of them at once (`tests/*_equivalence.rs`;
 /// `tests/oracle_equivalence.rs` runs the full set), so the set only exists
-/// to cross-check and measure the fast paths. The default selects
-/// every fast path; [`Oracles::REFERENCE`] selects every oracle.
+/// to cross-check and measure the fast paths. Each one stays because its
+/// oracle is measurably slower on the paper's own sweeps. The default
+/// selects every fast path; [`Oracles::REFERENCE`] selects every oracle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Oracles {
     /// Rebuild the working graph, priority order and placement store for
@@ -106,19 +107,9 @@ pub struct Oracles {
     /// Answer victim searches with the O(active nodes) scan instead of the
     /// [`crate::SlotIndex`] row lists.
     pub linear_victim_scan: bool,
-    /// Answer free-slot window searches with the per-row `can_place` walk
-    /// instead of the MRT availability bitmasks.
-    pub linear_slot_scan: bool,
     /// Recompute the batch [`crate::pressure::pressure`] snapshot for every
     /// register-pressure query; the incremental tracker is never maintained.
     pub batch_pressure: bool,
-    /// Rescan every pressure-refresh request instead of skipping the ones
-    /// the tracker's lifetime epochs prove up to date (debug builds assert
-    /// each skippable rescan changes nothing).
-    pub eager_refresh: bool,
-    /// Maintain the MRT's FU rows one scalar row at a time instead of the
-    /// fused word-parallel span pass.
-    pub split_row_update: bool,
 }
 
 impl Oracles {
@@ -126,10 +117,7 @@ impl Oracles {
     pub const REFERENCE: Oracles = Oracles {
         fresh_arena: true,
         linear_victim_scan: true,
-        linear_slot_scan: true,
         batch_pressure: true,
-        eager_refresh: true,
-        split_row_update: true,
     };
 }
 
@@ -172,8 +160,8 @@ pub struct SchedulerStats {
     /// loop, including attempts that failed.
     pub guard_trips: u64,
     /// Times a forced placement was abandoned *before* its ejection cascade
-    /// because the availability summary proved the conflict structurally
-    /// unsatisfiable — zero capacity for the operation's class at any row
+    /// because [`crate::mrt::Mrt::placeable_on_empty`] proved the conflict
+    /// structurally unsatisfiable — zero capacity for the operation's class at any row
     /// even on an empty table (e.g. a divide longer than the II on this
     /// cluster's units), so no victim set could ever free the slot.
     /// Accumulated across all IIs of the loop, like `guard_trips`.
@@ -188,22 +176,18 @@ pub struct SchedulerStats {
     /// Total placements retained across all warm starts — the nodes that
     /// kept their cycle and cluster through the modulo-remap.
     pub warm_nodes_retained: u64,
-    /// Pressure-tracker refresh requests that actually rescanned the def's
-    /// consumer edges (its lifetime endpoints could have moved). Zero in
-    /// batch-pressure-oracle mode, where the tracker never runs; excluded
-    /// from `PartialEq` for that reason.
+    /// Pressure-tracker refresh requests; every one rescans the def's
+    /// consumer edges. Zero in batch-pressure-oracle mode, where the tracker
+    /// never runs; excluded from `PartialEq` for that reason.
     pub pressure_refreshes: u64,
-    /// Pressure-tracker refresh requests proven up to date by the lifetime
-    /// epoch and skipped in O(1) (identical under the
-    /// [`Oracles::eager_refresh`] oracle, which
-    /// classifies the same but rescans anyway). Zero in batch-pressure
-    /// mode; excluded from `PartialEq`.
+    /// Always 0: the tracker no longer skips refresh requests, so every
+    /// request counts in `pressure_refreshes`. The field stays because the
+    /// `perfbench` harness builds this struct field by field; excluded from
+    /// `PartialEq`.
     pub refresh_skips: u64,
-    /// MRT rows maintained by place/unplace reservations — the row volume
-    /// the fused word-parallel update collapses into packed-word passes.
-    /// Counted identically in fused and split
-    /// ([`Oracles::split_row_update`]) mode: it
-    /// measures the transaction's row traffic, not which engine moved it.
+    /// MRT rows maintained by place/unplace reservations (one per occupied
+    /// row of each reservation) — the row traffic of the store's
+    /// place/eject transactions.
     pub fused_row_updates: u64,
 }
 
@@ -238,7 +222,6 @@ impl SchedulerStats {
         self.guard_trips += attempt.guard_trips;
         self.infeasible_cutoffs += attempt.infeasible_cutoffs;
         self.pressure_refreshes += attempt.pressure_refreshes;
-        self.refresh_skips += attempt.refresh_skips;
         self.fused_row_updates += attempt.fused_row_updates;
     }
 
@@ -256,7 +239,6 @@ impl SchedulerStats {
         telemetry.counter_add("sched.warm_starts", self.warm_starts as u64);
         telemetry.counter_add("sched.warm_nodes_retained", self.warm_nodes_retained);
         telemetry.counter_add("pressure.refreshes", self.pressure_refreshes);
-        telemetry.counter_add("pressure.refresh_skips", self.refresh_skips);
         telemetry.counter_add("mrt.fused_row_updates", self.fused_row_updates);
     }
 }

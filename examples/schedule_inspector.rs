@@ -103,9 +103,8 @@ fn main() {
         result.stats.warm_starts, result.stats.warm_nodes_retained
     );
     println!(
-        "engine: {} pressure refreshes ({} skipped as provably unchanged), \
-         {} fused MRT row updates",
-        result.stats.pressure_refreshes, result.stats.refresh_skips, result.stats.fused_row_updates
+        "engine: {} pressure refreshes, {} MRT row updates",
+        result.stats.pressure_refreshes, result.stats.fused_row_updates
     );
 
     if let Some(path) = trace_path {

@@ -10,7 +10,7 @@ use hcrf_sched::order::priority_order;
 use hcrf_sched::workgraph::WorkGraph;
 use hcrf_sched::{
     schedule_loop, validate_schedule, validate_store, AttemptArena, Oracles, PlacementStore,
-    PressureQuery, PressureTracker, SchedulerParams,
+    PressureTracker, SchedulerParams,
 };
 use proptest::prelude::*;
 
@@ -166,75 +166,6 @@ proptest! {
         }
     }
 
-    /// The ejection-aware refresh skip never changes what the tracker
-    /// stores or answers: a skip-mode tracker and an eager-oracle tracker
-    /// (`set_eager_refresh(true)`, which pays every rescan the fast path
-    /// proves unnecessary) driven through the identical random place/eject
-    /// sequence agree on every bank query and on the batch-oracle diff
-    /// after every step, and classify the identical refresh-request stream
-    /// into the same refresh/skip counts. The eager tracker additionally
-    /// self-checks in debug builds: a rescan on an epoch-clean node that
-    /// changes anything panics inside `refresh_maybe`.
-    #[test]
-    fn refresh_skip_matches_eager(
-        ddg in arb_loop(14),
-        ops in prop::collection::vec((any::<u16>(), 0u32..4, 0i64..48), 4..48),
-        hier in any::<bool>(),
-        ii in 1u32..9,
-    ) {
-        let lat = OpLatencies::paper_baseline();
-        let cfg = if hier { "4C16S64" } else { "S64" };
-        let machine = MachineConfig::paper_baseline(RfOrganization::parse(cfg).unwrap());
-        let clusters = machine.clusters();
-        let mut w = WorkGraph::new(&ddg, &machine);
-        let mut placements: Vec<Option<(i64, u32)>> = vec![None; w.ddg.num_nodes()];
-        let mut fast = PressureTracker::new(ii, clusters, w.ddg.num_nodes());
-        let mut eager = PressureTracker::new(ii, clusters, w.ddg.num_nodes());
-        eager.set_eager_refresh(true);
-        // The hierarchical preprocessing rewires edges before the trackers
-        // exist; drain the dirty set once into both, like the scheduler's
-        // sync does.
-        for n in w.take_pressure_dirty() {
-            fast.refresh(&w, &placements, n);
-            eager.refresh(&w, &placements, n);
-        }
-        let nodes: Vec<_> = w.active_nodes().collect();
-        for (step, (sel, cluster, cycle)) in ops.into_iter().enumerate() {
-            let n = nodes[sel as usize % nodes.len()];
-            if placements[n.index()].is_some() {
-                placements[n.index()] = None; // eject
-            } else {
-                placements[n.index()] = Some((cycle, cluster % clusters)); // place
-            }
-            fast.touch(&w, &placements, n);
-            eager.touch(&w, &placements, n);
-            for c in 0..clusters {
-                prop_assert_eq!(
-                    fast.cluster_live(c), eager.cluster_live(c),
-                    "{} II={} step {}: cluster {} MaxLive diverged", cfg, ii, step, c
-                );
-            }
-            prop_assert_eq!(
-                fast.shared_live(), eager.shared_live(),
-                "{} II={} step {}: shared MaxLive diverged", cfg, ii, step
-            );
-            if let Some(diff) = fast.diff_from_batch(&w, &placements, &lat) {
-                return Err(TestCaseError::fail(format!("{cfg} II={ii} skip-mode: {diff}")));
-            }
-            if let Some(diff) = eager.diff_from_batch(&w, &placements, &lat) {
-                return Err(TestCaseError::fail(format!("{cfg} II={ii} eager: {diff}")));
-            }
-        }
-        // Both modes saw the identical request stream, so the
-        // refresh/skip classification must match exactly (the eager
-        // oracle still *performs* the skipped rescans, it just counts
-        // them as skips).
-        prop_assert_eq!(
-            fast.take_refresh_counters(), eager.take_refresh_counters(),
-            "{} II={}: refresh/skip classification diverged between modes", cfg, ii
-        );
-    }
-
     /// On randomized place/eject sequences driven through the
     /// `PlacementStore`, the `SlotIndex` membership always equals a
     /// from-scratch scan of the placements (and the MRT equals a replayed
@@ -288,13 +219,14 @@ proptest! {
     }
 
     /// On randomized place/remove sequences driven directly through the
-    /// [`hcrf_sched::mrt::Mrt`], the availability-bitmask window search
-    /// `first_free_row_in` equals the per-row `can_place` walk
-    /// `first_free_row_linear` for arbitrary windows — including windows
-    /// that wrap around the II, windows anchored at negative cycles, both
-    /// scan directions and multi-row operations (17-cycle divides and
-    /// 30-cycle square roots whose occupancy can exceed the II) — and the
-    /// bitmasks always summarize the row counts exactly (`check_masks`).
+    /// [`hcrf_sched::mrt::Mrt`], the window search `first_free_row_in`
+    /// answers exactly as on a table rebuilt by replaying the live
+    /// reservations, for arbitrary windows — including windows that wrap
+    /// around the II, windows anchored at negative cycles, both scan
+    /// directions and multi-row operations (17-cycle divides and 30-cycle
+    /// square roots whose occupancy can exceed the II) — and the incremental
+    /// FU free-slot totals always match a recount of the row counts
+    /// (`check_fu_free`).
     #[test]
     fn bitset_slot_search_matches_linear_scan(
         ops in prop::collection::vec((0u8..6, 0u32..4, 0i64..64), 4..64),
@@ -322,19 +254,23 @@ proptest! {
                 let (rk, rc, rcl) = live.swap_remove(cycle as usize % live.len());
                 mrt.remove(rk, rc, rcl, &lat);
             }
-            if let Some(diff) = mrt.check_masks() {
+            if let Some(diff) = mrt.check_fu_free() {
                 return Err(TestCaseError::fail(format!("{} II={ii}: {diff}", machine.rf)));
+            }
+            let mut replay = Mrt::new(ii, caps);
+            for &(rk, rc, rcl) in &live {
+                replay.place(rk, rc, rcl, &lat);
             }
             for &(pk, pcl, start, len, upward) in &probes {
                 let kind = kinds[pk as usize % kinds.len()];
                 let cl = pcl % clusters;
                 let window = (start, start + len);
-                let fast = mrt.first_free_row_in(kind, cl, window, upward, &lat);
-                let slow = mrt.first_free_row_linear(kind, cl, window, upward, &lat);
-                if fast != slow {
+                let got = mrt.first_free_row_in(kind, cl, window, upward, &lat);
+                let want = replay.first_free_row_in(kind, cl, window, upward, &lat);
+                if got != want {
                     return Err(TestCaseError::fail(format!(
-                        "{} II={ii}: slot search diverged for {kind:?} in {window:?} \
-                         ({}): {fast:?} vs {slow:?}",
+                        "{} II={ii}: slot search diverged from the replayed table for \
+                         {kind:?} in {window:?} ({}): {got:?} vs {want:?}",
                         machine.rf,
                         if upward { "up" } else { "down" },
                     )));
@@ -349,7 +285,7 @@ proptest! {
     /// are back at the pristine node count (no capacity leak from spill or
     /// communication chains inserted at an earlier II — they are undone by
     /// the pristine-graph restore), and `validate_store` (slot-index scan,
-    /// MRT replay and `check_masks`) passes after the reset and after every
+    /// MRT replay and `check_fu_free`) passes after the reset and after every
     /// subsequent randomized place/eject step driven through the store.
     #[test]
     fn arena_reset_equals_fresh_build(
@@ -423,7 +359,7 @@ proptest! {
     /// Warm remaps of arbitrary snapshots never corrupt the store: random
     /// place/eject traffic driven through the `PlacementStore` at one II is
     /// captured and remapped at a bumped II, after which `validate_store`
-    /// (slot-index scan, MRT replay and `Mrt::check_masks`) passes, every
+    /// (slot-index scan, MRT replay and `Mrt::check_fu_free`) passes, every
     /// retained node satisfies its active dependence windows, and the remap
     /// is deterministic (a second round trip retains the same count). The
     /// traffic is resource-legal but deliberately not dependence-legal —

@@ -23,7 +23,7 @@
 //! * **store integrity** — after every explicit
 //!   [`AttemptArena::capture_warm_snapshot`] + [`AttemptArena::reset_warm`]
 //!   round trip, `validate_store` (slot-index scan, MRT replay and
-//!   `Mrt::check_masks`) passes, every retained node still satisfies its
+//!   `Mrt::check_fu_free`) passes, every retained node still satisfies its
 //!   active dependence windows, and every active node is either retained or
 //!   back on the worklist.
 
