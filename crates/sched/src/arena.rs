@@ -1,16 +1,11 @@
 //! The per-attempt state arena of the iterative scheduler.
 //!
-//! Before this module every II restart of the ladder rebuilt the complete
-//! per-attempt machinery from scratch: a fresh [`WorkGraph`] (cloning the
-//! loop body and re-inserting the memory-interface chains), a fresh
-//! [`crate::order::PriorityOrder`] and a fresh [`PlacementStore`] (MRT,
-//! slot index, pressure tracker, worklist — all reallocated). Profiling
-//! after PR 4 showed the ladder itself had become a scheduler-perf
-//! frontier: churn loops restart ~74 times each, paying the rebuild per
-//! rung.
-//!
-//! [`AttemptArena`] owns all of that machinery for the lifetime of one
-//! `schedule()` call and is *reset, not rebuilt*, across II restarts:
+//! [`AttemptArena`] owns the per-attempt machinery — the [`WorkGraph`]
+//! (loop body plus memory-interface chains), the
+//! [`crate::order::PriorityOrder`] and the [`PlacementStore`] (MRT, slot
+//! index, pressure tracker, worklist) — for the lifetime of one
+//! `schedule()` call and is *reset, not rebuilt*, across II restarts (churn
+//! loops restart ~74 times each):
 //!
 //! * the working graph snapshots its pristine state (loop body + permanent
 //!   memory-interface chains) once and [`WorkGraph::reset_to_pristine`]
@@ -35,7 +30,7 @@ use crate::order::{priority_order_into, OrderScratch, PriorityOrder};
 use crate::store::PlacementStore;
 use crate::types::{Oracles, SchedulerStats};
 use crate::workgraph::WorkGraph;
-use hcrf_ir::{Ddg, EdgeId, NodeId, OpLatencies};
+use hcrf_ir::{Ddg, NodeId, OpLatencies};
 use hcrf_machine::MachineConfig;
 use hcrf_telemetry::TraceBuf;
 use std::time::{Duration, Instant};
@@ -88,10 +83,6 @@ pub struct AttemptArena {
     /// Scratch for the lstart walk: each placed successor with the latest
     /// cycle its dependence allows.
     pub(crate) succ_bounds: Vec<(NodeId, i64)>,
-    /// Scratch for `select_cluster_recording`: edges between the popped node
-    /// and placed neighbours that could need communication for some cluster
-    /// choice, reused by the communication-insertion scan.
-    pub(crate) comm_cands: Vec<(EdgeId, u32)>,
     /// Scratch for the nodes of one inserted communication/spill chain,
     /// reused across every insertion of the attempt.
     pub(crate) chain_nodes: Vec<NodeId>,
@@ -126,7 +117,6 @@ impl AttemptArena {
             violators: Vec::new(),
             pred_bounds: Vec::new(),
             succ_bounds: Vec::new(),
-            comm_cands: Vec::new(),
             chain_nodes: Vec::new(),
             trace: TraceBuf::default(),
         }
@@ -157,7 +147,6 @@ impl AttemptArena {
         self.violators.clear();
         self.pred_bounds.clear();
         self.succ_bounds.clear();
-        self.comm_cands.clear();
         self.chain_nodes.clear();
         self.trace = TraceBuf::default();
     }
@@ -427,7 +416,8 @@ mod tests {
             .find(|(id, e)| w.edge_is_active(*id) && e.kind == DepKind::Flow)
             .map(|(id, e)| (id, *e))
             .expect("flow edge");
-        let new_nodes = w.insert_spill_to_memory(edge.dst, edge_id);
+        let mut new_nodes = Vec::new();
+        w.insert_spill_to_memory_into(edge.dst, edge_id, &mut new_nodes);
         store.grow(w.ddg.num_nodes());
         assert!(store.placements().len() > pristine_nodes);
         for (k, n) in new_nodes.iter().enumerate() {
@@ -478,7 +468,8 @@ mod tests {
             .find(|(id, e)| w.edge_is_active(*id) && e.kind == DepKind::Flow)
             .map(|(id, e)| (id, *e))
             .expect("flow edge");
-        let new_nodes = w.insert_spill_to_memory(edge.dst, edge_id);
+        let mut new_nodes = Vec::new();
+        w.insert_spill_to_memory_into(edge.dst, edge_id, &mut new_nodes);
         store.grow(w.ddg.num_nodes());
         for (k, n) in new_nodes.iter().enumerate() {
             store.place(w, *n, k as i64, 0, &lat());

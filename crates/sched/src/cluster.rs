@@ -8,7 +8,7 @@
 use crate::mrt::Mrt;
 use crate::pressure::{PlacementView, PressureQuery};
 use crate::workgraph::WorkGraph;
-use hcrf_ir::{EdgeId, NodeId, OpKind, ResourceClass};
+use hcrf_ir::{NodeId, OpKind, ResourceClass};
 
 /// Decision produced by [`select_cluster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,73 +35,25 @@ pub fn select_cluster<P: PlacementView + ?Sized>(
     placements: &P,
     pressure: &dyn PressureQuery,
 ) -> ClusterChoice {
-    let mut cands = Vec::new();
-    select_cluster_recording(u, w, mrt, placements, pressure, &mut cands).0
-}
-
-/// [`select_cluster`], additionally recording into `comm_candidates` every
-/// edge between `u` and a placed neighbour that could require communication
-/// for *some* cluster choice, in the exact order the scheduler's
-/// communication-insertion scan visits them (predecessor edges, then
-/// successor edges). Each entry carries the cluster that makes the edge
-/// communication-free (`u32::MAX` when every cluster needs it), so the
-/// scheduler's first scan is a tight filter by the chosen cluster instead of
-/// a re-walk of the whole neighbourhood. A returned `false` flag means a
-/// fast path skipped the scoring walk and the caller must fall back to the
-/// full scan.
-pub fn select_cluster_recording<P: PlacementView + ?Sized>(
-    u: NodeId,
-    w: &WorkGraph,
-    mrt: &Mrt,
-    placements: &P,
-    pressure: &dyn PressureQuery,
-    comm_candidates: &mut Vec<(EdgeId, u32)>,
-) -> (ClusterChoice, bool) {
-    comm_candidates.clear();
     let clusters = mrt.caps().clusters;
     let kind = w.ddg.node(u).kind;
-    if clusters <= 1 {
-        // Monolithic machines never communicate: the empty recording is
-        // complete.
-        return (
-            ClusterChoice {
-                cluster: 0,
-                comm_cost: 0,
-            },
-            true,
-        );
-    }
-    if w.is_hierarchical() && kind.is_memory() {
-        return (
-            ClusterChoice {
-                cluster: 0,
-                comm_cost: 0,
-            },
-            false,
-        );
+    if clusters <= 1 || (w.is_hierarchical() && kind.is_memory()) {
+        return ClusterChoice {
+            cluster: 0,
+            comm_cost: 0,
+        };
     }
     // Communication-anchored kinds follow their neighbour directly.
-    if kind == OpKind::StoreR {
-        if let Some(c) = placed_neighbor_cluster(w, placements, u, Direction::Producers) {
-            return (
-                ClusterChoice {
-                    cluster: c,
-                    comm_cost: 0,
-                },
-                false,
-            );
-        }
-    }
-    if kind == OpKind::LoadR {
-        if let Some(c) = placed_neighbor_cluster(w, placements, u, Direction::Consumers) {
-            return (
-                ClusterChoice {
-                    cluster: c,
-                    comm_cost: 0,
-                },
-                false,
-            );
-        }
+    let anchor = match kind {
+        OpKind::StoreR => placed_neighbor_cluster(w, placements, u, Direction::Producers),
+        OpKind::LoadR => placed_neighbor_cluster(w, placements, u, Direction::Consumers),
+        _ => None,
+    };
+    if let Some(c) = anchor {
+        return ClusterChoice {
+            cluster: c,
+            comm_cost: 0,
+        };
     }
 
     // One pass over u's placed neighbours instead of one `communication_cost`
@@ -116,7 +68,7 @@ pub fn select_cluster_recording<P: PlacementView + ?Sized>(
     let fast = clusters as usize <= MAX_FAST_CLUSTERS;
     if fast {
         let other = |nc: u32| if nc == 0 { 1 } else { 0 };
-        for (id, e) in w.active_pred_edges(u) {
+        for (_, e) in w.active_pred_edges(u) {
             if let Some((_, pc)) = placements.placement_of(e.src) {
                 let same = w.needs_communication(e, pc, pc);
                 let diff = w.needs_communication(e, pc, other(pc));
@@ -126,14 +78,9 @@ pub fn select_cluster_recording<P: PlacementView + ?Sized>(
                     dep_total += 1;
                     dep_in[pc as usize] += 1;
                 }
-                if same {
-                    comm_candidates.push((id, u32::MAX));
-                } else if diff {
-                    comm_candidates.push((id, pc));
-                }
             }
         }
-        for (id, e) in w.active_succ_edges(u) {
+        for (_, e) in w.active_succ_edges(u) {
             if let Some((_, sc)) = placements.placement_of(e.dst) {
                 let same = w.needs_communication(e, sc, sc);
                 let diff = w.needs_communication(e, other(sc), sc);
@@ -142,11 +89,6 @@ pub fn select_cluster_recording<P: PlacementView + ?Sized>(
                 } else {
                     dep_total += 1;
                     dep_in[sc as usize] += 1;
-                }
-                if same {
-                    comm_candidates.push((id, u32::MAX));
-                } else if diff {
-                    comm_candidates.push((id, sc));
                 }
             }
         }
@@ -175,7 +117,7 @@ pub fn select_cluster_recording<P: PlacementView + ?Sized>(
             };
         }
     }
-    (best, fast)
+    best
 }
 
 /// Widest machine the one-pass communication-cost aggregation handles on the
@@ -195,9 +137,7 @@ fn placed_neighbor_cluster<P: PlacementView + ?Sized>(
     dir: Direction,
 ) -> Option<u32> {
     // Prefer the first placed FU neighbour; fall back to the first placed
-    // neighbour of any kind. One allocation-free pass in edge order — this
-    // runs once per worklist pop, so a per-call Vec was measurable on
-    // ejection-churn-heavy loops.
+    // neighbour of any kind, in one pass in edge order.
     let mut fu_cluster = None;
     let mut any_cluster = None;
     let mut visit = |n: NodeId| {
@@ -337,12 +277,11 @@ mod tests {
     }
 
     #[test]
-    fn one_pass_scoring_matches_per_cluster_walk_and_records_candidates() {
+    fn one_pass_scoring_matches_per_cluster_walk() {
         // A mixed neighbourhood on a hierarchical machine: placed producers
         // in two clusters, one placed consumer, one unplaced neighbour. The
         // one-pass aggregation must reproduce `communication_cost` for the
-        // chosen cluster, and the recording must list exactly the edges a
-        // scan from the chosen cluster would (in pred-then-succ order).
+        // chosen cluster.
         let mut b = DdgBuilder::new("op");
         let p0 = b.op(OpKind::FMul);
         let p1 = b.op(OpKind::FMul);
@@ -361,25 +300,11 @@ mod tests {
         place[p1.index()] = Some((0, 2));
         place[c0.index()] = Some((9, 2));
         let pr = pressure(&w, &place, 4, 4, &lat, false);
-        let mut cands = Vec::new();
-        let (choice, complete) = select_cluster_recording(u, &w, &mrt, &place, &pr, &mut cands);
-        assert!(complete);
+        let choice = select_cluster(u, &w, &mrt, &place, &pr);
         assert_eq!(
             choice.comm_cost,
             communication_cost(&w, &place, u, choice.cluster)
         );
-        for c in 0..4 {
-            // The recorded (edge, comm-free cluster) pairs reproduce the
-            // scan for *any* cluster choice, not just the winning one.
-            let from_recording = cands.iter().filter(|&&(_, free)| free != c).count() as u32;
-            assert_eq!(
-                from_recording,
-                communication_cost(&w, &place, u, c),
-                "cluster {c}"
-            );
-        }
-        // Three placed flow neighbours -> three cluster-dependent entries.
-        assert_eq!(cands.len(), 3);
     }
 
     #[test]

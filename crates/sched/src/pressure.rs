@@ -9,11 +9,10 @@
 //! register in every bank where they are consumed for the whole execution of
 //! the loop.
 
-use crate::types::{BankAssignment, Placement};
+use crate::types::BankAssignment;
 use crate::workgraph::WorkGraph;
 use hcrf_ir::{DepKind, NodeId, OpLatencies};
 use std::cell::Cell;
-use std::collections::HashMap;
 
 /// Lifetime of one value in one bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,21 +222,6 @@ pub fn pressure<P: PlacementView + ?Sized>(
     }
 }
 
-/// Pressure computed from final placements (no `Option`s).
-pub fn pressure_final(
-    w: &WorkGraph,
-    placements: &HashMap<NodeId, Placement>,
-    ii: u32,
-    clusters: u32,
-    lat: &OpLatencies,
-) -> Pressure {
-    let mut partial: Vec<Option<(i64, u32)>> = vec![None; w.ddg.num_nodes()];
-    for (n, p) in placements {
-        partial[n.index()] = Some((p.cycle as i64, p.cluster));
-    }
-    pressure(w, &partial, ii, clusters, lat, false)
-}
-
 /// Incremental register-pressure engine.
 ///
 /// Maintains exactly the state the batch [`pressure`] function derives from
@@ -255,11 +239,11 @@ pub fn pressure_final(
 /// placements. `tests/property_based.rs` asserts this after each step of
 /// randomized place/eject sequences.
 ///
-/// Since the [`crate::store::PlacementStore`] refactor the scheduler no
-/// longer calls `touch` directly: every `touch`/`refresh` happens inside the
-/// store's `place`/`eject`/`remove_chain_members`/`sync_pressure`
-/// transactions, so a new scheduler mutation path cannot forget the tracker
-/// (the oracle tests would catch it if one did).
+/// The scheduler never calls `touch` directly: every `touch`/`refresh`
+/// happens inside the [`crate::store::PlacementStore`]'s
+/// `place`/`eject`/`remove_chain_members`/`sync_pressure` transactions, so a
+/// new scheduler mutation path cannot forget the tracker (the oracle tests
+/// would catch it if one did).
 #[derive(Debug, Clone)]
 pub struct PressureTracker {
     ii: u32,
@@ -383,66 +367,48 @@ impl PressureTracker {
         placements: &P,
         node: NodeId,
     ) {
-        self.touch_all(w, placements, std::slice::from_ref(&node));
-    }
-
-    /// [`PressureTracker::touch`] over a whole ejection batch: the producer
-    /// rescans every member demands are collected across the batch and
-    /// deduplicated before running, so a def feeding several victims is
-    /// re-derived once instead of once per victim. Refreshing is idempotent
-    /// and depends only on the current graph and placements, so the deferred,
-    /// id-ordered rescans converge to the exact tracker state the per-victim
-    /// eager rescans reach.
-    pub fn touch_all<P: PlacementView + ?Sized>(
-        &mut self,
-        w: &WorkGraph,
-        placements: &P,
-        nodes: &[NodeId],
-    ) {
         let mut preds = std::mem::take(&mut self.scratch);
         preds.clear();
-        for &node in nodes {
-            self.refresh(w, placements, node);
-            let placed = placements.placement_of(node);
-            for (_, e) in w
-                .active_pred_edges(node)
-                .filter(|(_, e)| e.kind == DepKind::Flow && e.src != node)
-            {
-                let p = e.src;
-                match (placed, self.lifetimes[p.index()]) {
-                    (Some((use_cycle, _)), Some(lt)) => {
-                        let read = use_cycle + (self.ii as i64) * e.distance as i64;
-                        if read + 1 > lt.end {
-                            // The new consumer strictly extends the lifetime:
-                            // a rescan would find `node` as the unique
-                            // maximum.
-                            let new_lt = ValueLifetime {
-                                end: read + 1,
-                                last_consumer: Some(node),
-                                ..lt
-                            };
-                            self.delta_apply(Some(&lt), Some(&new_lt));
-                            self.lifetimes[p.index()] = Some(new_lt);
-                        } else if read + 1 == lt.end {
-                            // Tie with the current end: `last_consumer`
-                            // follows edge order, which only the rescan
-                            // knows.
-                            preds.push(p);
-                        }
+        self.refresh(w, placements, node);
+        let placed = placements.placement_of(node);
+        for (_, e) in w
+            .active_pred_edges(node)
+            .filter(|(_, e)| e.kind == DepKind::Flow && e.src != node)
+        {
+            let p = e.src;
+            match (placed, self.lifetimes[p.index()]) {
+                (Some((use_cycle, _)), Some(lt)) => {
+                    let read = use_cycle + (self.ii as i64) * e.distance as i64;
+                    if read + 1 > lt.end {
+                        // The new consumer strictly extends the lifetime: a
+                        // rescan would find `node` as the unique maximum.
+                        let new_lt = ValueLifetime {
+                            end: read + 1,
+                            last_consumer: Some(node),
+                            ..lt
+                        };
+                        self.delta_apply(Some(&lt), Some(&new_lt));
+                        self.lifetimes[p.index()] = Some(new_lt);
+                    } else if read + 1 == lt.end {
+                        // Tie with the current end: `last_consumer` follows
+                        // edge order, which only the rescan knows.
+                        preds.push(p);
                     }
-                    (None, Some(lt)) => {
-                        if lt.last_consumer == Some(node) {
-                            preds.push(p);
-                        }
-                        // Ejecting a non-final consumer cannot move the end.
-                    }
-                    // No stored lifetime: the producer is unplaced, inactive
-                    // or defines no value; the rescan derives whether it
-                    // contributes now.
-                    _ => preds.push(p),
                 }
+                (None, Some(lt)) => {
+                    if lt.last_consumer == Some(node) {
+                        preds.push(p);
+                    }
+                    // Ejecting a non-final consumer cannot move the end.
+                }
+                // No stored lifetime: the producer is unplaced, inactive or
+                // defines no value; the rescan derives whether it
+                // contributes now.
+                _ => preds.push(p),
             }
         }
+        // A producer feeding `node` through several flow edges is rescanned
+        // once.
         preds.sort_unstable_by_key(|n| n.index());
         preds.dedup();
         for &p in &preds {
@@ -472,9 +438,8 @@ impl PressureTracker {
     /// actually changes are touched. It runs for the node and the affected
     /// subset of its flow predecessors on every place/eject plus once per
     /// dirty def after graph rewiring, and most of those calls end with
-    /// an unchanged (or only slightly stretched) lifetime — the old
-    /// clear-and-rebuild paid O(II) row writes and a cache invalidation for
-    /// every one of them.
+    /// an unchanged (or only slightly stretched) lifetime, which then costs
+    /// no row writes and keeps the cached bank maximum valid.
     fn rescan<P: PlacementView + ?Sized>(&mut self, w: &WorkGraph, placements: &P, node: NodeId) {
         let i = node.index();
         // Derive the node's current contributions.
@@ -541,8 +506,8 @@ impl PressureTracker {
     }
 
     /// Run `f` over the `len` rows starting at `start` with modulo wrap, as
-    /// at most two linear slices — the hot row loops previously paid a
-    /// `% ii` per iteration, which also blocked vectorization.
+    /// at most two linear slices (no `% ii` per row, so the loops
+    /// vectorize).
     #[inline]
     fn for_wrapped(rows: &mut [u32], start: u32, len: u32, mut f: impl FnMut(&mut u32)) {
         let n = rows.len();
@@ -814,18 +779,9 @@ impl PressureQuery for PressureTracker {
 /// Pick the best value to spill from an over-pressured bank: the live value
 /// with the longest lifetime whose last consumer can still be rerouted
 /// (it must be reachable through an active flow edge and must not already be
-/// fed through a spill chain).
-pub fn pick_spill_candidate<'a>(
-    w: &WorkGraph,
-    pressure: &'a Pressure,
-    bank: BankAssignment,
-) -> Option<&'a ValueLifetime> {
-    pick_spill_candidate_from(w, pressure.lifetimes.iter(), bank)
-}
-
-/// [`pick_spill_candidate`] over any lifetime source — the incremental
-/// tracker and the batch snapshot must feed lifetimes in the same (def-node)
-/// order for the two engines to break length ties identically.
+/// fed through a spill chain). `lifetimes` is either the incremental
+/// tracker's set or a batch snapshot's; both come in def-node order, so the
+/// two engines break length ties identically.
 pub fn pick_spill_candidate_from<'a>(
     w: &WorkGraph,
     lifetimes: impl Iterator<Item = &'a ValueLifetime>,
@@ -1010,7 +966,8 @@ mod tests {
         place[c.index()] = Some((9, 1));
         tracker.touch(&w, &place, c);
         let edge_id = w.ddg.edges().next().map(|(id, _)| id).unwrap();
-        let new_nodes = w.insert_communication(c, edge_id);
+        let mut new_nodes = Vec::new();
+        w.insert_communication_into(c, edge_id, &mut new_nodes);
         place.resize(w.ddg.num_nodes(), None);
         tracker.grow(w.ddg.num_nodes());
         for n in w.take_pressure_dirty() {
@@ -1022,7 +979,13 @@ mod tests {
         assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);
         // Undo the chain; the producer's lifetime must stretch to the
         // consumer again.
-        for r in w.remove_chains_for(c) {
+        let mut chains = Vec::new();
+        w.chains_to_remove_into(c, &mut chains);
+        let mut removed = Vec::new();
+        for chain in chains {
+            w.remove_chain_into(chain, &mut removed);
+        }
+        for r in removed {
             place[r.index()] = None;
             tracker.touch(&w, &place, r);
         }
@@ -1050,7 +1013,8 @@ mod tests {
         place[u1.index()] = Some((40, 0));
         place[u2.index()] = Some((5, 0));
         let p = pressure(&w, &place, 4, 1, &lat(), false);
-        let cand = pick_spill_candidate(&w, &p, BankAssignment::Cluster(0)).unwrap();
+        let cand =
+            pick_spill_candidate_from(&w, p.lifetimes.iter(), BankAssignment::Cluster(0)).unwrap();
         assert_eq!(cand.def, a);
         assert_eq!(cand.last_consumer, Some(u1));
     }

@@ -27,10 +27,8 @@
 //! [`SchedulerStats::infeasible_cutoffs`].
 
 use crate::arena::{ArenaPool, AttemptArena};
-use crate::cluster::select_cluster_recording;
-use crate::pressure::{
-    pick_spill_candidate, pick_spill_candidate_from, pressure, Pressure, PressureQuery,
-};
+use crate::cluster::select_cluster;
+use crate::pressure::{pick_spill_candidate_from, pressure, Pressure, PressureQuery};
 use crate::types::{
     BankAssignment, Oracles, Placement, ScheduleResult, SchedulerParams, SchedulerStats,
 };
@@ -676,7 +674,6 @@ impl IterativeScheduler {
         // `attempt_cap` instant.
         let attempt_cap =
             64 * (state.w.active_count() as u64 + 8) * (self.params.budget_ratio as u64).max(1);
-        let clusters = self.machine.clusters();
         let spill_round_limit = 4 * (state.w.original_nodes() as u32 + 4);
         let mut spill_rounds = 0u32;
 
@@ -701,44 +698,20 @@ impl IterativeScheduler {
                     budget_limited: false,
                 };
             }
-            // 1. Cluster selection. The recording variant notes every edge
-            // that could need communication in the same walk that scores the
-            // clusters, so step 2 does not have to re-walk the neighbourhood.
-            let mut comm_cands = std::mem::take(&mut state.comm_cands);
-            let (choice, cands_complete) = if self.oracles.batch_pressure {
-                // Oracle mode never consults the tracker; the store discards
-                // the dirty set so it cannot grow for the whole attempt.
-                state.store.sync_pressure(&mut state.w);
-                let pr = self.current_pressure(state, lat);
-                select_cluster_recording(
-                    u,
-                    &state.w,
-                    state.store.mrt(),
-                    state.store.placements(),
-                    &pr,
-                    &mut comm_cands,
-                )
-            } else {
-                state.store.sync_pressure(&mut state.w);
-                select_cluster_recording(
-                    u,
-                    &state.w,
-                    state.store.mrt(),
-                    state.store.placements(),
-                    state.store.tracker(),
-                    &mut comm_cands,
-                )
-            };
-            state.comm_cands = comm_cands;
+            // 1. Cluster selection. In oracle mode the store discards the
+            // dirty set, so it cannot grow for the whole attempt.
+            state.store.sync_pressure(&mut state.w);
+            let batch = self.batch_snapshot(state, lat);
+            let choice = select_cluster(
+                u,
+                &state.w,
+                state.store.mrt(),
+                state.store.placements(),
+                Self::pressure_source(state, &batch),
+            );
             // 2. Communication with already placed neighbours.
             let budget_before = state.budget;
-            if !self.insert_and_schedule_communication(
-                state,
-                u,
-                choice.cluster,
-                lat,
-                cands_complete,
-            ) {
+            if !self.insert_and_schedule_communication(state, u, choice.cluster, lat) {
                 return AttemptOutcome::Exhausted {
                     budget_limited: false,
                 };
@@ -800,21 +773,12 @@ impl IterativeScheduler {
             };
         }
         if self.has_bounded_banks() {
-            let over = if self.oracles.batch_pressure {
-                let pr = pressure(
-                    &state.w,
-                    state.store.placements(),
-                    ii,
-                    clusters,
-                    lat,
-                    self.params.binding_prefetch,
-                );
-                self.over_capacity_bank(&pr).is_some()
-            } else {
-                state.store.sync_pressure(&mut state.w);
-                self.over_capacity_bank(state.store.tracker()).is_some()
-            };
-            if over {
+            state.store.sync_pressure(&mut state.w);
+            let batch = self.batch_snapshot(state, lat);
+            if self
+                .over_capacity_bank(Self::pressure_source(state, &batch))
+                .is_some()
+            {
                 return AttemptOutcome::Exhausted {
                     budget_limited: true,
                 };
@@ -834,15 +798,32 @@ impl IterativeScheduler {
         cluster_bounded || shared_bounded
     }
 
-    fn current_pressure(&self, state: &AttemptArena, lat: &OpLatencies) -> Pressure {
-        pressure(
-            &state.w,
-            state.store.placements(),
-            state.ii,
-            self.machine.clusters(),
-            lat,
-            self.params.binding_prefetch,
-        )
+    /// The batch pressure snapshot of the current placements when the
+    /// `batch_pressure` oracle is on; `None` otherwise, where the store's
+    /// incremental tracker answers every query.
+    fn batch_snapshot(&self, state: &AttemptArena, lat: &OpLatencies) -> Option<Pressure> {
+        self.oracles.batch_pressure.then(|| {
+            pressure(
+                &state.w,
+                state.store.placements(),
+                state.ii,
+                self.machine.clusters(),
+                lat,
+                self.params.binding_prefetch,
+            )
+        })
+    }
+
+    /// Where a pressure query reads from: the batch snapshot if one was
+    /// taken, the incremental tracker otherwise.
+    fn pressure_source<'a>(
+        state: &'a AttemptArena,
+        batch: &'a Option<Pressure>,
+    ) -> &'a dyn PressureQuery {
+        match batch {
+            Some(pr) => pr,
+            None => state.store.tracker(),
+        }
     }
 
     /// Find a bank whose MaxLive exceeds its capacity.
@@ -866,56 +847,34 @@ impl IterativeScheduler {
     /// Returns `false` when the attempt must be abandoned (baseline scheduler
     /// finding no slot, or budget pathologies).
     ///
-    /// When `cands_complete` is set, the first scan filters the edges
-    /// `select_cluster_recording` noted in the same worklist pop (nothing
-    /// mutates in between, so the recording equals what a full walk would
-    /// find). Later iterations always re-walk: scheduling a chain's nodes
-    /// can eject neighbours and remove other chains, which reactivates
-    /// replaced edges the recording has never seen.
+    /// Every iteration walks the live neighbourhood: scheduling a chain's
+    /// nodes can eject neighbours and remove other chains, which
+    /// reactivates the edges those chains replaced.
     fn insert_and_schedule_communication(
         &self,
         state: &mut AttemptArena,
         u: NodeId,
         cluster: u32,
         lat: &OpLatencies,
-        cands_complete: bool,
     ) -> bool {
-        let mut first_scan = true;
         loop {
             // Find one active edge between u and a placed neighbour that needs
             // communication; insert a chain for it; repeat until none remain.
-            let mut candidate = None;
-            if first_scan && cands_complete {
-                // Nothing mutated since the recording (same worklist pop),
-                // so "needs communication from `cluster`" is exactly "the
-                // recorded communication-free cluster is not `cluster`".
-                candidate = state
-                    .comm_cands
-                    .iter()
-                    .find(|&&(_, free_cluster)| free_cluster != cluster)
-                    .map(|&(id, _)| id);
-            } else {
-                for (id, e) in state.w.active_pred_edges(u) {
-                    if let Some((_, pc)) = state.store.placement(e.src) {
-                        if state.w.needs_communication(e, pc, cluster) {
-                            candidate = Some(id);
-                            break;
-                        }
-                    }
-                }
-                if candidate.is_none() {
-                    for (id, e) in state.w.active_succ_edges(u) {
-                        if let Some((_, sc)) = state.store.placement(e.dst) {
-                            if state.w.needs_communication(e, cluster, sc) {
-                                candidate = Some(id);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            first_scan = false;
-            let Some(edge_id) = candidate else {
+            let pred = state.w.active_pred_edges(u).find(|(_, e)| {
+                state
+                    .store
+                    .placement(e.src)
+                    .is_some_and(|(_, pc)| state.w.needs_communication(e, pc, cluster))
+            });
+            let candidate = pred.or_else(|| {
+                state.w.active_succ_edges(u).find(|(_, e)| {
+                    state
+                        .store
+                        .placement(e.dst)
+                        .is_some_and(|(_, sc)| state.w.needs_communication(e, cluster, sc))
+                })
+            });
+            let Some((edge_id, _)) = candidate else {
                 return true;
             };
             let edge = *state.w.ddg.edge(edge_id);
@@ -970,24 +929,21 @@ impl IterativeScheduler {
         loop {
             // One pressure probe per round: the over-capacity bank and, if
             // any, the spill candidate picked from the same lifetime set.
-            let probe = if self.oracles.batch_pressure {
-                let pr = self.current_pressure(state, lat);
-                self.over_capacity_bank(&pr)
-                    .map(|bank| (bank, pick_spill_candidate(&state.w, &pr, bank).copied()))
-            } else {
-                state.store.sync_pressure(&mut state.w);
-                self.over_capacity_bank(state.store.tracker()).map(|bank| {
-                    (
-                        bank,
-                        pick_spill_candidate_from(
+            state.store.sync_pressure(&mut state.w);
+            let batch = self.batch_snapshot(state, lat);
+            let probe = self
+                .over_capacity_bank(Self::pressure_source(state, &batch))
+                .map(|bank| {
+                    let candidate = match &batch {
+                        Some(pr) => pick_spill_candidate_from(&state.w, pr.lifetimes.iter(), bank),
+                        None => pick_spill_candidate_from(
                             &state.w,
                             state.store.tracker().live_lifetimes(),
                             bank,
-                        )
-                        .copied(),
-                    )
-                })
-            };
+                        ),
+                    };
+                    (bank, candidate.copied())
+                });
             let Some((bank, candidate)) = probe else {
                 return SpillOutcome::Continue;
             };
@@ -1234,11 +1190,12 @@ impl IterativeScheduler {
         }
         violators.sort_unstable_by_key(|n| n.index());
         violators.dedup();
-        let ejected = state
-            .store
-            .eject_violators(&mut state.w, &violators, u, lat);
-        state.stats.ejections += ejected;
-        cascade_ejections += ejected;
+        // `u` itself shows up through a self-edge; it keeps its forced slot.
+        for &v in violators.iter().filter(|&&v| v != u) {
+            let ejected = state.store.eject(&mut state.w, v, lat);
+            state.stats.ejections += ejected;
+            cascade_ejections += ejected;
+        }
         state.violators = violators;
         // Cascade instants fire once per forced placement — orders of
         // magnitude more often than any ladder event — so they are debug

@@ -1,21 +1,19 @@
 //! Unified, transactional placement state for the iterative schedulers.
 //!
-//! Before this module the scheduler's mutable state was scattered across an
-//! `AttemptState`: a `placements` vector, the `prev_cycle` memory of Rau's
-//! force heuristic, the [`Mrt`] slot counts, the incremental
-//! [`PressureTracker`] and the worklist — with three near-duplicate copies of
-//! the unplace logic inside `eject`. Any new mutation path (a future swing
-//! modulo scheduler, an alternate victim policy) had to remember to update
-//! all of them in the right order or silently corrupt the attempt.
-//!
-//! [`PlacementStore`] owns all of that state behind a transactional API:
+//! [`PlacementStore`] owns every piece of mutable placement state of an II
+//! attempt — placements, the `prev_cycle` memory of Rau's force heuristic,
+//! the [`Mrt`] slot counts, the incremental [`PressureTracker`], a
+//! [`SlotIndex`] and the worklist — behind three transactions:
 //! [`PlacementStore::place`], [`PlacementStore::eject`] and
-//! [`PlacementStore::remove_chain_members`] each leave every piece —
-//! placements, `prev_cycle`, MRT, pressure tracker, [`SlotIndex`] and
-//! worklist — mutually consistent. The store additionally maintains a
-//! [`SlotIndex`]: per (resource class, row, cluster) lists of the placed
-//! nodes whose reservation touches that row (global classes such as buses
-//! and shared memory ports are indexed cluster-agnostically), so the
+//! [`PlacementStore::remove_chain_members`]. Each leaves all of them
+//! mutually consistent, so a new mutation path (a swing modulo scheduler,
+//! an alternate victim policy) cannot forget one. Every ejection — a
+//! victim of a forced slot, a dependence violator of a forced placement,
+//! the owner of a removed chain — is one `eject` transaction.
+//!
+//! The [`SlotIndex`] keeps per (resource class, row, cluster) lists of the
+//! placed nodes whose reservation touches that row (global classes such as
+//! buses and shared memory ports are indexed cluster-agnostically), so the
 //! backtracking victim search enumerates only the nodes actually reserving
 //! the conflicting row — O(row occupancy) — instead of walking every active
 //! node. The linear scan survives as
@@ -311,14 +309,14 @@ impl PlacementView for Vec<NodeHot> {
 }
 
 /// Two-tier bitset priority queue over the worklist's total `(rank, id)`
-/// order, replacing a binary heap. Ranks are unique (a rank is a position in
-/// the priority order), so the ranked tier is one bit per rank; nodes the
-/// order does not know (inserted after ordering, all at `usize::MAX`) tie-
-/// break by id, so the unranked tier is one bit per node id and pops after
-/// every ranked node. A membership bit also deduplicates: the heap could
-/// hold the same node twice and popped the stale copy into the caller's
-/// placed/inactive filter, so collapsing duplicates never changes the
-/// sequence of pops that survive the filter.
+/// order. Ranks are unique (a rank is a position in the priority order), so
+/// the ranked tier is one bit per rank; nodes the order does not know
+/// (inserted after ordering, all at `usize::MAX`) tie-break by id, so the
+/// unranked tier is one bit per node id and pops after every ranked node. A
+/// membership bit also deduplicates a node pushed twice; a duplicate pop
+/// would only be dropped by the caller's placed/inactive filter, so
+/// collapsing duplicates never changes the sequence of pops that survive
+/// the filter.
 #[derive(Debug, Clone, Default)]
 struct RankQueue {
     /// One bit per priority rank.
@@ -418,7 +416,9 @@ impl RankQueue {
     }
 }
 
-/// The unified placement state of one II attempt. See the module docs.
+/// The unified placement state of one II attempt: every mutation is a
+/// `place`, `eject` or `remove_chain_members` transaction. See the module
+/// docs.
 #[derive(Debug, Clone)]
 pub struct PlacementStore {
     ii: u32,
@@ -437,17 +437,6 @@ pub struct PlacementStore {
     fused_rows: u64,
     order: PriorityOrder,
     worklist: RankQueue,
-    /// `true` while [`PlacementStore::eject_violators`] runs: tracker
-    /// touches and worklist requeues are deferred into the two buffers below
-    /// and flushed once at the end of the batch.
-    batch_active: bool,
-    /// Nodes `unplace` ran on during the batch, in ejection order; each gets
-    /// its (idempotent) tracker touch at flush time, so a producer feeding
-    /// several batch victims is not rescanned once per victim.
-    batch_touched: Vec<NodeId>,
-    /// Worklist re-insertions deferred by the batch (heap order is
-    /// irrelevant: pops follow the total `(rank, id)` order).
-    batch_requeue: Vec<NodeId>,
     /// Scratch for the chain ids removed by one ejection (reused; the
     /// collect-then-remove two-phase is required because removal mutates the
     /// index being enumerated).
@@ -484,9 +473,6 @@ impl PlacementStore {
             worklist: RankQueue::default(),
             chain_ids_scratch: Vec::new(),
             chain_members_scratch: Vec::new(),
-            batch_active: false,
-            batch_touched: Vec::new(),
-            batch_requeue: Vec::new(),
             dirty_scratch: Vec::new(),
             warm_scratch: Vec::new(),
         }
@@ -511,9 +497,6 @@ impl PlacementStore {
         self.tracker.reset_for_ii(ii, num_nodes);
         self.fused_rows = 0;
         self.worklist.clear();
-        debug_assert!(!self.batch_active);
-        self.batch_touched.clear();
-        self.batch_requeue.clear();
     }
 
     /// Re-target the store at a new machine's capacities (and oracles) and
@@ -533,9 +516,6 @@ impl PlacementStore {
         self.oracles = oracles;
         self.fused_rows = 0;
         self.worklist.clear();
-        debug_assert!(!self.batch_active);
-        self.batch_touched.clear();
-        self.batch_requeue.clear();
     }
 
     /// Mutable access to the priority order, for the attempt arena's
@@ -604,14 +584,8 @@ impl PlacementStore {
         self.hot[n.index()].prev_cycle()
     }
 
-    /// Push a node (back) onto the worklist at its priority rank. During a
-    /// batched ejection the push is deferred (insertion order never affects
-    /// pops: they follow the total `(rank, id)` order).
+    /// Push a node (back) onto the worklist at its priority rank.
     pub fn requeue(&mut self, n: NodeId) {
-        if self.batch_active {
-            self.batch_requeue.push(n);
-            return;
-        }
         match self.order.rank_of(n) {
             usize::MAX => self.worklist.push_unranked(n.index()),
             rank => self.worklist.push_ranked(rank),
@@ -714,9 +688,9 @@ impl PlacementStore {
         }
     }
 
-    /// The single unplace path shared by every ejection flavour: release the
-    /// MRT slots, erase the index entries, forget the placement and refresh
-    /// the pressure tracker. `prev_cycle` is deliberately retained.
+    /// The single unplace path shared by `eject` and chain removal: release
+    /// the MRT slots, erase the index entries, forget the placement and
+    /// refresh the pressure tracker. `prev_cycle` is deliberately retained.
     fn unplace(&mut self, w: &WorkGraph, n: NodeId, lat: &OpLatencies) {
         if let Some((cycle, cluster)) = self.hot[n.index()].placement() {
             let kind = w.ddg.node(n).kind;
@@ -724,16 +698,6 @@ impl PlacementStore {
             self.hot[n.index()].flags &= !NodeHot::PLACED;
         }
         if !self.oracles.batch_pressure {
-            if self.batch_active {
-                // Deferred to the batch flush: touching is idempotent and
-                // placements only disappear during a batch, so one touch per
-                // node at the end converges to the same tracker state the
-                // interleaved touches reach (the flush walks the nodes in
-                // ejection order; a producer whose recorded last consumer
-                // was ejected is rescanned by that consumer's touch).
-                self.batch_touched.push(n);
-                return;
-            }
             // Refresh even when the node was unplaced: chain removal
             // deactivates nodes, which perturbs lifetimes on its own.
             self.tracker.touch(w, self.hot.as_slice(), n);
@@ -783,7 +747,7 @@ impl PlacementStore {
     }
 
     /// Deactivate one chain in the graph and unplace every member — the
-    /// chain-removal notification from [`WorkGraph::remove_chain`] flows
+    /// chain-removal notification from [`WorkGraph::remove_chain_into`] flows
     /// through the store so no mutation path can forget the MRT, index or
     /// tracker updates.
     pub fn remove_chain_members(&mut self, w: &mut WorkGraph, chain: usize, lat: &OpLatencies) {
@@ -853,50 +817,6 @@ impl PlacementStore {
             (0..occ).any(|k| (vrow + k) % ii == row)
         });
         self.best_victim(w, u, candidates)
-    }
-
-    /// Eject a list of dependence violators as one batched transaction:
-    /// pressure-tracker touches and worklist re-insertions are deferred to a
-    /// single flush (touches are idempotent and converge to the tracker
-    /// state the eager per-ejection touches reach; the worklist pops in
-    /// total `(rank, id)` order, so insertion order never matters). A producer
-    /// feeding several violators is rescanned once instead of once per
-    /// ejection. `skip` is the just-forced node itself, which must keep its
-    /// slot.
-    pub fn eject_violators(
-        &mut self,
-        w: &mut WorkGraph,
-        victims: &[NodeId],
-        skip: NodeId,
-        lat: &OpLatencies,
-    ) -> u64 {
-        debug_assert!(!self.batch_active);
-        self.batch_active = true;
-        let mut count = 0u64;
-        for &v in victims {
-            if v != skip {
-                count += self.eject(w, v, lat);
-            }
-        }
-        self.flush_batch(w);
-        count
-    }
-
-    /// Apply the deferred tracker touches and worklist insertions of a
-    /// batched ejection.
-    fn flush_batch(&mut self, w: &WorkGraph) {
-        self.batch_active = false;
-        self.tracker
-            .touch_all(w, self.hot.as_slice(), &self.batch_touched);
-        self.batch_touched.clear();
-        for i in 0..self.batch_requeue.len() {
-            let n = self.batch_requeue[i];
-            match self.order.rank_of(n) {
-                usize::MAX => self.worklist.push_unranked(n.index()),
-                rank => self.worklist.push_ranked(rank),
-            }
-        }
-        self.batch_requeue.clear();
     }
 
     /// The MRT row a forced placement at `cycle` conflicts in — the one row

@@ -91,13 +91,17 @@ impl SchedulerParams {
 }
 
 /// Oracle selection for the scheduler's decision-invisible fast paths: one
-/// flag per fast path, each swapping it for the paper-literal code it
-/// replaced. Schedules and [`SchedulerStats`] equality are bit-identical
-/// for each flag alone and for all of them at once (`tests/*_equivalence.rs`;
+/// flag per fast path, each swapping it for its paper-literal counterpart.
+/// Schedules and [`SchedulerStats`] equality are bit-identical for each
+/// flag alone and for all of them at once (`tests/*_equivalence.rs`;
 /// `tests/oracle_equivalence.rs` runs the full set), so the set only exists
 /// to cross-check and measure the fast paths. Each one stays because its
-/// oracle is measurably slower on the paper's own sweeps. The default
-/// selects every fast path; [`Oracles::REFERENCE`] selects every oracle.
+/// oracle is measurably slower on the paper's own sweeps. Paths with no
+/// oracle twin have a single form in both modes: every ejection, including
+/// the dependence violators of a forced placement, is one
+/// [`crate::PlacementStore::eject`] transaction, and communication insertion
+/// walks the popped node's live neighbourhood. The default selects every
+/// fast path; [`Oracles::REFERENCE`] selects every oracle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Oracles {
     /// Rebuild the working graph, priority order and placement store for

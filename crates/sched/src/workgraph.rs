@@ -67,9 +67,9 @@ pub struct WorkGraph {
     /// sequence the `edge_active` filter over the full adjacency would
     /// yield. Maintained incrementally (deactivation removes, reactivation
     /// re-inserts at the sorted position) so the scheduler's neighbourhood
-    /// walks never iterate the dead edges of removed chains: eject/insert
-    /// ping-pong storms used to make hub-node walks O(insertion history)
-    /// per visit, which dominated the worst churn rungs.
+    /// walks never iterate the dead edges of removed chains, which would
+    /// make hub-node walks O(insertion history) per visit under eject/insert
+    /// ping-pong storms.
     succ_active_edges: Vec<Vec<EdgeId>>,
     /// Per-node active incoming edge ids, sorted ascending (see
     /// `succ_active_edges`).
@@ -83,7 +83,7 @@ pub struct WorkGraph {
     /// check the chain's `active` flag.
     chain_of_node: Vec<Option<u32>>,
     /// Per node, the removable chains whose owner it is or whose replaced
-    /// edges touch it — the set [`WorkGraph::chains_to_remove_for`] must
+    /// edges touch it — the set [`WorkGraph::chains_to_remove_into`] must
     /// enumerate. Indexed at insertion so the ejection path pays O(chains
     /// touching the node) instead of scanning every chain ever inserted
     /// (ejection storms query this hundreds of thousands of times per
@@ -763,23 +763,14 @@ impl WorkGraph {
     }
 
     /// Insert inter-cluster communication for `edge` (a flow dependence whose
-    /// producer and consumer live in different clusters). Returns the newly
-    /// inserted nodes that must be scheduled, in dependence order.
+    /// producer and consumer live in different clusters), appending the newly
+    /// inserted nodes that must be scheduled to `out`, in dependence order.
     ///
     /// `owner` is the node currently being scheduled (ejecting it undoes the
     /// chain). For hierarchical organizations the chain is StoreR (producer
     /// cluster) + LoadR (consumer cluster) — or just a LoadR when the value
     /// already lives in the shared bank. For clustered organizations the
     /// chain is a single bus `Move`.
-    pub fn insert_communication(&mut self, owner: NodeId, edge_id: EdgeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.insert_communication_into(owner, edge_id, &mut out);
-        out
-    }
-
-    /// [`WorkGraph::insert_communication`] appending the new nodes to `out`
-    /// instead of returning a fresh vector — the scheduler's hot path reuses
-    /// one scratch buffer across every insertion of an attempt.
     pub fn insert_communication_into(
         &mut self,
         owner: NodeId,
@@ -893,15 +884,8 @@ impl WorkGraph {
 
     /// Insert a spill of the value defined by `def` towards the shared bank:
     /// the consumer reached through `edge_id` will re-load the value with a
-    /// LoadR instead of keeping it live in the cluster bank.
-    pub fn insert_spill_to_shared(&mut self, owner: NodeId, edge_id: EdgeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.insert_spill_to_shared_into(owner, edge_id, &mut out);
-        out
-    }
-
-    /// [`WorkGraph::insert_spill_to_shared`] appending the new nodes to
-    /// `out` (scratch-buffer variant for the scheduler's hot path).
+    /// LoadR instead of keeping it live in the cluster bank. The new nodes
+    /// are appended to `out`.
     pub fn insert_spill_to_shared_into(
         &mut self,
         owner: NodeId,
@@ -949,15 +933,8 @@ impl WorkGraph {
     /// Insert a spill of the value defined by `def` to memory: a store after
     /// the definition and a reload before the consumer reached through
     /// `edge_id`. This is the spill used by monolithic and clustered
-    /// organizations, and by the shared bank when it overflows.
-    pub fn insert_spill_to_memory(&mut self, owner: NodeId, edge_id: EdgeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.insert_spill_to_memory_into(owner, edge_id, &mut out);
-        out
-    }
-
-    /// [`WorkGraph::insert_spill_to_memory`] appending the new nodes to
-    /// `out` (scratch-buffer variant for the scheduler's hot path).
+    /// organizations, and by the shared bank when it overflows. The new
+    /// nodes (store, then reload) are appended to `out`.
     pub fn insert_spill_to_memory_into(
         &mut self,
         owner: NodeId,
@@ -1012,29 +989,11 @@ impl WorkGraph {
         self.push_chain(ch);
     }
 
-    /// Remove every removable chain owned by `node` or whose replaced edge
-    /// touches `node`, reactivating the original edges. Returns the nodes
-    /// that were deactivated (the scheduler must unplace them first — see
-    /// [`WorkGraph::chains_to_remove_for`]).
-    pub fn remove_chains_for(&mut self, node: NodeId) -> Vec<NodeId> {
-        let ids = self.chains_to_remove_for(node);
-        let mut removed = Vec::new();
-        for id in ids {
-            removed.extend(self.remove_chain(id));
-        }
-        removed
-    }
-
-    /// Chains that would be removed when `node` is ejected, in ascending
-    /// chain order. Served from the per-node index built at insertion (the
-    /// full chain scan this replaced dominated ejection storms).
-    pub fn chains_to_remove_for(&self, node: NodeId) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.chains_to_remove_into(node, &mut out);
-        out
-    }
-
-    /// [`WorkGraph::chains_to_remove_for`] appending into a caller scratch.
+    /// Append to `out` the chains that are removed when `node` is ejected —
+    /// every active removable chain owned by `node` or whose replaced edge
+    /// touches it — in ascending chain order. Served from the per-node index
+    /// built at insertion, so ejection storms pay O(chains touching the
+    /// node).
     pub fn chains_to_remove_into(&self, node: NodeId, out: &mut Vec<usize>) {
         out.extend(
             self.chains_touching[node.index()]
@@ -1067,15 +1026,8 @@ impl WorkGraph {
         self.chains[chain].kind
     }
 
-    /// Deactivate one chain, reactivating the edge it replaced.
-    pub fn remove_chain(&mut self, chain: usize) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.remove_chain_into(chain, &mut out);
-        out
-    }
-
-    /// [`WorkGraph::remove_chain`] appending the deactivated nodes to `out`.
-    /// The chain's member lists are moved aside for the duration of the walk
+    /// Deactivate one chain, reactivating the edge it replaced, and append
+    /// the deactivated nodes to `out`. The chain's member lists are moved aside for the duration of the walk
     /// and restored afterwards (no clones), so the insert/remove cycle of an
     /// ejection storm never allocates.
     pub fn remove_chain_into(&mut self, chain: usize, out: &mut Vec<NodeId>) {
@@ -1092,7 +1044,7 @@ impl WorkGraph {
         let touched = std::mem::take(&mut c.touched);
         // Unindex the (now permanently dead) chain from the nodes it
         // touched; the lists hold ascending chain ids, so the removal keeps
-        // `chains_to_remove_for`'s ascending enumeration intact.
+        // `chains_to_remove_into`'s ascending enumeration intact.
         let id = chain as u32;
         for t in &touched {
             let list = &mut self.chains_touching[t.index()];
@@ -1176,6 +1128,24 @@ mod tests {
         MachineConfig::paper_baseline(RfOrganization::parse(cfg).unwrap())
     }
 
+    fn insert_communication(w: &mut WorkGraph, owner: NodeId, edge_id: EdgeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        w.insert_communication_into(owner, edge_id, &mut out);
+        out
+    }
+
+    /// Remove every chain an ejection of `node` removes, the way the
+    /// placement store's `eject` does; returns the deactivated nodes.
+    fn remove_chains_for(w: &mut WorkGraph, node: NodeId) -> Vec<NodeId> {
+        let mut chains = Vec::new();
+        w.chains_to_remove_into(node, &mut chains);
+        let mut removed = Vec::new();
+        for chain in chains {
+            w.remove_chain_into(chain, &mut removed);
+        }
+        removed
+    }
+
     #[test]
     fn monolithic_does_not_touch_the_graph() {
         let g = simple_loop();
@@ -1214,13 +1184,13 @@ mod tests {
             .map(|(id, _)| id)
             .unwrap();
         let owner = w.ddg.edge(edge_id).dst;
-        let new_nodes = w.insert_communication(owner, edge_id);
+        let new_nodes = insert_communication(&mut w, owner, edge_id);
         assert_eq!(new_nodes.len(), 1);
         assert_eq!(w.ddg.node(new_nodes[0]).kind, OpKind::Move);
         assert!(!w.edge_is_active(edge_id));
         assert_eq!(w.active_count(), 6);
         // undo by ejecting the owner
-        let removed = w.remove_chains_for(owner);
+        let removed = remove_chains_for(&mut w, owner);
         assert_eq!(removed, new_nodes);
         assert!(w.edge_is_active(edge_id));
         assert_eq!(w.active_count(), 5);
@@ -1242,7 +1212,7 @@ mod tests {
             .find(|(_, e)| e.src == p && e.dst == c1)
             .map(|(id, _)| id)
             .unwrap();
-        let n1 = w.insert_communication(c1, e1);
+        let n1 = insert_communication(&mut w, c1, e1);
         // first chain: StoreR + LoadR
         assert_eq!(n1.len(), 2);
         let e2 = w
@@ -1251,7 +1221,7 @@ mod tests {
             .find(|(id, e)| w.edge_is_active(*id) && e.src == p && e.dst == c2)
             .map(|(id, _)| id)
             .unwrap();
-        let n2 = w.insert_communication(c2, e2);
+        let n2 = insert_communication(&mut w, c2, e2);
         // second chain reuses the StoreR: only a LoadR is added
         assert_eq!(n2.len(), 1);
         assert_eq!(w.ddg.node(n2[0]).kind, OpKind::LoadR);
@@ -1275,7 +1245,7 @@ mod tests {
             .map(|(id, e)| (id, *e))
             .unwrap();
         let owner = w.ddg.edge(edge_id).dst;
-        let nodes = w.insert_communication(owner, edge_id);
+        let nodes = insert_communication(&mut w, owner, edge_id);
         // LoadR is not a shared-bank producer, so the chain is StoreR + LoadR;
         // (a smarter scheduler would reload from the original Load, but the
         // conservative chain is still correct).
@@ -1296,7 +1266,8 @@ mod tests {
             .unwrap();
         let owner = w.ddg.edge(edge_id).dst;
         let before = w.active_memory_ops();
-        let nodes = w.insert_spill_to_memory(owner, edge_id);
+        let mut nodes = Vec::new();
+        w.insert_spill_to_memory_into(owner, edge_id, &mut nodes);
         assert_eq!(nodes.len(), 2);
         assert_eq!(w.active_memory_ops(), before + 2);
         let (_, _, _, sl, ss) = w.inserted_counts();
@@ -1310,7 +1281,7 @@ mod tests {
         let mut w = WorkGraph::new(&g, &machine("4C16S64"));
         let before = w.active_count();
         // Ejecting the multiply must not remove the interface LoadR.
-        let removed = w.remove_chains_for(NodeId(2));
+        let removed = remove_chains_for(&mut w, NodeId(2));
         assert!(removed.is_empty());
         assert_eq!(w.active_count(), before);
     }

@@ -72,7 +72,7 @@ fn reference_bit_identical_to_default_on_table5_configs() {
 /// maintenance, and the tracker, which rescans every refresh request, must
 /// report no skips.
 #[test]
-fn suites_exercise_the_skip_and_the_fused_path() {
+fn churn_suite_drives_refreshes_and_row_updates() {
     let cfg = ConfiguredMachine::from_name("4C16S64").unwrap();
     let sched = IterativeScheduler::new(cfg.machine.clone(), churn_params());
     let mut refreshes = 0u64;

@@ -228,7 +228,7 @@ proptest! {
     /// FU free-slot totals always match a recount of the row counts
     /// (`check_fu_free`).
     #[test]
-    fn bitset_slot_search_matches_linear_scan(
+    fn slot_search_matches_replayed_table(
         ops in prop::collection::vec((0u8..6, 0u32..4, 0i64..64), 4..64),
         probes in prop::collection::vec((0u8..6, 0u32..4, -40i64..64, 0i64..40, any::<bool>()), 1..16),
         which in 0usize..7,
@@ -343,7 +343,8 @@ proptest! {
                 })
                 .map(|(id, e)| (id, *e));
             if let Some((edge_id, edge)) = spill_edge {
-                let new_nodes = w.insert_spill_to_memory(edge.dst, edge_id);
+                let mut new_nodes = Vec::new();
+                w.insert_spill_to_memory_into(edge.dst, edge_id, &mut new_nodes);
                 store.grow(w.ddg.num_nodes());
                 prop_assert!(store.placements().len() > pristine_nodes);
                 for n in new_nodes {

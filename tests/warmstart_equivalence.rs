@@ -99,12 +99,12 @@ fn warm_ladder_never_lands_on_higher_final_ii() {
     );
 }
 
-/// The budget-aware ladder (cold-attempts oracle: skipping only engages
-/// there — the default warm ladder climbs rung by rung) skips rungs but
-/// re-checks the final gap from below on success, so it must never land on
-/// a higher final II than the unit ladder — and since both scan upward,
-/// "never higher" means the final IIs (and the failure outcomes) are
-/// exactly equal.
+/// The budget-aware ladder skips rungs — on warm ladders as well as cold
+/// ones — but re-checks the final gap from below on success, so it must
+/// never land on a higher final II than the unit ladder. Both sides run
+/// with cold attempts, so warm starts cannot mix into the comparison; since
+/// both scan upward, "never higher" means the final IIs (and the failure
+/// outcomes) are exactly equal on these suites.
 #[test]
 fn skipping_ladder_never_lands_on_higher_final_ii() {
     let suites: [(&str, Vec<hcrf_ir::Loop>, SchedulerParams); 3] = [
