@@ -33,23 +33,34 @@
 //! default trajectory file (pass `--out` explicitly to write a partial
 //! document).
 //!
+//! `--ablate` then reruns the same sweeps once per [`Oracles`] flag set
+//! alone, prints each flag's wall time as a ratio of the default's, and
+//! exits 1 unless every sweep's `sum_ii` and `failed` equal the default's:
+//! a fast path whose oracle is not slower has no reason to stay.
+//!
 //! ```text
 //! bench_sched [--loops N] [--churn N] [--wide N] [--threads 0]
 //!             [--only SUITE[/CONFIG]] [--out BENCH_sched.json]
 //!             [--compare BASELINE.json] [--tolerance 2.0] [--trace PATH]
+//!             [--ablate]
 //! ```
 
 use hcrf_engine::Engine;
 use hcrf_explore::json::Json;
 use hcrf_ir::Loop;
 use hcrf_machine::{MachineConfig, RfOrganization};
-use hcrf_sched::{ArenaPool, IterativeScheduler, PhaseTimings, SchedulerParams, SchedulerStats};
+use hcrf_sched::{
+    ArenaPool, IterativeScheduler, Oracles, PhaseTimings, SchedulerParams, SchedulerStats,
+};
 use hcrf_telemetry::{Telemetry, Verbosity, DEFAULT_TRACE_CAPACITY};
 use hcrf_workloads::{churn_suite, suite::suite, wide_window_suite, SuiteParams};
 use std::path::PathBuf;
 use std::time::Instant;
 
 const CONFIGS: [&str; 4] = ["4C16S64", "S128", "4C32S16", "8C16S16"];
+
+/// The `--ablate` runs: each [`Oracles`] flag set alone.
+const ORACLE_FLAGS: [&str; 3] = ["fresh_arena", "linear_victim_scan", "batch_pressure"];
 
 struct Args {
     loops: usize,
@@ -63,6 +74,7 @@ struct Args {
     compare: Option<PathBuf>,
     tolerance: f64,
     trace_path: Option<PathBuf>,
+    ablate: bool,
 }
 
 fn parse_args() -> Args {
@@ -78,6 +90,7 @@ fn parse_args() -> Args {
         compare: None,
         tolerance: 2.0,
         trace_path: None,
+        ablate: false,
     };
     let argv: Vec<String> = std::env::args().collect();
     let mut i = 1;
@@ -128,11 +141,12 @@ fn parse_args() -> Args {
             "--compare" => args.compare = Some(PathBuf::from(value(&mut i))),
             "--tolerance" => args.tolerance = value(&mut i).parse().expect("--tolerance X"),
             "--trace" => args.trace_path = Some(PathBuf::from(value(&mut i))),
+            "--ablate" => args.ablate = true,
             "--help" | "-h" => {
                 eprintln!(
                     "usage: bench_sched [--loops N] [--churn N] [--wide N] [--threads 0] \
                      [--only SUITE[/CONFIG]] [--out PATH] [--compare BASELINE.json] \
-                     [--tolerance 2.0] [--trace PATH]"
+                     [--tolerance 2.0] [--trace PATH] [--ablate]"
                 );
                 std::process::exit(0);
             }
@@ -162,10 +176,13 @@ fn run_sweep(
     loops: &[Loop],
     config: &str,
     params: SchedulerParams,
+    oracles: Oracles,
     telemetry: &Telemetry,
 ) -> Sweep {
     let machine = MachineConfig::paper_baseline(RfOrganization::parse(config).unwrap());
-    let sched = IterativeScheduler::new(machine, params).with_telemetry(telemetry.clone());
+    let sched = IterativeScheduler::new(machine, params)
+        .with_oracles(oracles)
+        .with_telemetry(telemetry.clone());
     let start = Instant::now();
     // Loops scheduled on the work-stealing engine with a pooled arena per
     // worker; the fold below walks the index-ordered results, so every
@@ -509,21 +526,37 @@ fn main() {
     );
     println!("================================================================");
 
+    let selected = |suite_name: &str, config: Option<&str>| match &args.only {
+        None => true,
+        Some((only_suite, only_config)) => {
+            only_suite == suite_name
+                && match (only_config, config) {
+                    (Some(c), Some(config)) => c == config,
+                    _ => true,
+                }
+        }
+    };
     let mut suite_objs = Vec::new();
+    // (wall ms, sum_ii, failed) of every default sweep, in run order.
+    let mut defaults = Vec::new();
     for (suite_name, loops, params) in &suites {
-        if let Some((only_suite, _)) = &args.only {
-            if only_suite != suite_name {
-                continue;
-            }
+        if !selected(suite_name, None) {
+            continue;
         }
         let mut config_objs = Vec::new();
         for config in CONFIGS {
-            if let Some((_, Some(only_config))) = &args.only {
-                if only_config != config {
-                    continue;
-                }
+            if !selected(suite_name, Some(config)) {
+                continue;
             }
-            let sweep = run_sweep(&engine, loops, config, *params, &telemetry);
+            let sweep = run_sweep(
+                &engine,
+                loops,
+                config,
+                *params,
+                Oracles::default(),
+                &telemetry,
+            );
+            defaults.push((sweep.wall_ms, sweep.sum_ii, sweep.failed));
             println!(
                 "{suite_name:>8} / {config:<8} {:>9.1} ms | {:>9} ejections | {:>5} guard trips \
                  | {:>6} infeasible cutoffs | {:>6} II restarts | {:>5} II skips \
@@ -548,6 +581,54 @@ fn main() {
             config_objs.push((config.to_string(), sweep_json(&sweep)));
         }
         suite_objs.push((suite_name.to_string(), Json::Obj(config_objs)));
+    }
+
+    if args.ablate {
+        let default_ms: f64 = defaults.iter().map(|d| d.0).sum();
+        let mut mismatches = 0usize;
+        for flag in ORACLE_FLAGS {
+            let oracles = Oracles {
+                fresh_arena: flag == "fresh_arena",
+                linear_victim_scan: flag == "linear_victim_scan",
+                batch_pressure: flag == "batch_pressure",
+            };
+            let mut wall_ms = 0.0;
+            let mut expected = defaults.iter();
+            for (suite_name, loops, params) in &suites {
+                for config in CONFIGS {
+                    if !selected(suite_name, Some(config)) {
+                        continue;
+                    }
+                    let sweep = run_sweep(
+                        &engine,
+                        loops,
+                        config,
+                        *params,
+                        oracles,
+                        &Telemetry::disabled(),
+                    );
+                    wall_ms += sweep.wall_ms;
+                    let &(_, sum_ii, failed) = expected.next().expect("same sweeps");
+                    if (sweep.sum_ii, sweep.failed) != (sum_ii, failed) {
+                        eprintln!(
+                            "ABLATION MISMATCH {flag} {suite_name}/{config}: sum_ii {} failed {} \
+                             vs the default's {sum_ii} / {failed}",
+                            sweep.sum_ii, sweep.failed
+                        );
+                        mismatches += 1;
+                    }
+                }
+            }
+            println!(
+                "ablate {flag:<20} {:>9.1} ms = {:.2}x the default's {default_ms:.1} ms",
+                wall_ms,
+                wall_ms / default_ms.max(1e-9),
+            );
+        }
+        if mismatches > 0 {
+            eprintln!("bench_sched: {mismatches} ablation sweep(s) changed a result");
+            std::process::exit(1);
+        }
     }
 
     if let Some(path) = args.trace_path.as_ref() {

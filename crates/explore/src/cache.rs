@@ -40,8 +40,9 @@ use std::str::FromStr;
 /// thing separating results produced by different versions of the code.
 ///
 /// History: 2 — suite fingerprints switched dependence-kind encoding from
-/// Debug strings to explicit discriminants.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
+/// Debug strings to explicit discriminants. 3 — the scheduler's MII includes
+/// the per-cluster span floor, which changes the cached `loops_at_mii`.
+pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// The memory scenario of a run (Section 6 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

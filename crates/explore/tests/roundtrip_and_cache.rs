@@ -6,7 +6,7 @@
 
 use hcrf::driver::suite_fingerprint;
 use hcrf::experiments::TABLE5_CONFIGS;
-use hcrf_explore::{CacheKey, DesignSpace, Scenario};
+use hcrf_explore::{CacheKey, DesignSpace, Scenario, CACHE_FORMAT_VERSION};
 use hcrf_machine::{MachineConfig, RfOrganization};
 use hcrf_sched::SchedulerParams;
 use hcrf_workloads::small_suite;
@@ -122,3 +122,21 @@ fn suite_fingerprint_matches_golden_value() {
 }
 
 const GOLDEN_SMALL_SUITE_4_FINGERPRINT: u64 = 0xb7d3_ea47_8fa0_0842;
+
+/// The format version is part of every cache key, so a store written by
+/// code whose results differ misses instead of serving them. Version 3:
+/// `loops_at_mii` counts against an MII that includes the per-cluster span
+/// floor. A change to what the cached results mean bumps it here too.
+#[test]
+fn cache_format_version_is_pinned() {
+    assert_eq!(CACHE_FORMAT_VERSION, 3);
+    let machine = MachineConfig::paper_baseline(RfOrganization::parse("8C16S16").unwrap());
+    let key = CacheKey::for_run(
+        &machine,
+        1,
+        &SchedulerParams::default(),
+        Scenario::Ideal,
+        64,
+    );
+    assert_eq!(key.version, CACHE_FORMAT_VERSION);
+}

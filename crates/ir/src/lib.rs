@@ -44,5 +44,5 @@ pub mod op;
 pub use analysis::{AcyclicSchedule, Recurrence, SccId, SlackInfo};
 pub use builder::DdgBuilder;
 pub use ddg::{Ddg, DepKind, Edge, EdgeId, Loop, MemAccess, Node, NodeId};
-pub use mii::{mii as min_initiation_interval, rec_mii, res_mii, ResourceCounts};
+pub use mii::{cluster_res_mii, mii as min_initiation_interval, rec_mii, res_mii, ResourceCounts};
 pub use op::{OpKind, OpLatencies, ResourceClass};

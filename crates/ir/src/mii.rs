@@ -1,23 +1,38 @@
-//! Lower bounds on the initiation interval: ResMII and RecMII.
+//! Lower bounds on the initiation interval: ResMII, RecMII and the
+//! per-cluster span floor.
 //!
 //! The minimum initiation interval (MII) of a modulo schedule is
 //! `max(ResMII, RecMII)`:
 //!
 //! * **ResMII** — resource-constrained bound: for every resource class, the
-//!   total occupancy of the loop body divided by the number of units.
+//!   total occupancy of the loop body divided by the machine's total number
+//!   of units.
 //! * **RecMII** — recurrence-constrained bound: for every dependence cycle
 //!   `c`, `ceil(latency(c) / distance(c))`. It is computed here by a binary
 //!   search on the II using positive-cycle detection on the graph whose edge
 //!   weights are `delay(e) - II * distance(e)`.
+//!
+//! On a clustered machine every operation runs on the units of one cluster,
+//! so a non-pipelined op of occupancy `occ` needs `ceil(occ / II)` unit
+//! copies in some row of its cluster's table. [`cluster_res_mii`] is the
+//! smallest II at which that fits for every FU op: `ceil(occ /
+//! fus_per_cluster)`, for example 17 for a divide on a 1-FU cluster, where
+//! ResMII over the total units reports 3. The scheduler's MII is the
+//! maximum of all three bounds; on a 1-cluster machine the floor never
+//! exceeds ResMII.
 
 use crate::ddg::{Ddg, NodeId};
 use crate::op::{OpKind, OpLatencies, ResourceClass};
 
 /// Resource counts available to a loop when computing ResMII.
 ///
-/// For a clustered machine the scheduler typically computes ResMII with the
-/// *total* resources (the best any cluster assignment could do), which is the
-/// convention the paper follows when reporting "% of loops achieving MII".
+/// For a clustered machine these are the *total* resources (the best any
+/// cluster assignment could do), the convention the paper follows for
+/// ResMII. They cannot see that one op's occupancy is confined to one
+/// cluster's units; that per-cluster span floor is [`cluster_res_mii`],
+/// which the scheduler folds into the MII it reports and starts its II
+/// ladder from, so "% of loops achieving MII" counts against the larger of
+/// the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceCounts {
     /// Number of general purpose floating-point units.
@@ -66,6 +81,24 @@ pub fn res_mii(g: &Ddg, lat: &OpLatencies, res: ResourceCounts) -> u32 {
         mii = mii.max(div_ceil(bus_occ, res.buses as u64));
     }
     mii as u32
+}
+
+/// Per-cluster span floor on the II: the largest `ceil(occ /
+/// fus_per_cluster)` over the loop's FU-class operations, 1 without any.
+///
+/// A non-pipelined op of occupancy `occ` at II `ii` needs `ceil(occ / ii)`
+/// units of its cluster in the busiest row of its span, so this is the
+/// smallest II at which every FU op fits an empty table (the scheduler's
+/// `Mrt::placeable_on_empty`). Below it every attempt fails whatever the
+/// scheduler does. `fus_per_cluster == 0` bounds nothing, as in [`res_mii`].
+pub fn cluster_res_mii(g: &Ddg, lat: &OpLatencies, fus_per_cluster: u32) -> u32 {
+    if fus_per_cluster == 0 {
+        return 1;
+    }
+    g.nodes()
+        .filter(|(_, n)| n.kind.resource_class() == ResourceClass::Fu)
+        .map(|(_, n)| lat.occupancy(n.kind).div_ceil(fus_per_cluster))
+        .fold(1, u32::max)
 }
 
 fn div_ceil(a: u64, b: u64) -> u64 {
@@ -219,6 +252,54 @@ mod tests {
         let g = b.build();
         // 9 memory ops on 4 ports -> ceil(9/4) = 3
         assert_eq!(res_mii(&g, &lat(), ResourceCounts::paper_baseline()), 3);
+    }
+
+    fn loop_of(kinds: &[OpKind]) -> Ddg {
+        let mut b = DdgBuilder::new("floor");
+        for &k in kinds {
+            let _ = b.op(k);
+        }
+        let _ = b.load(0, 8);
+        b.build()
+    }
+
+    #[test]
+    fn cluster_floor_without_fu_ops_is_one() {
+        let mut b = DdgBuilder::new("mem-only");
+        let l = b.load(0, 8);
+        let s = b.store(1, 8);
+        b.flow(l, s, 0);
+        let g = b.build();
+        for fus in [0, 1, 2, 8] {
+            assert_eq!(cluster_res_mii(&g, &lat(), fus), 1, "{fus} FUs");
+        }
+    }
+
+    #[test]
+    fn cluster_floor_of_a_divide() {
+        // occ 17: one unit needs II 17, two overlap at 9, four at 5, eight
+        // at 3 (= ResMII on the 8-FU monolithic machine).
+        let g = loop_of(&[OpKind::FAdd, OpKind::FDiv, OpKind::FMul]);
+        for (fus, floor) in [(1, 17), (2, 9), (4, 5), (8, 3)] {
+            assert_eq!(cluster_res_mii(&g, &lat(), fus), floor, "{fus} FUs");
+        }
+        assert_eq!(res_mii(&g, &lat(), ResourceCounts::paper_baseline()), 3);
+    }
+
+    #[test]
+    fn cluster_floor_is_per_op_not_summed() {
+        // Several divides spread over the clusters: the floor is one op's
+        // span, not their sum; the square root's 30 cycles dominate.
+        let divs = loop_of(&[OpKind::FDiv, OpKind::FDiv, OpKind::FDiv]);
+        assert_eq!(cluster_res_mii(&divs, &lat(), 1), 17);
+        assert_eq!(cluster_res_mii(&divs, &lat(), 2), 9);
+        let mixed = loop_of(&[OpKind::FDiv, OpKind::FSqrt, OpKind::FDiv]);
+        assert_eq!(lat().occupancy(OpKind::FSqrt), 30);
+        assert_eq!(cluster_res_mii(&mixed, &lat(), 1), 30);
+        assert_eq!(cluster_res_mii(&mixed, &lat(), 4), 8);
+        // Pipelined ops alone never raise it.
+        let adds = loop_of(&[OpKind::FAdd, OpKind::FMul]);
+        assert_eq!(cluster_res_mii(&adds, &lat(), 1), 1);
     }
 
     #[test]

@@ -10,9 +10,22 @@
 //! bound of [`hcrf_ir::res_mii`].
 //!
 //! The table holds nothing but those counts (plus a per-cluster free FU
-//! slot total for the cluster-selection heuristic), and the scheduler's
-//! slot-window search ([`Mrt::first_free_row_in`]) asks [`Mrt::can_place`]
-//! row by row, as in Rau's iterative modulo scheduler.
+//! slot total for the cluster-selection heuristic). Every span walk takes
+//! one `rem_euclid` for the issue row and then steps a wrapping row
+//! counter; the unit copies per row follow from `occ` and the II once per
+//! call (`Mrt::span`).
+//!
+//! The scheduler's slot-window search ([`Mrt::first_free_row_in`]) returns
+//! the first cycle of the window that [`Mrt::can_place`] accepts, as in
+//! Rau's iterative modulo scheduler, but does not probe every candidate: a
+//! full row rules out every start whose span covers it, so the search skips
+//! ahead past the span's blocked row instead of re-walking a 17- or 30-row
+//! divide or square root span at every candidate cycle.
+//!
+//! [`Mrt::placeable_on_empty`] is the per-cluster span floor of
+//! [`hcrf_ir::cluster_res_mii`]: every FU op fits an empty table exactly
+//! when the II is at least that floor, which is why the scheduler's MII
+//! includes it.
 
 use hcrf_ir::{OpKind, OpLatencies, ResourceClass};
 use hcrf_machine::MachineConfig;
@@ -74,6 +87,21 @@ impl ResourceCaps {
     /// (monolithic and hierarchical organizations) instead of per cluster.
     pub fn memory_is_shared(&self) -> bool {
         self.shared_mem_ports > 0
+    }
+}
+
+/// One resource's row counts as a strided view of a table vector: row
+/// `r`'s count is `counts[r * stride + offset]`.
+struct Rows<'a> {
+    counts: &'a [u16],
+    stride: usize,
+    offset: usize,
+    cap: u32,
+}
+
+impl Rows<'_> {
+    fn count(&self, row: usize) -> u32 {
+        u32::from(self.counts[row * self.stride + self.offset])
     }
 }
 
@@ -175,53 +203,87 @@ impl Mrt {
         self.row_of(cycle) * self.caps.clusters as usize + cluster as usize
     }
 
-    /// Number of FU-slot copies an operation with total occupancy `occ`
-    /// needs in relative row `k` of the table (it keeps a unit busy in every
-    /// row for `ceil(occ / ii)` overlapped iterations when `occ >= ii`).
-    fn fu_copies(&self, occ: u32, k: u32) -> u16 {
-        let copies = (occ / self.ii) + u32::from(k < occ % self.ii);
-        copies.max(1).min(occ) as u16
+    /// The rows one reservation of a `class` op with occupancy `occ` holds:
+    /// `(span, base, extra)` — it covers `span` consecutive rows from its
+    /// issue row, each holding `base` unit copies plus one more in the first
+    /// `extra` rows. Non-FU classes pin only their issue row. An FU op with
+    /// `occ <= II` holds one copy in each of `occ` rows; a longer one keeps a
+    /// unit busy in every row for `occ / II` overlapped iterations, plus one
+    /// in the first `occ % II` rows.
+    fn span(&self, class: ResourceClass, occ: u32) -> (u32, u32, u32) {
+        if class != ResourceClass::Fu {
+            (1, 1, 0)
+        } else if occ <= self.ii {
+            (occ, 1, 0)
+        } else {
+            (self.ii, occ / self.ii, occ % self.ii)
+        }
+    }
+
+    /// The row counts and capacity `class` draws on for `cluster` (global
+    /// classes ignore it).
+    fn rows(&self, class: ResourceClass, cluster: u32) -> Rows<'_> {
+        let caps = &self.caps;
+        let (counts, stride, offset, cap) = match class {
+            ResourceClass::Fu => (
+                &self.fu[self.fu_idx(0, cluster)..][..self.ii as usize],
+                1,
+                0,
+                caps.fus_per_cluster,
+            ),
+            ResourceClass::MemPort if caps.memory_is_shared() => {
+                (&self.shared_mem[..], 1, 0, caps.shared_mem_ports)
+            }
+            ResourceClass::MemPort => (
+                &self.mem[..],
+                caps.clusters,
+                cluster,
+                caps.mem_ports_per_cluster,
+            ),
+            ResourceClass::Bus => (&self.bus[..], 1, 0, caps.buses),
+            ResourceClass::SharedReadPort => (&self.lp[..], caps.clusters, cluster, caps.lp),
+            ResourceClass::SharedWritePort => (&self.sp[..], caps.clusters, cluster, caps.sp),
+        };
+        Rows {
+            counts,
+            stride: stride as usize,
+            offset: offset as usize,
+            cap,
+        }
     }
 
     /// Check whether `kind` can be issued at `cycle` on `cluster`.
     pub fn can_place(&self, kind: OpKind, cycle: i64, cluster: u32, lat: &OpLatencies) -> bool {
-        match kind.resource_class() {
-            ResourceClass::Fu => {
-                let occ = lat.occupancy(kind);
-                let span = occ.min(self.ii);
-                for k in 0..span {
-                    let row = self.row_of(cycle + k as i64);
-                    let needed = self.fu_copies(occ, k);
-                    if self.fu[self.fu_idx(row, cluster)] + needed
-                        > self.caps.fus_per_cluster as u16
-                    {
-                        return false;
-                    }
-                }
-                true
+        let class = kind.resource_class();
+        let (span, base, extra) = self.span(class, lat.occupancy(kind));
+        let rows = self.rows(class, cluster);
+        let mut row = self.row_of(cycle);
+        for k in 0..span {
+            if rows.count(row) + base + u32::from(k < extra) > rows.cap {
+                return false;
             }
-            ResourceClass::MemPort => {
-                if self.caps.memory_is_shared() {
-                    self.shared_mem[self.row_of(cycle)] < self.caps.shared_mem_ports as u16
-                } else {
-                    self.mem[self.idx(cycle, cluster)] < self.caps.mem_ports_per_cluster as u16
-                }
-            }
-            ResourceClass::Bus => {
-                self.caps.buses == u32::MAX || self.bus[self.row_of(cycle)] < self.caps.buses as u16
-            }
-            ResourceClass::SharedReadPort => {
-                self.caps.lp == u32::MAX || self.lp[self.idx(cycle, cluster)] < self.caps.lp as u16
-            }
-            ResourceClass::SharedWritePort => {
-                self.caps.sp == u32::MAX || self.sp[self.idx(cycle, cluster)] < self.caps.sp as u16
+            row += 1;
+            if row == self.ii as usize {
+                row = 0;
             }
         }
+        true
     }
 
     /// First cycle inside the inclusive `window` of flat cycles at which
-    /// `kind` can be issued on `cluster`, asking [`Mrt::can_place`] row by
-    /// row upward (`upward`) or downward from the window's far end.
+    /// `kind` can be issued on `cluster`, searching upward (`upward`) or
+    /// downward from the window's far end.
+    ///
+    /// An op that needs one unit in each row of its span (any FU op with
+    /// `occ <= II`, and every one-row class) cannot start where its span
+    /// covers a full row, so the upward search jumps from `t` to `t + k + 1`
+    /// past the span's last full offset `k`, and the downward one to
+    /// `t + k - occ` below its first. An FU op longer than the II covers
+    /// every row with `occ / II` copies, and one more in its first
+    /// `occ % II` rows: it fits nowhere if some row lacks room for the
+    /// former, and otherwise the same skip runs over those first rows. Every
+    /// case lands on exactly the cycle a [`Mrt::can_place`] probe of every
+    /// candidate would.
     pub fn first_free_row_in(
         &self,
         kind: OpKind,
@@ -231,12 +293,54 @@ impl Mrt {
         lat: &OpLatencies,
     ) -> Option<i64> {
         let (start, end) = window;
-        let fits = |&t: &i64| self.can_place(kind, t, cluster, lat);
-        if upward {
-            (start..=end).find(fits)
-        } else {
-            (start..=end).rev().find(fits)
+        let class = kind.resource_class();
+        let (mut span, base, extra) = self.span(class, lat.occupancy(kind));
+        let rows = self.rows(class, cluster);
+        let ii = self.ii as usize;
+        let mut need = base;
+        if (base, extra) != (1, 0) {
+            // Longer than the II: the span covers every row, so a row
+            // without room for `base` copies rules out the whole window, and
+            // only the first `extra` rows need one copy more.
+            if (0..ii).any(|row| rows.count(row) + base > rows.cap) {
+                return None;
+            }
+            (span, need) = (extra, base + 1);
         }
+        // Every step below moves the start row by at most `span <= II`, so
+        // one conditional wrap keeps it in range.
+        let full = |row0: usize, k: u32| {
+            let row = row0 + k as usize;
+            rows.count(if row >= ii { row - ii } else { row }) + need > rows.cap
+        };
+        if upward {
+            let (mut t, mut row0) = (start, self.row_of(start));
+            while t <= end {
+                let Some(k) = (0..span).rev().find(|&k| full(row0, k)) else {
+                    return Some(t);
+                };
+                t += i64::from(k) + 1;
+                row0 += k as usize + 1;
+                if row0 >= ii {
+                    row0 -= ii;
+                }
+            }
+        } else {
+            let (mut t, mut row0) = (end, self.row_of(end));
+            while t >= start {
+                let Some(k) = (0..span).find(|&k| full(row0, k)) else {
+                    return Some(t);
+                };
+                let back = (span - k) as usize;
+                t -= back as i64;
+                row0 = if row0 >= back {
+                    row0 - back
+                } else {
+                    row0 + ii - back
+                };
+            }
+        }
+        None
     }
 
     /// Whether `kind` could be issued on a completely empty table — `false`
@@ -251,7 +355,7 @@ impl Mrt {
         let cap = match kind.resource_class() {
             ResourceClass::Fu => {
                 // Peak unit copies any row of the span needs (see
-                // `fu_copies`): `ceil(occ / II)`.
+                // `Mrt::span`): `ceil(occ / II)`.
                 let occ = lat.occupancy(kind);
                 return occ.div_ceil(self.ii).min(occ).max(1) <= self.caps.fus_per_cluster;
             }
@@ -333,20 +437,28 @@ impl Mrt {
     }
 
     /// FU rows of one reservation: each occupied row's count moves by
-    /// `delta` times its unit copies ([`Mrt::fu_copies`]), and the free-slot
+    /// `delta` times its unit copies ([`Mrt::span`]), and the free-slot
     /// total moves with it.
     fn fu_adjust_span(&mut self, start: usize, occ: u32, cluster: u32, delta: i32) {
         let cap = self.caps.fus_per_cluster as i64;
-        for k in 0..occ.min(self.ii) {
-            let i = self.fu_idx((start + k as usize) % self.ii as usize, cluster);
-            let old = self.fu[i];
-            let new = (old as i32 + delta * self.fu_copies(occ, k) as i32).max(0) as u16;
-            self.fu[i] = new;
+        let (span, base, extra) = self.span(ResourceClass::Fu, occ);
+        let first = self.fu_idx(0, cluster);
+        let rows = &mut self.fu[first..][..self.ii as usize];
+        let free = &mut self.fu_free[cluster as usize];
+        let mut row = start;
+        for k in 0..span {
+            let old = rows[row];
+            let copies = (base + u32::from(k < extra)) as i32;
+            let new = (old as i32 + delta * copies).max(0) as u16;
+            rows[row] = new;
             // Free slots clamp at 0 on (transient) over-subscription,
             // mirroring what the O(II) recount would see.
             let free_delta = (cap - new as i64).max(0) - (cap - old as i64).max(0);
-            let free = &mut self.fu_free[cluster as usize];
             *free = (*free as i64 + free_delta).max(0) as u32;
+            row += 1;
+            if row == rows.len() {
+                row = 0;
+            }
         }
     }
 

@@ -19,15 +19,17 @@
 //! every ejection through [`PlacementStore::eject`], which keep the
 //! [`crate::store::SlotIndex`] used by the O(row) victim search consistent.
 //!
-//! The free-slot window search asks the MRT row by row
-//! ([`crate::mrt::Mrt::first_free_row_in`]), and forced placements whose
-//! conflict is *structurally unsatisfiable* even on an empty table (a divide
-//! longer than the II can accommodate on this cluster's units) are abandoned
-//! before their ejection cascade, counted in
-//! [`SchedulerStats::infeasible_cutoffs`].
+//! The free-slot window search ([`crate::mrt::Mrt::first_free_row_in`])
+//! skips ahead past full MRT rows. The II ladder starts at
+//! [`IterativeScheduler::mii`], which includes the per-cluster span floor,
+//! so no rung asks a divide to fit fewer rows than its cluster's units can
+//! hold. Forced placements whose conflict is *structurally unsatisfiable*
+//! even on an empty table are still abandoned before their ejection
+//! cascade, counted in [`SchedulerStats::infeasible_cutoffs`].
 
 use crate::arena::{ArenaPool, AttemptArena};
 use crate::cluster::select_cluster;
+use crate::mrt::ResourceCaps;
 use crate::pressure::{pick_spill_candidate_from, pressure, Pressure, PressureQuery};
 use crate::types::{
     BankAssignment, Oracles, Placement, ScheduleResult, SchedulerParams, SchedulerStats,
@@ -232,9 +234,15 @@ impl IterativeScheduler {
         &self.machine
     }
 
-    /// Compute the MII of a loop for this machine.
+    /// Compute the MII of a loop for this machine: `max(ResMII, RecMII)`
+    /// raised to the per-cluster span floor ([`hcrf_ir::cluster_res_mii`]),
+    /// below which some FU op fits no table, so the II ladder starts at the
+    /// first rung an attempt can win.
     pub fn mii(&self, ddg: &Ddg) -> u32 {
-        mii_mod::mii(ddg, &self.machine.latencies, self.machine.resource_counts())
+        let lat = &self.machine.latencies;
+        let fus_per_cluster = ResourceCaps::from_machine(&self.machine).fus_per_cluster;
+        let floor = mii_mod::cluster_res_mii(ddg, lat, fus_per_cluster);
+        mii_mod::mii(ddg, lat, self.machine.resource_counts()).max(floor)
     }
 
     /// Schedule one loop.
@@ -1376,6 +1384,30 @@ mod tests {
         assert!(!r.failed);
         assert_eq!(r.mii, 4); // add latency 4, distance 1
         assert!(r.ii >= 4);
+        validate_schedule(&g, &m, &r).unwrap();
+    }
+
+    #[test]
+    fn divide_loop_starts_its_ladder_at_the_cluster_floor() {
+        // x[i] = a[i] / b[i] + c on 8C16S16: ResMII over the 8 FUs is 3, but
+        // the 17-cycle divide needs II 17 on a 1-FU cluster.
+        let mut b = DdgBuilder::new("div");
+        let la = b.load(0, 8);
+        let lb = b.load(1, 8);
+        let d = b.op(OpKind::FDiv);
+        let a = b.op(OpKind::FAdd);
+        let s = b.store(2, 8);
+        b.flow(la, d, 0).flow(lb, d, 0).flow(d, a, 0).flow(a, s, 0);
+        let g = b.build();
+        let m = machine("8C16S16");
+        let floor = hcrf_ir::cluster_res_mii(&g, &m.latencies, 1);
+        assert_eq!(floor, 17);
+        assert!(mii_mod::mii(&g, &m.latencies, m.resource_counts()) < floor);
+        let r = schedule_loop(&g, &m, &SchedulerParams::default());
+        assert!(!r.failed);
+        assert_eq!(r.mii, floor);
+        assert_eq!(r.stats.infeasible_cutoffs, 0);
+        assert!(r.ii >= floor);
         validate_schedule(&g, &m, &r).unwrap();
     }
 

@@ -146,60 +146,53 @@ impl SlotIndex {
         }
     }
 
-    /// Add or remove `n` in one row's occupancy list — the slot-index leg of
-    /// the store's place/eject transaction, which moves the MRT counts and
-    /// these lists together.
-    pub(crate) fn update_row(
+    /// Add (`add`) or remove `n` in the row lists of one reservation: the
+    /// `min(occupancy, II)` consecutive rows (modulo the II) from its issue
+    /// row — the slot-index leg of the store's place/eject transaction,
+    /// which moves the MRT counts and these lists together.
+    pub(crate) fn update_span(
         &mut self,
-        class: ResourceClass,
-        row: u32,
-        cluster: u32,
         n: NodeId,
+        kind: OpKind,
+        cycle: i64,
+        cluster: u32,
+        lat: &OpLatencies,
         add: bool,
     ) {
-        let slot = self.slot(class, row, cluster);
-        let list = &mut self.lists_mut(class)[slot];
-        if add {
-            list.push(n);
-        } else if let Some(pos) = list.iter().position(|&x| x == n) {
-            list.swap_remove(pos);
+        let class = kind.resource_class();
+        let (stride, offset) = if self.is_global(class) {
+            (1, 0)
         } else {
-            debug_assert!(false, "SlotIndex: {n} missing from {class:?} row {row}");
+            (self.clusters as usize, cluster as usize)
+        };
+        // One `rem_euclid` for the issue row, then a wrap at the II.
+        let ii = self.ii;
+        let start = cycle.rem_euclid(ii as i64) as u32;
+        let lists = self.lists_mut(class);
+        for row in (start..ii)
+            .chain(0..start)
+            .take(lat.occupancy(kind) as usize)
+        {
+            let list = &mut lists[row as usize * stride + offset];
+            if add {
+                list.push(n);
+            } else if let Some(pos) = list.iter().position(|&x| x == n) {
+                list.swap_remove(pos);
+            } else {
+                debug_assert!(false, "SlotIndex: {n} missing from {class:?} row {row}");
+            }
         }
     }
 
     /// Record a placement: the node enters the `min(occupancy, II)`
     /// consecutive row lists (modulo the II) starting at its issue row.
     pub fn insert(&mut self, n: NodeId, kind: OpKind, cycle: i64, cluster: u32, lat: &OpLatencies) {
-        let class = kind.resource_class();
-        let ii = self.ii;
-        let span = lat.occupancy(kind).min(ii);
-        let start = cycle.rem_euclid(ii as i64) as u32;
-        for k in 0..span {
-            let slot = self.slot(class, (start + k) % ii, cluster);
-            self.lists_mut(class)[slot].push(n);
-        }
+        self.update_span(n, kind, cycle, cluster, lat, true);
     }
 
     /// Erase a placement (must mirror a previous [`SlotIndex::insert`]).
     pub fn remove(&mut self, n: NodeId, kind: OpKind, cycle: i64, cluster: u32, lat: &OpLatencies) {
-        let class = kind.resource_class();
-        let ii = self.ii;
-        let span = lat.occupancy(kind).min(ii);
-        let start = cycle.rem_euclid(ii as i64) as u32;
-        for k in 0..span {
-            let row = (start + k) % ii;
-            let slot = self.slot(class, row, cluster);
-            let list = &mut self.lists_mut(class)[slot];
-            if let Some(pos) = list.iter().position(|&x| x == n) {
-                list.swap_remove(pos);
-            } else {
-                debug_assert!(
-                    false,
-                    "SlotIndex::remove: {n} missing from {class:?} row {row}"
-                );
-            }
-        }
+        self.update_span(n, kind, cycle, cluster, lat, false);
     }
 
     /// Placed nodes whose reservation of `class` touches `row` (on `cluster`
@@ -654,15 +647,8 @@ impl PlacementStore {
         } else {
             self.mrt.remove(kind, cycle, cluster, lat);
         }
-        let class = kind.resource_class();
-        let ii = self.ii;
-        let span = lat.occupancy(kind).min(ii);
-        let start = cycle.rem_euclid(ii as i64) as u32;
-        self.fused_rows += span as u64;
-        for k in 0..span {
-            self.index
-                .update_row(class, (start + k) % ii, cluster, n, add);
-        }
+        self.fused_rows += u64::from(lat.occupancy(kind).min(self.ii));
+        self.index.update_span(n, kind, cycle, cluster, lat, add);
     }
 
     /// Place a node: reserve its MRT slots, index the reservation, record

@@ -168,7 +168,10 @@ pub struct SchedulerStats {
     /// structurally unsatisfiable — zero capacity for the operation's class at any row
     /// even on an empty table (e.g. a divide longer than the II on this
     /// cluster's units), so no victim set could ever free the slot.
-    /// Accumulated across all IIs of the loop, like `guard_trips`.
+    /// Accumulated across all IIs of the loop, like `guard_trips`. The
+    /// ladder starts at [`crate::IterativeScheduler::mii`], which includes
+    /// the per-cluster span floor, so this reads 0 on the Table 5 ladders;
+    /// it stays as the guard for a machine with no unit of some class.
     pub infeasible_cutoffs: u64,
     /// II restarts that warm-started: seeded by modulo-remapping the
     /// previous failed attempt's surviving placements instead of an empty
@@ -256,7 +259,8 @@ pub struct ScheduleResult {
     pub config: String,
     /// Achieved initiation interval.
     pub ii: u32,
-    /// Lower bound `max(ResMII, RecMII)` for this loop and machine.
+    /// Lower bound `max(ResMII, RecMII, per-cluster span floor)` for this
+    /// loop and machine ([`crate::IterativeScheduler::mii`]).
     pub mii: u32,
     /// Stage count of the schedule (number of II-cycle stages of the kernel).
     pub sc: u32,

@@ -10,12 +10,11 @@
 //!   operation an II-wide scan window;
 //! * **the rows the scans walk are crowded** — the scheduler packs the
 //!   memory rows tight by construction (the k-th stream finds the first
-//!   `k / ports` rows full), so a per-row `can_place` walk probes a long run
-//!   of occupied rows before the first free one, while the bitmask search
-//!   skips them word-at-a-time;
+//!   `k / ports` rows full), so the window search meets a long run of
+//!   occupied rows before the first free one;
 //! * **long non-pipelined operations ride along** — a couple of 17-cycle
 //!   divides (and 30-cycle square roots in the larger shapes) exercise the
-//!   multi-row span checks of the availability summary, but only at IIs
+//!   multi-row span checks of the window search, but only at IIs
 //!   where they fit on a single unit (`occupancy ≤ II` is guaranteed by the
 //!   stream-count floor), so they never trigger the churn family's II-ladder
 //!   storms;

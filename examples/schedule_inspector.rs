@@ -9,6 +9,8 @@
 //! is parsed back as a smoke check.
 
 use hcrf::prelude::*;
+use hcrf_ir::{cluster_res_mii, rec_mii, res_mii};
+use hcrf_sched::mrt::ResourceCaps;
 use hcrf_sched::IterativeScheduler;
 use hcrf_telemetry::DEFAULT_TRACE_CAPACITY;
 use hcrf_workloads::all_kernels;
@@ -52,8 +54,20 @@ fn main() {
         .with_telemetry(telemetry.clone())
         .schedule(&kernel.ddg);
     println!(
-        "kernel '{}' on 4C16S64: II={} (MII={}), {} stages, {} ops ({} original)\n",
+        "kernel '{}' on 4C16S64: II={} (MII={}), {} stages, {} ops ({} original)",
         which, result.ii, result.mii, result.sc, result.total_ops, result.original_ops
+    );
+    // The MII's three bounds: ResMII over the machine's total units, RecMII
+    // over the recurrences, and the per-cluster span floor (a non-pipelined
+    // op confined to one cluster's units).
+    let m = &config.machine;
+    let fus_per_cluster = ResourceCaps::from_machine(m).fus_per_cluster;
+    println!(
+        "MII {} = max(ResMII {}, RecMII {}, cluster span floor {})\n",
+        result.mii,
+        res_mii(&kernel.ddg, &m.latencies, m.resource_counts()),
+        rec_mii(&kernel.ddg, &m.latencies),
+        cluster_res_mii(&kernel.ddg, &m.latencies, fus_per_cluster),
     );
 
     let (Some(graph), Some(placements)) = (&result.final_graph, &result.placements) else {

@@ -2,7 +2,9 @@
 //! invariants, MII bounds, register-file model monotonicity and notation
 //! round-trips.
 
-use hcrf_ir::{mii, res_mii, Ddg, DdgBuilder, DepKind, OpKind, OpLatencies, ResourceCounts};
+use hcrf_ir::{
+    mii, res_mii, Ddg, DdgBuilder, DepKind, OpKind, OpLatencies, ResourceClass, ResourceCounts,
+};
 use hcrf_machine::{MachineConfig, RfOrganization};
 use hcrf_rfmodel::AnalyticRfModel;
 use hcrf_sched::mrt::ResourceCaps;
@@ -73,6 +75,75 @@ fn machines() -> Vec<MachineConfig> {
     .iter()
     .map(|s| MachineConfig::paper_baseline(RfOrganization::parse(s).unwrap()))
     .collect()
+}
+
+/// Op kinds of the brute-force slot-search oracle: every resource class,
+/// pipelined and multi-row FU ops.
+const BRUTE_KINDS: [OpKind; 7] = [
+    OpKind::FAdd,
+    OpKind::FDiv,
+    OpKind::FSqrt,
+    OpKind::Load,
+    OpKind::Move,
+    OpKind::LoadR,
+    OpKind::StoreR,
+];
+
+/// The (resource pool, row) units one op issued at `cycle` takes, with no
+/// MRT code involved: a pool is a class plus the cluster for cluster-local
+/// resources, and an FU op holds one unit in each of its `occupancy` cycles
+/// folded modulo the II.
+fn brute_force_units(
+    caps: &ResourceCaps,
+    ii: u32,
+    kind: OpKind,
+    cycle: i64,
+    cluster: u32,
+    lat: &OpLatencies,
+) -> Vec<(ResourceClass, u32, i64)> {
+    let class = kind.resource_class();
+    let global =
+        class == ResourceClass::Bus || (class == ResourceClass::MemPort && caps.memory_is_shared());
+    let pool = if global { 0 } else { cluster };
+    let cycles = if class == ResourceClass::Fu {
+        lat.occupancy(kind) as i64
+    } else {
+        1
+    };
+    (0..cycles)
+        .map(|j| (class, pool, (cycle + j).rem_euclid(ii as i64)))
+        .collect()
+}
+
+/// Whether `kind` fits at `t` on `cluster`, by recounting every pool's
+/// units per row from the `live` reservations.
+fn brute_force_fits(
+    caps: &ResourceCaps,
+    ii: u32,
+    live: &[(OpKind, i64, u32)],
+    kind: OpKind,
+    t: i64,
+    cluster: u32,
+    lat: &OpLatencies,
+) -> bool {
+    let cap = match kind.resource_class() {
+        ResourceClass::Fu => caps.fus_per_cluster,
+        ResourceClass::MemPort if caps.memory_is_shared() => caps.shared_mem_ports,
+        ResourceClass::MemPort => caps.mem_ports_per_cluster,
+        ResourceClass::Bus => caps.buses,
+        ResourceClass::SharedReadPort => caps.lp,
+        ResourceClass::SharedWritePort => caps.sp,
+    } as usize;
+    let held: Vec<_> = live
+        .iter()
+        .flat_map(|&(k, c, cl)| brute_force_units(caps, ii, k, c, cl, lat))
+        .collect();
+    let wanted = brute_force_units(caps, ii, kind, t, cluster, lat);
+    wanted.iter().all(|unit| {
+        let count =
+            |units: &[(ResourceClass, u32, i64)]| units.iter().filter(|u| *u == unit).count();
+        count(&held) + count(&wanted) <= cap
+    })
 }
 
 /// Scheduler parameters for the property tests: generated loops can contain
@@ -274,6 +345,65 @@ proptest! {
                         machine.rf,
                         if upward { "up" } else { "down" },
                     )));
+                }
+            }
+        }
+    }
+
+    /// Brute-force oracle for the MRT's placement queries: the unit count
+    /// of every (resource, row) is recomputed from the live reservation
+    /// list alone — an op of occupancy `o` issued at `c` takes one unit of
+    /// its class in row `(c + j) mod II` for every `j < o` (FU), or in its
+    /// issue row (every other class) — and `can_place` and both directions
+    /// of `first_free_row_in` must agree with a naive walk over those
+    /// counts. IIs below, at and above the 17-cycle divide's and 30-cycle
+    /// square root's occupancy, windows that wrap around the II or start
+    /// at negative cycles, and 1-, 2- and 8-FU clusters are all covered.
+    #[test]
+    fn slot_search_matches_brute_force_counts(
+        ops in prop::collection::vec((0u8..7, 0u32..8, -30i64..64), 4..40),
+        probes in prop::collection::vec((0u8..7, 0u32..8, -40i64..64, 0i64..40), 1..8),
+    ) {
+        use hcrf_sched::mrt::Mrt;
+        let lat = OpLatencies::paper_baseline();
+        for cfg in ["8C16S16", "4C16S64", "4C32", "S64"] {
+            let machine = MachineConfig::paper_baseline(RfOrganization::parse(cfg).unwrap());
+            let caps = ResourceCaps::from_machine(&machine);
+            for ii in [1u32, 9, 16, 17, 18, 30, 33] {
+                let mut mrt = Mrt::new(ii, caps);
+                let mut live: Vec<(OpKind, i64, u32)> = Vec::new();
+                for &(k, cluster, cycle) in &ops {
+                    let kind = BRUTE_KINDS[k as usize % BRUTE_KINDS.len()];
+                    let cluster = cluster % caps.clusters;
+                    if k % 3 != 0 || live.is_empty() {
+                        mrt.place(kind, cycle, cluster, &lat);
+                        live.push((kind, cycle, cluster));
+                    } else {
+                        let (rk, rc, rcl) = live.swap_remove(cycle.unsigned_abs() as usize % live.len());
+                        mrt.remove(rk, rc, rcl, &lat);
+                    }
+                    for &(pk, pcl, start, len) in &probes {
+                        let kind = BRUTE_KINDS[pk as usize % BRUTE_KINDS.len()];
+                        let cl = pcl % caps.clusters;
+                        let fits = |t: i64| brute_force_fits(&caps, ii, &live, kind, t, cl, &lat);
+                        let window = (start, start + len);
+                        for t in start..=start + len {
+                            prop_assert_eq!(
+                                mrt.can_place(kind, t, cl, &lat), fits(t),
+                                "{} II={} can_place {:?}@{}/c{}", cfg, ii, kind, t, cl
+                            );
+                        }
+                        let up = (start..=start + len).find(|&t| fits(t));
+                        let down = (start..=start + len).rev().find(|&t| fits(t));
+                        prop_assert_eq!(
+                            mrt.first_free_row_in(kind, cl, window, true, &lat), up,
+                            "{} II={} upward {:?} in {:?}/c{}", cfg, ii, kind, window, cl
+                        );
+                        prop_assert_eq!(
+                            mrt.first_free_row_in(kind, cl, window, false, &lat), down,
+                            "{} II={} downward {:?} in {:?}/c{}", cfg, ii, kind, window, cl
+                        );
+                    }
                 }
             }
         }
