@@ -1,7 +1,25 @@
 //! Graph analyses: strongly connected components, recurrence enumeration and
 //! modulo-scheduling oriented start-time bounds (ASAP / ALAP / slack).
+//!
+//! The scheduler runs them for every (loop, machine) pair: RecMII on the
+//! loop body for the MII, then recurrences and ASAP/ALAP on the working
+//! graph for the priority order. Both work in caller-owned buffers that are
+//! refilled in place, so once they have grown to the largest loop an
+//! analysis allocates nothing:
+//!
+//! * [`RecurrenceAnalysis`] holds Tarjan's state (walking adjacency slices),
+//!   the SCC numbering, the members of every component grouped in one
+//!   counting pass, and the SCC-local edge list of the RecMII probes, which
+//!   relax one component's edges over its own node count;
+//! * [`AcyclicSchedule::compute`] refills ASAP/ALAP and evaluates each
+//!   edge's weight once per call.
+//!
+//! [`strongly_connected_components`], [`recurrences`] and
+//! [`acyclic_schedule`] are allocating wrappers around them with the same
+//! results.
 
 use crate::ddg::{Ddg, NodeId};
+use crate::mii::SubsetProbe;
 use crate::op::OpLatencies;
 
 /// Identifier of a strongly connected component.
@@ -9,9 +27,11 @@ use crate::op::OpLatencies;
 pub struct SccId(pub u32);
 
 /// Result of Tarjan's SCC computation: the component of every node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SccResult {
-    /// `component[i]` is the SCC of node `i`.
+    /// `component[i]` is the SCC of node `i`. Components are numbered in
+    /// the order Tarjan's depth-first search (roots in node order,
+    /// successors in edge insertion order) completes them.
     pub component: Vec<SccId>,
     /// Number of components found.
     pub count: usize,
@@ -20,79 +40,9 @@ pub struct SccResult {
 /// Compute strongly connected components with Tarjan's algorithm
 /// (iterative formulation so deep graphs cannot overflow the stack).
 pub fn strongly_connected_components(g: &Ddg) -> SccResult {
-    let n = g.num_nodes();
-    let mut index = vec![usize::MAX; n];
-    let mut lowlink = vec![usize::MAX; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut component = vec![SccId(u32::MAX); n];
-    let mut next_index = 0usize;
-    let mut comp_count = 0usize;
-
-    // Explicit DFS stack: (node, iterator position over successors).
-    enum Frame {
-        Enter(usize),
-        Continue(usize, usize),
-    }
-
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
-        }
-        let mut frames = vec![Frame::Enter(start)];
-        while let Some(frame) = frames.pop() {
-            match frame {
-                Frame::Enter(v) => {
-                    index[v] = next_index;
-                    lowlink[v] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                    frames.push(Frame::Continue(v, 0));
-                }
-                Frame::Continue(v, succ_pos) => {
-                    let succs: Vec<usize> =
-                        g.successors(NodeId(v as u32)).map(|s| s.index()).collect();
-                    if succ_pos < succs.len() {
-                        let w = succs[succ_pos];
-                        frames.push(Frame::Continue(v, succ_pos + 1));
-                        if index[w] == usize::MAX {
-                            frames.push(Frame::Enter(w));
-                        } else if on_stack[w] {
-                            lowlink[v] = lowlink[v].min(index[w]);
-                        }
-                    } else {
-                        // All successors processed: fold lowlinks of children.
-                        for &w in &succs {
-                            if on_stack[w] || component[w] != SccId(u32::MAX) {
-                                // child may already be assigned; lowlink only
-                                // propagates through stack members
-                            }
-                            if on_stack[w] {
-                                lowlink[v] = lowlink[v].min(lowlink[w]);
-                            }
-                        }
-                        if lowlink[v] == index[v] {
-                            // v is the root of an SCC.
-                            loop {
-                                let w = stack.pop().expect("tarjan stack underflow");
-                                on_stack[w] = false;
-                                component[w] = SccId(comp_count as u32);
-                                if w == v {
-                                    break;
-                                }
-                            }
-                            comp_count += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    SccResult {
-        component,
-        count: comp_count,
-    }
+    let mut a = RecurrenceAnalysis::default();
+    a.compute_sccs(g);
+    a.scc
 }
 
 /// A recurrence (elementary dependence cycle summary) of the graph.
@@ -111,33 +61,236 @@ pub struct Recurrence {
 /// Enumerate the non-trivial SCCs of the graph together with their
 /// individual RecMII contribution.
 pub fn recurrences(g: &Ddg, lat: &OpLatencies) -> Vec<Recurrence> {
-    let sccs = strongly_connected_components(g);
-    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); sccs.count];
-    for (i, c) in sccs.component.iter().enumerate() {
-        members[c.0 as usize].push(NodeId(i as u32));
-    }
-    let mut self_loop = vec![false; g.num_nodes()];
-    for (_, e) in g.edges() {
-        if e.src == e.dst {
-            self_loop[e.src.index()] = true;
+    let mut a = RecurrenceAnalysis::default();
+    a.compute(g, lat);
+    a.iter()
+        .map(|r| Recurrence {
+            nodes: r.nodes.to_vec(),
+            rec_mii: r.rec_mii,
+        })
+        .collect()
+}
+
+/// One recurrence of a [`RecurrenceAnalysis`], borrowed from its buffers.
+#[derive(Debug, Clone, Copy)]
+pub struct RecurrenceRef<'a> {
+    /// Nodes of the non-trivial SCC, in increasing id order.
+    pub nodes: &'a [NodeId],
+    /// Lower bound on II contributed by this SCC.
+    pub rec_mii: u32,
+}
+
+/// Tarjan's SCCs, the recurrences and the RecMII of one graph at a time,
+/// computed into buffers reused across graphs.
+///
+/// [`RecurrenceAnalysis::compute_sccs`] returns exactly
+/// [`strongly_connected_components`]'s result, and after
+/// [`RecurrenceAnalysis::compute`], [`RecurrenceAnalysis::iter`] yields
+/// exactly what [`recurrences`] returns, in SCC order.
+#[derive(Debug, Clone, Default)]
+pub struct RecurrenceAnalysis {
+    scc: SccResult,
+    /// Tarjan: DFS index of every node (`u32::MAX` while unvisited).
+    index: Vec<u32>,
+    lowlink: Vec<u32>,
+    on_stack: Vec<bool>,
+    stack: Vec<u32>,
+    /// Explicit DFS stack: (node, position in its successor slice).
+    frames: Vec<(u32, u32)>,
+    /// `members[start[c]..start[c + 1]]` are the nodes of component `c`.
+    start: Vec<u32>,
+    members: Vec<NodeId>,
+    /// Position of every node in `members`.
+    position: Vec<u32>,
+    /// Non-trivial components: (component, RecMII).
+    recs: Vec<(u32, u32)>,
+    probe: SubsetProbe,
+}
+
+impl RecurrenceAnalysis {
+    /// The `i`-th recurrence, in SCC order.
+    pub fn get(&self, i: usize) -> RecurrenceRef<'_> {
+        let (c, rec_mii) = self.recs[i];
+        RecurrenceRef {
+            nodes: self.component_members(c as usize),
+            rec_mii,
         }
     }
-    let mut out = Vec::new();
-    for nodes in members {
-        let non_trivial = nodes.len() > 1 || (nodes.len() == 1 && self_loop[nodes[0].index()]);
-        if !non_trivial {
-            continue;
-        }
-        let rec_mii = crate::mii::rec_mii_of_subset(g, lat, &nodes);
-        out.push(Recurrence { nodes, rec_mii });
+
+    /// The recurrences in SCC order.
+    pub fn iter(&self) -> impl Iterator<Item = RecurrenceRef<'_>> + '_ {
+        (0..self.recs.len()).map(move |i| self.get(i))
     }
-    out
+
+    /// Compute the SCCs (Tarjan's algorithm, iterative so deep graphs
+    /// cannot overflow the stack).
+    pub fn compute_sccs(&mut self, g: &Ddg) -> &SccResult {
+        const UNVISITED: u32 = u32::MAX;
+        let n = g.num_nodes();
+        refill(&mut self.index, n, UNVISITED);
+        refill(&mut self.lowlink, n, 0);
+        refill(&mut self.on_stack, n, false);
+        refill(&mut self.scc.component, n, SccId(u32::MAX));
+        self.stack.clear();
+        self.frames.clear();
+        let mut next_index = 0u32;
+        let mut count = 0u32;
+        for root in 0..n as u32 {
+            if self.index[root as usize] != UNVISITED {
+                continue;
+            }
+            self.enter(root, &mut next_index);
+            while let Some(&(v, pos)) = self.frames.last() {
+                let succs = g.succ_edge_ids(NodeId(v));
+                if let Some(&e) = succs.get(pos as usize) {
+                    self.frames.last_mut().expect("frame").1 += 1;
+                    let w = g.edge(e).dst.0;
+                    if self.index[w as usize] == UNVISITED {
+                        self.enter(w, &mut next_index);
+                    } else if self.on_stack[w as usize] {
+                        let low = &mut self.lowlink[v as usize];
+                        *low = (*low).min(self.index[w as usize]);
+                    }
+                    continue;
+                }
+                self.frames.pop();
+                let low_v = self.lowlink[v as usize];
+                if low_v == self.index[v as usize] {
+                    // v is the root of an SCC.
+                    loop {
+                        let w = self.stack.pop().expect("tarjan stack underflow");
+                        self.on_stack[w as usize] = false;
+                        self.scc.component[w as usize] = SccId(count);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    count += 1;
+                } else if let Some(&(parent, _)) = self.frames.last() {
+                    let low = &mut self.lowlink[parent as usize];
+                    *low = (*low).min(low_v);
+                }
+            }
+        }
+        self.scc.count = count as usize;
+        &self.scc
+    }
+
+    fn enter(&mut self, v: u32, next_index: &mut u32) {
+        self.index[v as usize] = *next_index;
+        self.lowlink[v as usize] = *next_index;
+        *next_index += 1;
+        self.stack.push(v);
+        self.on_stack[v as usize] = true;
+        self.frames.push((v, 0));
+    }
+
+    /// Compute the SCCs and group their members in one counting pass:
+    /// `start[c]` becomes the offset of component `c` in `members`, whose
+    /// slices list each component's nodes in increasing id order.
+    fn group(&mut self, g: &Ddg) {
+        self.compute_sccs(g);
+        let count = self.scc.count;
+        refill(&mut self.start, count + 1, 0);
+        for c in &self.scc.component {
+            self.start[c.0 as usize + 1] += 1;
+        }
+        for c in 0..count {
+            self.start[c + 1] += self.start[c];
+        }
+        // Place with `start[c]` as component c's write cursor; afterwards
+        // it holds the end of c, so shifting by one slot restores the
+        // offsets.
+        refill(&mut self.members, g.num_nodes(), NodeId(0));
+        refill(&mut self.position, g.num_nodes(), 0);
+        for (i, c) in self.scc.component.iter().enumerate() {
+            let cursor = &mut self.start[c.0 as usize];
+            self.members[*cursor as usize] = NodeId(i as u32);
+            self.position[i] = *cursor;
+            *cursor += 1;
+        }
+        self.start.copy_within(0..count, 1);
+        self.start[0] = 0;
+    }
+
+    /// Compute the SCCs and the recurrences (the non-trivial SCCs) with
+    /// their RecMII, each from its own SCC-local edge list.
+    pub fn compute(&mut self, g: &Ddg, lat: &OpLatencies) {
+        self.group(g);
+        self.recs.clear();
+        for c in 0..self.scc.count {
+            if self.load(g, lat, c) {
+                let rec_mii = self.probe.subset_rec_mii();
+                self.recs.push((c as u32, rec_mii));
+            }
+        }
+    }
+
+    /// RecMII of the whole graph, exactly [`crate::mii::rec_mii`]: 1
+    /// without a loop-carried edge; the whole graph's delay sum plus one
+    /// when some zero-distance cycle has positive delay; otherwise the
+    /// largest SCC bound, since a cycle never leaves its SCC.
+    pub fn rec_mii(&mut self, g: &Ddg, lat: &OpLatencies) -> u32 {
+        let mut hi = 1i64;
+        let mut back_edge = false;
+        for (_, e) in g.edges() {
+            hi += e.delay(g.node(e.src).kind, lat).max(0);
+            back_edge |= e.distance > 0;
+        }
+        if !back_edge {
+            // No cycles possible without a loop-carried edge.
+            return 1;
+        }
+        self.group(g);
+        let mut rec_mii = 1;
+        for c in 0..self.scc.count {
+            if self.load(g, lat, c) {
+                match self.probe.bound() {
+                    Ok(bound) => rec_mii = rec_mii.max(bound),
+                    Err(_) => return hi as u32,
+                }
+            }
+        }
+        rec_mii
+    }
+
+    /// Load the edges inside component `c` into the probe, renumbered by
+    /// position in the component. Returns `false` (loading nothing) for a
+    /// trivial component: one node without a self-loop.
+    fn load(&mut self, g: &Ddg, lat: &OpLatencies, c: usize) -> bool {
+        let (begin, end) = (self.start[c], self.start[c + 1]);
+        let members = &self.members[begin as usize..end as usize];
+        if let [only] = members {
+            if !g.successors(*only).any(|s| s == *only) {
+                return false;
+            }
+        }
+        self.probe.clear(members.len());
+        for &u in members {
+            let kind = g.node(u).kind;
+            let src = self.position[u.index()] - begin;
+            for &e in g.succ_edge_ids(u) {
+                let edge = g.edge(e);
+                let dst = edge.dst.index();
+                if self.scc.component[dst].0 as usize == c {
+                    let dst = self.position[dst] - begin;
+                    self.probe
+                        .push(src, dst, edge.delay(kind, lat), edge.distance);
+                }
+            }
+        }
+        true
+    }
+
+    fn component_members(&self, c: usize) -> &[NodeId] {
+        &self.members[self.start[c] as usize..self.start[c + 1] as usize]
+    }
 }
 
 /// Earliest/latest start times of every node for a candidate II, assuming an
 /// unbounded number of resources. Used to derive scheduling priorities and
 /// the slack-based HRMS-style ordering.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AcyclicSchedule {
     /// Earliest start time (ASAP) of every node.
     pub estart: Vec<i64>,
@@ -145,12 +298,73 @@ pub struct AcyclicSchedule {
     pub lstart: Vec<i64>,
     /// Length of the critical path for this II.
     pub length: i64,
+    /// Every edge as `(src, dst, delay - ii * distance)`, in edge order.
+    relax: Vec<(u32, u32, i64)>,
 }
 
 impl AcyclicSchedule {
     /// Slack (scheduling freedom) of a node: `lstart - estart`.
     pub fn slack(&self, id: NodeId) -> i64 {
         self.lstart[id.index()] - self.estart[id.index()]
+    }
+
+    /// [`acyclic_schedule`] into this schedule's buffers.
+    ///
+    /// Edge `(u, v)` with delay `d` and distance `w` imposes
+    /// `start(v) >= start(u) + d - ii * w`; the computation is a
+    /// longest-path relaxation in edge order, at most `n` passes each way.
+    /// It converges because, for `ii >= RecMII`, the graph has no
+    /// positive-weight cycles; below RecMII it stops after `n` passes.
+    pub fn compute(&mut self, g: &Ddg, lat: &OpLatencies, ii: u32) {
+        let n = g.num_nodes();
+        let ii = ii as i64;
+        self.relax.clear();
+        self.relax.extend(g.edges().map(|(_, e)| {
+            let w = e.delay(g.node(e.src).kind, lat) - ii * e.distance as i64;
+            (e.src.0, e.dst.0, w)
+        }));
+        let estart = &mut self.estart;
+        refill(estart, n, 0);
+        // Bellman-Ford style relaxation; at most n passes.
+        for _ in 0..n.max(1) {
+            let mut changed = false;
+            for &(src, dst, w) in &self.relax {
+                let cand = estart[src as usize] + w;
+                if cand > estart[dst as usize] {
+                    estart[dst as usize] = cand;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        self.length = g
+            .nodes()
+            .map(|(id, node)| estart[id.index()] + lat.of(node.kind) as i64)
+            .max()
+            .unwrap_or(0);
+
+        // ALAP: symmetric relaxation from the sinks.
+        let lstart = &mut self.lstart;
+        lstart.clear();
+        lstart.extend(
+            g.nodes()
+                .map(|(_, node)| self.length - lat.of(node.kind) as i64),
+        );
+        for _ in 0..n.max(1) {
+            let mut changed = false;
+            for &(src, dst, w) in &self.relax {
+                let cand = lstart[dst as usize] - w;
+                if cand < lstart[src as usize] {
+                    lstart[src as usize] = cand;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
     }
 }
 
@@ -164,62 +378,19 @@ pub struct SlackInfo {
 }
 
 /// Compute ASAP / ALAP start times for the candidate initiation interval
-/// `ii` assuming unlimited resources.
-///
-/// Edge `(u, v)` with delay `d` and distance `w` imposes
-/// `start(v) >= start(u) + d - ii * w`; the computation is a longest-path
-/// relaxation which converges because, for `ii >= RecMII`, the graph has no
-/// positive-weight cycles.
+/// `ii` assuming unlimited resources (see [`AcyclicSchedule::compute`]).
 pub fn acyclic_schedule(g: &Ddg, lat: &OpLatencies, ii: u32) -> AcyclicSchedule {
-    let n = g.num_nodes();
-    let mut estart = vec![0i64; n];
-    // Bellman-Ford style relaxation; at most n passes.
-    for _ in 0..n.max(1) {
-        let mut changed = false;
-        for (_, e) in g.edges() {
-            let d = e.delay(g.node(e.src).kind, lat);
-            let cand = estart[e.src.index()] + d - (ii as i64) * e.distance as i64;
-            if cand > estart[e.dst.index()] {
-                estart[e.dst.index()] = cand;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let length = estart
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| s + lat.of(g.node(NodeId(i as u32)).kind) as i64)
-        .max()
-        .unwrap_or(0);
-
-    // ALAP: symmetric relaxation from the sinks.
-    let mut lstart: Vec<i64> = (0..n)
-        .map(|i| length - lat.of(g.node(NodeId(i as u32)).kind) as i64)
-        .collect();
-    for _ in 0..n.max(1) {
-        let mut changed = false;
-        for (_, e) in g.edges() {
-            let d = e.delay(g.node(e.src).kind, lat);
-            let cand = lstart[e.dst.index()] - d + (ii as i64) * e.distance as i64;
-            if cand < lstart[e.src.index()] {
-                lstart[e.src.index()] = cand;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    AcyclicSchedule {
-        estart,
-        lstart,
-        length,
-    }
+    let mut sched = AcyclicSchedule::default();
+    sched.compute(g, lat, ii);
+    sched
 }
 
+/// Clear `v` and refill it with `len` copies of `value`, keeping its
+/// allocation.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
 #[cfg(test)]
 mod tests {
     use super::*;

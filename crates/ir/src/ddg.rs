@@ -147,7 +147,7 @@ impl Edge {
 
 /// A data dependence graph for one innermost loop, together with the loop
 /// level metadata needed by the performance model.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Serialize, Deserialize)]
 pub struct Ddg {
     /// Human readable loop name (kernel name or synthetic id).
     pub name: String,
@@ -155,6 +155,35 @@ pub struct Ddg {
     edges: Vec<Edge>,
     succs: Vec<Vec<EdgeId>>,
     preds: Vec<Vec<EdgeId>>,
+    /// Cleared `(succs, preds)` lists of the nodes a shrinking `clone_from`
+    /// cut off, the lowest former node on top, so the next `add_node` (or a
+    /// growing `clone_from`) gets back the list that node position held.
+    /// Only `clone_from` parks lists here: `truncate`, which runs once per
+    /// II attempt, drops them.
+    spare_adjacency: Vec<(Vec<EdgeId>, Vec<EdgeId>)>,
+}
+
+// Equality and `Debug` see the graph only, not the parked spare lists.
+impl fmt::Debug for Ddg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ddg")
+            .field("name", &self.name)
+            .field("nodes", &self.nodes)
+            .field("edges", &self.edges)
+            .field("succs", &self.succs)
+            .field("preds", &self.preds)
+            .finish()
+    }
+}
+
+impl PartialEq for Ddg {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.nodes == other.nodes
+            && self.edges == other.edges
+            && self.succs == other.succs
+            && self.preds == other.preds
+    }
 }
 
 impl Clone for Ddg {
@@ -165,20 +194,42 @@ impl Clone for Ddg {
             edges: self.edges.clone(),
             succs: self.succs.clone(),
             preds: self.preds.clone(),
+            spare_adjacency: Vec::new(),
         }
     }
 
-    /// Clone `source` into `self` reusing every existing allocation
-    /// (`Vec::clone_from` truncates and refills rather than reallocating,
-    /// including the per-node adjacency vectors). The scheduler's pooled
-    /// attempt arenas lean on this to re-target a working graph at a new
-    /// loop without paying a fresh graph allocation per loop.
+    /// Clone `source` into `self` reusing every existing allocation: the
+    /// flat vectors and the surviving adjacency lists are refilled in place,
+    /// and the lists of surplus nodes are parked for the nodes added next.
+    /// The scheduler's pooled attempt arenas lean on this to re-target a
+    /// working graph at a new loop, memory-interface nodes included,
+    /// without allocating once the lists have grown to the largest loop.
     fn clone_from(&mut self, source: &Self) {
         self.name.clone_from(&source.name);
         self.nodes.clone_from(&source.nodes);
         self.edges.clone_from(&source.edges);
-        self.succs.clone_from(&source.succs);
-        self.preds.clone_from(&source.preds);
+        let n = source.succs.len();
+        if self.succs.len() > n {
+            let surplus = self.succs.drain(n..).zip(self.preds.drain(n..)).rev();
+            self.spare_adjacency.extend(surplus.map(|(mut s, mut p)| {
+                s.clear();
+                p.clear();
+                (s, p)
+            }));
+        }
+        for (dst, src) in self.succs.iter_mut().zip(&source.succs) {
+            dst.clone_from(src);
+        }
+        for (dst, src) in self.preds.iter_mut().zip(&source.preds) {
+            dst.clone_from(src);
+        }
+        for i in self.succs.len()..n {
+            let (mut s, mut p) = self.spare_adjacency.pop().unwrap_or_default();
+            s.extend_from_slice(&source.succs[i]);
+            p.extend_from_slice(&source.preds[i]);
+            self.succs.push(s);
+            self.preds.push(p);
+        }
     }
 }
 
@@ -191,6 +242,7 @@ impl Ddg {
             edges: Vec::new(),
             succs: Vec::new(),
             preds: Vec::new(),
+            spare_adjacency: Vec::new(),
         }
     }
 
@@ -257,6 +309,18 @@ impl Ddg {
             .map(move |&e| (e, &self.edges[e.index()]))
     }
 
+    /// Ids of the outgoing edges of `id`, in insertion order.
+    #[inline]
+    pub fn succ_edge_ids(&self, id: NodeId) -> &[EdgeId] {
+        &self.succs[id.index()]
+    }
+
+    /// Ids of the incoming edges of `id`, in insertion order.
+    #[inline]
+    pub fn pred_edge_ids(&self, id: NodeId) -> &[EdgeId] {
+        &self.preds[id.index()]
+    }
+
     /// Successor node ids (through any edge kind), with repetitions when
     /// connected by several edges.
     pub fn successors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
@@ -286,8 +350,9 @@ impl Ddg {
     pub fn add_node(&mut self, node: Node) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
+        let (succs, preds) = self.spare_adjacency.pop().unwrap_or_default();
+        self.succs.push(succs);
+        self.preds.push(preds);
         id
     }
 
@@ -415,9 +480,9 @@ impl Ddg {
     /// component (i.e. is part of a recurrence).
     pub fn mark_recurrences(&mut self) {
         let comps = crate::analysis::strongly_connected_components(self);
-        let mut size = std::collections::HashMap::new();
+        let mut size = vec![0usize; comps.count];
         for c in &comps.component {
-            *size.entry(*c).or_insert(0usize) += 1;
+            size[c.0 as usize] += 1;
         }
         // A single node with a self edge is also a recurrence.
         let mut self_loop = vec![false; self.nodes.len()];
@@ -428,7 +493,7 @@ impl Ddg {
         }
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let c = comps.component[i];
-            node.on_recurrence = size[&c] > 1 || self_loop[i];
+            node.on_recurrence = size[c.0 as usize] > 1 || self_loop[i];
         }
     }
 

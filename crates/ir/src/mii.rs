@@ -10,7 +10,9 @@
 //! * **RecMII** — recurrence-constrained bound: for every dependence cycle
 //!   `c`, `ceil(latency(c) / distance(c))`. It is computed here by a binary
 //!   search on the II using positive-cycle detection on the graph whose edge
-//!   weights are `delay(e) - II * distance(e)`.
+//!   weights are `delay(e) - II * distance(e)`. Every cycle lies inside one
+//!   strongly connected component, so each probe relaxes one SCC's own
+//!   edges ([`crate::analysis::RecurrenceAnalysis::rec_mii`]).
 //!
 //! On a clustered machine every operation runs on the units of one cluster,
 //! so a non-pipelined op of occupancy `occ` needs `ceil(occ / II)` unit
@@ -21,7 +23,7 @@
 //! maximum of all three bounds; on a 1-cluster machine the floor never
 //! exceeds ResMII.
 
-use crate::ddg::{Ddg, NodeId};
+use crate::ddg::Ddg;
 use crate::op::{OpKind, OpLatencies, ResourceClass};
 
 /// Resource counts available to a loop when computing ResMII.
@@ -110,82 +112,126 @@ fn div_ceil(a: u64, b: u64) -> u64 {
 }
 
 /// Recurrence-constrained lower bound on the II for the whole graph.
-pub fn rec_mii(g: &Ddg, lat: &OpLatencies) -> u32 {
-    let all: Vec<NodeId> = g.node_ids().collect();
-    rec_mii_of_subset(g, lat, &all)
-}
-
-/// RecMII restricted to a subset of nodes (used per SCC).
-pub fn rec_mii_of_subset(g: &Ddg, lat: &OpLatencies, nodes: &[NodeId]) -> u32 {
-    // Upper bound: sum of all delays of edges inside the subset (any cycle's
-    // latency is at most this), lower bound 1.
-    let mut in_set = vec![false; g.num_nodes()];
-    for n in nodes {
-        in_set[n.index()] = true;
-    }
-    let mut hi: i64 = 1;
-    let mut any_back_edge = false;
-    for (_, e) in g.edges() {
-        if in_set[e.src.index()] && in_set[e.dst.index()] {
-            hi += e.delay(g.node(e.src).kind, lat).max(0);
-            if e.distance > 0 {
-                any_back_edge = true;
-            }
-        }
-    }
-    if !any_back_edge {
-        // No cycles possible without a loop-carried edge.
-        return 1;
-    }
-    let mut lo: i64 = 1;
-    let mut hi: i64 = hi.max(1);
-    // Invariant: feasible(hi) is true, feasible(lo - 1) is false (or lo == 1).
-    if has_positive_cycle(g, lat, &in_set, hi) {
-        // Degenerate: a cycle with zero total distance (malformed graph).
-        // Return the conservative upper bound.
-        return hi as u32;
-    }
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if has_positive_cycle(g, lat, &in_set, mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo as u32
-}
-
-/// Detect whether the subgraph induced by `in_set` contains a cycle of
-/// positive weight when edge weights are `delay(e) - ii * distance(e)`.
 ///
-/// Uses Bellman-Ford-style relaxation from a virtual source connected to
-/// every node with weight 0: if any distance can still be increased after
-/// `n` full passes, a positive cycle exists.
-fn has_positive_cycle(g: &Ddg, lat: &OpLatencies, in_set: &[bool], ii: i64) -> bool {
-    let n = g.num_nodes();
-    let mut dist = vec![0i64; n];
-    for pass in 0..=n {
-        let mut changed = false;
-        for (_, e) in g.edges() {
-            if !in_set[e.src.index()] || !in_set[e.dst.index()] {
-                continue;
-            }
-            let w = e.delay(g.node(e.src).kind, lat) - ii * e.distance as i64;
-            let cand = dist[e.src.index()] + w;
-            if cand > dist[e.dst.index()] {
-                dist[e.dst.index()] = cand;
-                changed = true;
-            }
+/// Allocates its buffers; [`crate::analysis::RecurrenceAnalysis::rec_mii`]
+/// computes the same value in reusable ones.
+pub fn rec_mii(g: &Ddg, lat: &OpLatencies) -> u32 {
+    crate::analysis::RecurrenceAnalysis::default().rec_mii(g, lat)
+}
+
+/// One edge of a [`SubsetProbe`], endpoints renumbered inside the subset.
+#[derive(Debug, Clone, Copy)]
+struct ProbeEdge {
+    src: u32,
+    dst: u32,
+    delay: i64,
+    distance: i64,
+}
+
+/// The edges of one node subset (in practice one SCC), renumbered locally,
+/// and the distance vector its positive-cycle probes relax. Every probe of
+/// the RecMII binary search passes over the subset's own edges and node
+/// count only, and reuses both buffers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SubsetProbe {
+    edges: Vec<ProbeEdge>,
+    dist: Vec<i64>,
+    nodes: usize,
+    /// `1 + Σ max(delay, 0)`: no cycle of the subset is longer, so every
+    /// loop-carried cycle is non-positive at this II.
+    hi: i64,
+    back_edge: bool,
+}
+
+impl SubsetProbe {
+    /// Start loading a subset of `nodes` nodes (local ids `0..nodes`).
+    pub(crate) fn clear(&mut self, nodes: usize) {
+        self.edges.clear();
+        self.nodes = nodes;
+        self.hi = 1;
+        self.back_edge = false;
+    }
+
+    /// Add an edge between two local ids.
+    pub(crate) fn push(&mut self, src: u32, dst: u32, delay: i64, distance: u32) {
+        self.hi += delay.max(0);
+        self.back_edge |= distance > 0;
+        self.edges.push(ProbeEdge {
+            src,
+            dst,
+            delay,
+            distance: distance as i64,
+        });
+    }
+
+    /// RecMII of the loaded subset on its own: the smallest II at which it
+    /// has no cycle of positive weight `delay(e) - II * distance(e)`, 1
+    /// without a loop-carried edge, and `hi` when a zero-distance cycle of
+    /// positive delay makes every II infeasible.
+    pub(crate) fn subset_rec_mii(&mut self) -> u32 {
+        if !self.back_edge {
+            // No cycles possible without a loop-carried edge.
+            return 1;
         }
-        if !changed {
-            return false;
-        }
-        if pass == n {
-            return true;
+        match self.bound() {
+            Ok(ii) | Err(ii) => ii,
         }
     }
-    false
+
+    /// The smallest II without a positive cycle (1 without a loop-carried
+    /// edge), or `Err(hi)` when even `hi` has one: then some zero-distance
+    /// cycle has positive delay (a malformed graph) and no II is feasible.
+    pub(crate) fn bound(&mut self) -> Result<u32, u32> {
+        let mut lo: i64 = 1;
+        let mut hi: i64 = self.hi.max(1);
+        if self.has_positive_cycle(hi) {
+            // Degenerate: return the conservative upper bound.
+            return Err(hi as u32);
+        }
+        if !self.back_edge {
+            return Ok(1);
+        }
+        // Invariant: feasible(hi) is true, feasible(lo - 1) is false (or lo == 1).
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.has_positive_cycle(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(lo as u32)
+    }
+
+    /// Whether the subset has a cycle of positive weight when edge weights
+    /// are `delay(e) - ii * distance(e)`.
+    ///
+    /// Bellman-Ford-style relaxation from a virtual source connected to
+    /// every node with weight 0: if any distance can still be increased
+    /// after `nodes` full passes, a positive cycle exists. The answer does
+    /// not depend on the edge order.
+    fn has_positive_cycle(&mut self, ii: i64) -> bool {
+        let n = self.nodes;
+        self.dist.clear();
+        self.dist.resize(n, 0);
+        for pass in 0..=n {
+            let mut changed = false;
+            for e in &self.edges {
+                let cand = self.dist[e.src as usize] + e.delay - ii * e.distance;
+                if cand > self.dist[e.dst as usize] {
+                    self.dist[e.dst as usize] = cand;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return false;
+            }
+            if pass == n {
+                return true;
+            }
+        }
+        false
+    }
 }
 
 /// Combined lower bound `max(ResMII, RecMII)`.

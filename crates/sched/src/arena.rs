@@ -30,6 +30,7 @@ use crate::order::{priority_order_into, OrderScratch, PriorityOrder};
 use crate::store::PlacementStore;
 use crate::types::{Oracles, SchedulerStats};
 use crate::workgraph::WorkGraph;
+use hcrf_ir::analysis::RecurrenceAnalysis;
 use hcrf_ir::{Ddg, NodeId, OpLatencies};
 use hcrf_machine::MachineConfig;
 use hcrf_telemetry::TraceBuf;
@@ -321,6 +322,9 @@ pub struct WarmReset {
 #[derive(Debug, Default)]
 pub struct ArenaPool {
     arena: Option<AttemptArena>,
+    /// Buffers of [`crate::IterativeScheduler::mii`]'s RecMII, reused
+    /// across the pool's loops.
+    recurrences: RecurrenceAnalysis,
     rebinds: u64,
     builds: u64,
 }
@@ -350,6 +354,11 @@ impl ArenaPool {
     /// Return an arena for the next loop to reuse.
     pub fn put(&mut self, arena: AttemptArena) {
         self.arena = Some(arena);
+    }
+
+    /// The RecMII buffers [`crate::IterativeScheduler::mii`] computes in.
+    pub fn recurrences(&mut self) -> &mut RecurrenceAnalysis {
+        &mut self.recurrences
     }
 
     /// How many takes re-targeted a pooled arena instead of building.

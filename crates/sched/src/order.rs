@@ -14,9 +14,20 @@
 //!    the already-ordered set (so each node is adjacent to the ordered set
 //!    when possible), preferring nodes with the least slack;
 //! 3. ties break on graph depth and node id for determinism.
+//!
+//! The arena computes the order at the first reset of every (loop, machine)
+//! pair and again only at II restarts of graphs with a loop-carried
+//! dependence. Each computation runs the SCC/recurrence analysis and the
+//! ASAP/ALAP bounds of [`hcrf_ir::analysis`] on the working graph (loop body
+//! plus memory interface, inactive edges included) in the arena's
+//! [`OrderScratch`], and sorts with keys that are unique per item, so the
+//! unstable sorts reproduce the stable ones and nothing allocates once the
+//! buffers have grown.
 
 use crate::workgraph::WorkGraph;
-use hcrf_ir::{analysis, NodeId, OpLatencies};
+use hcrf_ir::analysis::{AcyclicSchedule, RecurrenceAnalysis};
+use hcrf_ir::{NodeId, OpLatencies};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 /// Priority order for the iterative scheduler: `order[k]` is the node to
@@ -48,10 +59,19 @@ impl PriorityOrder {
     }
 }
 
-/// Reusable scratch for [`priority_order_into`]: the attempt arena keeps one
-/// so recomputing the order across II restarts allocates nothing.
+/// Reusable scratch for [`priority_order_into`]: the attempt arena keeps one,
+/// so computing the order allocates nothing once the buffers have grown to
+/// the largest working graph — neither across II restarts nor across the
+/// loops a pooled arena is rebound to.
 #[derive(Debug, Clone, Default)]
 pub struct OrderScratch {
+    /// SCCs and recurrences of the working graph.
+    recurrences: RecurrenceAnalysis,
+    /// ASAP/ALAP bounds at the candidate II.
+    bounds: AcyclicSchedule,
+    /// Recurrence indices, most critical first.
+    by_criticality: Vec<(Reverse<u32>, u32)>,
+    members: Vec<NodeId>,
     in_order: Vec<bool>,
     frontier: VecDeque<NodeId>,
     remaining: Vec<NodeId>,
@@ -78,29 +98,48 @@ pub fn priority_order_into(
 ) {
     let g = &w.ddg;
     let n = g.num_nodes();
-    let sched = analysis::acyclic_schedule(g, lat, ii.max(1));
-    let recs = analysis::recurrences(g, lat);
+    let OrderScratch {
+        recurrences,
+        bounds,
+        by_criticality,
+        members,
+        in_order,
+        frontier,
+        remaining,
+    } = scratch;
+    bounds.compute(g, lat, ii.max(1));
+    recurrences.compute(g, lat);
+    let sched = &*bounds;
 
     let mut ordered = std::mem::take(&mut out.order);
     ordered.clear();
     ordered.reserve(n);
-    let in_order = &mut scratch.in_order;
     in_order.clear();
     in_order.resize(n, false);
 
-    // 1. Recurrences, most constrained first; inside a recurrence follow
-    //    increasing earliest start time so dependences flow forward.
-    let mut recs_sorted = recs;
-    recs_sorted.sort_by_key(|r| std::cmp::Reverse(r.rec_mii));
-    for rec in &recs_sorted {
-        let mut members: Vec<NodeId> = rec
-            .nodes
+    // 1. Recurrences, most constrained first (ties in SCC order); inside a
+    //    recurrence follow increasing earliest start time so dependences
+    //    flow forward.
+    by_criticality.clear();
+    by_criticality.extend(
+        recurrences
             .iter()
-            .copied()
-            .filter(|id| w.is_active(*id) && !in_order[id.index()])
-            .collect();
-        members.sort_by_key(|id| (sched.estart[id.index()], id.index()));
-        for m in members {
+            .enumerate()
+            .map(|(i, r)| (Reverse(r.rec_mii), i as u32)),
+    );
+    by_criticality.sort_unstable();
+    for &(_, i) in by_criticality.iter() {
+        members.clear();
+        members.extend(
+            recurrences
+                .get(i as usize)
+                .nodes
+                .iter()
+                .copied()
+                .filter(|id| w.is_active(*id) && !in_order[id.index()]),
+        );
+        members.sort_unstable_by_key(|id| (sched.estart[id.index()], id.index()));
+        for &m in members.iter() {
             in_order[m.index()] = true;
             ordered.push(m);
         }
@@ -108,7 +147,6 @@ pub fn priority_order_into(
 
     // 2. Breadth-first sweep outwards from the ordered set; if nothing is
     //    ordered yet (a DAG loop body), seed with the minimum-slack node.
-    let frontier = &mut scratch.frontier;
     frontier.clear();
     // Expand along *active* edges only: scheduler-inserted interface
     // operations (LoadR/StoreR) sit between memory operations and their FU
@@ -127,7 +165,6 @@ pub fn priority_order_into(
         push_neighbors(*o, frontier);
     }
 
-    let remaining = &mut scratch.remaining;
     remaining.clear();
     remaining.extend(
         g.node_ids()
@@ -135,10 +172,10 @@ pub fn priority_order_into(
     );
     // Sort remaining by (slack, depth) so the seed choices are deterministic
     // and critical nodes go first.
-    remaining.sort_by_key(|id| {
+    remaining.sort_unstable_by_key(|id| {
         (
             sched.slack(*id),
-            std::cmp::Reverse(sched.estart[id.index()]),
+            Reverse(sched.estart[id.index()]),
             id.index(),
         )
     });

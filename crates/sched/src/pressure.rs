@@ -248,6 +248,7 @@ pub fn pressure<P: PlacementView + ?Sized>(
 pub struct PressureTracker {
     ii: u32,
     clusters: u32,
+    /// Per-cluster row counts; only the first `clusters` rows are live.
     rows_cluster: Vec<Vec<u32>>,
     rows_shared: Vec<u32>,
     invariant_cluster: Vec<u32>,
@@ -305,7 +306,7 @@ impl PressureTracker {
     pub fn reset_for_ii(&mut self, ii: u32, num_nodes: usize) {
         let ii = ii.max(1);
         self.ii = ii;
-        for rows in &mut self.rows_cluster {
+        for rows in &mut self.rows_cluster[..self.clusters as usize] {
             rows.clear();
             rows.resize(ii as usize, 0);
         }
@@ -329,13 +330,15 @@ impl PressureTracker {
 
     /// Re-target the tracker at a new machine's cluster count and clear it
     /// for an attempt at `ii` — equivalent to [`PressureTracker::new`] but
-    /// reusing the row-vector allocations of the clusters both machines
-    /// have. Called by [`crate::store::PlacementStore::rebind`].
+    /// reusing the row-vector allocations. Rows of clusters past the new
+    /// count are kept, unread, for a later rebind to a larger machine.
+    /// Called by [`crate::store::PlacementStore::rebind`].
     pub fn rebind(&mut self, ii: u32, clusters: u32, num_nodes: usize) {
         let c = clusters as usize;
         self.clusters = clusters;
-        self.rows_cluster.truncate(c);
-        self.rows_cluster.resize_with(c, Vec::new);
+        if self.rows_cluster.len() < c {
+            self.rows_cluster.resize_with(c, Vec::new);
+        }
         self.invariant_cluster.resize(c, 0);
         self.max_cluster.resize(c, Cell::new((0, true)));
         self.reset_for_ii(ii, num_nodes);
@@ -750,9 +753,10 @@ impl PressureTracker {
 
 impl PressureQuery for PressureTracker {
     fn cluster_live(&self, c: u32) -> u32 {
-        let Some(rows) = self.rows_cluster.get(c as usize) else {
+        if c >= self.clusters {
             return 0;
-        };
+        }
+        let rows = &self.rows_cluster[c as usize];
         let (cached, valid) = self.max_cluster[c as usize].get();
         let max = if valid {
             cached

@@ -35,6 +35,7 @@ use crate::types::{
     BankAssignment, Oracles, Placement, ScheduleResult, SchedulerParams, SchedulerStats,
 };
 use crate::workgraph::WorkGraph;
+use hcrf_ir::analysis::RecurrenceAnalysis;
 use hcrf_ir::{mii as mii_mod, Ddg, DepKind, NodeId, OpKind, OpLatencies};
 use hcrf_machine::MachineConfig;
 use hcrf_telemetry::{Telemetry, TraceBuf};
@@ -237,12 +238,16 @@ impl IterativeScheduler {
     /// Compute the MII of a loop for this machine: `max(ResMII, RecMII)`
     /// raised to the per-cluster span floor ([`hcrf_ir::cluster_res_mii`]),
     /// below which some FU op fits no table, so the II ladder starts at the
-    /// first rung an attempt can win.
-    pub fn mii(&self, ddg: &Ddg) -> u32 {
+    /// first rung an attempt can win. RecMII is computed in `scratch`
+    /// (the pooled scheduler passes [`ArenaPool::recurrences`]), so a warm
+    /// scratch makes this allocation-free.
+    pub fn mii(&self, ddg: &Ddg, scratch: &mut RecurrenceAnalysis) -> u32 {
         let lat = &self.machine.latencies;
         let fus_per_cluster = ResourceCaps::from_machine(&self.machine).fus_per_cluster;
         let floor = mii_mod::cluster_res_mii(ddg, lat, fus_per_cluster);
-        mii_mod::mii(ddg, lat, self.machine.resource_counts()).max(floor)
+        mii_mod::res_mii(ddg, lat, self.machine.resource_counts())
+            .max(scratch.rec_mii(ddg, lat))
+            .max(floor)
     }
 
     /// Schedule one loop.
@@ -273,7 +278,7 @@ impl IterativeScheduler {
         pool: &mut ArenaPool,
     ) -> (ScheduleResult, PhaseTimings) {
         let lat = self.machine.latencies;
-        let mii = self.mii(ddg);
+        let mii = self.mii(ddg, pool.recurrences());
         let max_ii = self.params.max_ii;
         let mut timings = PhaseTimings::default();
         let mut stats = SchedulerStats::default();

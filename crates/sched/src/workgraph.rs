@@ -105,10 +105,14 @@ pub struct WorkGraph {
     /// stops allocating (churn-heavy ladders insert tens of thousands of
     /// chains per schedule).
     chain_pool: Vec<CommChain>,
-    /// Recycled active-adjacency lists of truncated inserted nodes.
+    /// Recycled active-adjacency lists of truncated nodes, in the order
+    /// [`WorkGraph::push_node`] pops them (see `resize_node_lists`).
     edge_list_pool: Vec<Vec<EdgeId>>,
-    /// Recycled `chains_touching` lists of truncated inserted nodes.
+    /// Recycled `chains_touching` lists of truncated nodes.
     chain_index_pool: Vec<Vec<u32>>,
+    /// Scratch of `insert_memory_interface`: the edges one memory op's
+    /// LoadR/StoreR takes over.
+    interface_edges: Vec<(EdgeId, Edge)>,
 }
 
 /// What [`WorkGraph::reset_to_pristine`] needs to restore: every container of
@@ -116,15 +120,40 @@ pub struct WorkGraph {
 /// except `edge_active` and the sorted active-adjacency lists, whose pristine
 /// prefixes can be flipped both ways by chain insertion/removal and are
 /// therefore snapshotted wholesale.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PristineMark {
     nodes: usize,
     edges: usize,
     chains: usize,
     edge_active: Vec<bool>,
-    succ_active_edges: Vec<Vec<EdgeId>>,
-    pred_active_edges: Vec<Vec<EdgeId>>,
+    succ_active_edges: FlatLists,
+    pred_active_edges: FlatLists,
     next_spill_base: u32,
+}
+
+/// Per-node edge-id lists stored back to back: node `i`'s list is
+/// `ids[start[i]..start[i + 1]]`. Refilling it reuses its two vectors, so
+/// re-marking the pristine snapshot allocates nothing at steady state.
+#[derive(Debug, Clone, Default)]
+struct FlatLists {
+    start: Vec<u32>,
+    ids: Vec<EdgeId>,
+}
+
+impl FlatLists {
+    fn fill_from(&mut self, lists: &[Vec<EdgeId>]) {
+        self.start.clear();
+        self.ids.clear();
+        self.start.push(0);
+        for l in lists {
+            self.ids.extend_from_slice(l);
+            self.start.push(self.ids.len() as u32);
+        }
+    }
+
+    fn get(&self, i: usize) -> &[EdgeId] {
+        &self.ids[self.start[i] as usize..self.start[i + 1] as usize]
+    }
 }
 
 impl WorkGraph {
@@ -132,41 +161,30 @@ impl WorkGraph {
     /// hierarchical organizations, inserts the memory-interface LoadR/StoreR
     /// operations (the paper's `G = G + LdRs + StRs` preprocessing step).
     pub fn new(original: &Ddg, machine: &MachineConfig) -> Self {
-        let hierarchical = machine.rf.is_hierarchical();
-        let clustered = matches!(machine.rf, RfOrganization::Clustered { .. });
-        let succ_active_edges = original
-            .node_ids()
-            .map(|n| original.succ_edges(n).map(|(id, _)| id).collect())
-            .collect();
-        let pred_active_edges = original
-            .node_ids()
-            .map(|n| original.pred_edges(n).map(|(id, _)| id).collect())
-            .collect();
         let mut wg = WorkGraph {
-            ddg: original.clone(),
-            node_active: vec![true; original.num_nodes()],
-            edge_active: vec![true; original.num_edges()],
-            succ_active_edges,
-            pred_active_edges,
-            spill_reload: vec![false; original.num_nodes()],
+            ddg: Ddg::new(String::new()),
+            node_active: Vec::new(),
+            edge_active: Vec::new(),
+            succ_active_edges: Vec::new(),
+            pred_active_edges: Vec::new(),
+            spill_reload: Vec::new(),
             chains: Vec::new(),
-            original_nodes: original.num_nodes(),
-            original_mem_ops: original.memory_ops(),
-            hierarchical,
-            clustered,
-            next_spill_base: 1 << 16,
+            original_nodes: 0,
+            original_mem_ops: 0,
+            hierarchical: false,
+            clustered: false,
+            next_spill_base: 0,
             pressure_dirty: Vec::new(),
-            chain_of_node: vec![None; original.num_nodes()],
-            chains_touching: vec![Vec::new(); original.num_nodes()],
+            chain_of_node: Vec::new(),
+            chains_touching: Vec::new(),
             topo_version: 0,
             pristine: None,
             chain_pool: Vec::new(),
             edge_list_pool: Vec::new(),
             chain_index_pool: Vec::new(),
+            interface_edges: Vec::new(),
         };
-        if hierarchical {
-            wg.insert_memory_interface();
-        }
+        wg.rebind(original, machine);
         wg
     }
 
@@ -174,64 +192,52 @@ impl WorkGraph {
     /// [`WorkGraph::reset_to_pristine`] restores. Call right after
     /// construction, before any communication/spill insertion: the pristine
     /// graph is the loop body plus the permanent memory-interface chains.
+    /// Re-marking (after a rebind) refills the existing snapshot in place.
     pub fn mark_pristine(&mut self) {
-        match &mut self.pristine {
-            // Re-marking (after a rebind) refills the existing snapshot in
-            // place: `clone_from` reuses the mark's vectors, including the
-            // per-node adjacency allocations.
-            Some(mark) => {
-                mark.nodes = self.ddg.num_nodes();
-                mark.edges = self.ddg.num_edges();
-                mark.chains = self.chains.len();
-                mark.edge_active.clone_from(&self.edge_active);
-                mark.succ_active_edges.clone_from(&self.succ_active_edges);
-                mark.pred_active_edges.clone_from(&self.pred_active_edges);
-                mark.next_spill_base = self.next_spill_base;
-            }
-            None => {
-                self.pristine = Some(PristineMark {
-                    nodes: self.ddg.num_nodes(),
-                    edges: self.ddg.num_edges(),
-                    chains: self.chains.len(),
-                    edge_active: self.edge_active.clone(),
-                    succ_active_edges: self.succ_active_edges.clone(),
-                    pred_active_edges: self.pred_active_edges.clone(),
-                    next_spill_base: self.next_spill_base,
-                });
-            }
-        }
+        let mark = self.pristine.get_or_insert_with(PristineMark::default);
+        mark.nodes = self.ddg.num_nodes();
+        mark.edges = self.ddg.num_edges();
+        mark.chains = self.chains.len();
+        mark.edge_active.clone_from(&self.edge_active);
+        mark.succ_active_edges.fill_from(&self.succ_active_edges);
+        mark.pred_active_edges.fill_from(&self.pred_active_edges);
+        mark.next_spill_base = self.next_spill_base;
     }
 
     /// Re-target this working graph at a *different* loop (and possibly a
     /// different machine), reusing every allocation the previous binding
-    /// grew: the cloned dependence graph, the activity vectors, the sorted
-    /// active-adjacency lists and the per-node chain indices. Semantically
-    /// equivalent to `WorkGraph::new(original, machine)` — the pooled
-    /// [`crate::arena::AttemptArena`] calls this once per loop instead of
-    /// building a fresh graph, then re-marks the pristine snapshot.
+    /// grew: the cloned dependence graph (adjacency lists included), the
+    /// activity vectors, the sorted active-adjacency lists, the per-node
+    /// chain indices and the chains themselves, which go back to the chain
+    /// pool for the memory interface to refill. [`WorkGraph::new`] is this
+    /// on an empty graph; the pooled [`crate::arena::AttemptArena`] calls
+    /// it once per loop instead of building a fresh graph, then re-marks
+    /// the pristine snapshot.
     ///
     /// The existing pristine mark (if any) describes the *previous* binding
     /// and is left untouched; callers must call [`WorkGraph::mark_pristine`]
     /// before the first reset, exactly as after `new`.
     pub fn rebind(&mut self, original: &Ddg, machine: &MachineConfig) {
-        let hierarchical = machine.rf.is_hierarchical();
-        let clustered = matches!(machine.rf, RfOrganization::Clustered { .. });
+        // Drop the last attempt's communication and spill nodes first, as a
+        // reset would: `clone_from` then parks at most the pristine graph's
+        // adjacency lists, which the memory interface below takes back,
+        // instead of holding one list pair per node ever inserted.
+        if let Some(mark) = &self.pristine {
+            self.ddg.truncate(mark.nodes, mark.edges);
+        }
         self.ddg.clone_from(original);
         let n = original.num_nodes();
-        fn refill_lists<T>(lists: &mut Vec<Vec<T>>, len: usize) {
-            lists.truncate(len);
-            for l in lists.iter_mut() {
-                l.clear();
-            }
-            lists.resize_with(len, Vec::new);
+        self.resize_node_lists(n);
+        for (i, list) in self.succ_active_edges.iter_mut().enumerate() {
+            list.clear();
+            list.extend_from_slice(original.succ_edge_ids(NodeId(i as u32)));
         }
-        refill_lists(&mut self.succ_active_edges, n);
-        refill_lists(&mut self.pred_active_edges, n);
-        for (id, list) in original.node_ids().zip(self.succ_active_edges.iter_mut()) {
-            list.extend(original.succ_edges(id).map(|(e, _)| e));
+        for (i, list) in self.pred_active_edges.iter_mut().enumerate() {
+            list.clear();
+            list.extend_from_slice(original.pred_edge_ids(NodeId(i as u32)));
         }
-        for (id, list) in original.node_ids().zip(self.pred_active_edges.iter_mut()) {
-            list.extend(original.pred_edges(id).map(|(e, _)| e));
+        for touched in &mut self.chains_touching {
+            touched.clear();
         }
         self.node_active.clear();
         self.node_active.resize(n, true);
@@ -239,19 +245,71 @@ impl WorkGraph {
         self.edge_active.resize(original.num_edges(), true);
         self.spill_reload.clear();
         self.spill_reload.resize(n, false);
-        self.chains.clear();
+        self.recycle_chains(0);
         self.original_nodes = n;
         self.original_mem_ops = original.memory_ops();
-        self.hierarchical = hierarchical;
-        self.clustered = clustered;
+        self.hierarchical = machine.rf.is_hierarchical();
+        self.clustered = matches!(machine.rf, RfOrganization::Clustered { .. });
         self.next_spill_base = 1 << 16;
         self.pressure_dirty.clear();
         self.chain_of_node.clear();
         self.chain_of_node.resize(n, None);
-        refill_lists(&mut self.chains_touching, n);
         self.topo_version += 1;
-        if hierarchical {
+        if self.hierarchical {
             self.insert_memory_interface();
+        }
+    }
+
+    /// Resize the per-node active-adjacency and chain-index lists to `len`
+    /// nodes through the pools. Surplus lists are pushed highest node first,
+    /// so each pool's top is the lowest former node and `push_node` (like the
+    /// growth here) pops them in ascending node order: every node position
+    /// gets back the lists it held before, and their capacities settle at
+    /// the largest graph instead of being shuffled between nodes.
+    fn resize_node_lists(&mut self, len: usize) {
+        if self.succ_active_edges.len() > len {
+            let surplus = self
+                .succ_active_edges
+                .drain(len..)
+                .zip(self.pred_active_edges.drain(len..))
+                .rev();
+            for (mut succ, mut pred) in surplus {
+                succ.clear();
+                pred.clear();
+                self.edge_list_pool.push(pred);
+                self.edge_list_pool.push(succ);
+            }
+            for mut touched in self.chains_touching.drain(len..).rev() {
+                touched.clear();
+                self.chain_index_pool.push(touched);
+            }
+        }
+        while self.succ_active_edges.len() < len {
+            self.push_node_lists();
+        }
+    }
+
+    /// Append one node's (empty) active-adjacency and chain-index lists,
+    /// recycled from the pools when they hold any.
+    fn push_node_lists(&mut self) {
+        self.chains_touching
+            .push(self.chain_index_pool.pop().unwrap_or_default());
+        self.succ_active_edges
+            .push(self.edge_list_pool.pop().unwrap_or_default());
+        self.pred_active_edges
+            .push(self.edge_list_pool.pop().unwrap_or_default());
+    }
+
+    /// Move the chains from index `from` on to the chain pool, emptied, the
+    /// last chain first so [`WorkGraph::take_chain`] hands chain `from` its
+    /// former shell back.
+    fn recycle_chains(&mut self, from: usize) {
+        for mut c in self.chains.drain(from..).rev() {
+            c.replaced_edges.clear();
+            c.nodes.clear();
+            c.edges.clear();
+            c.touched.clear();
+            self.chain_pool.push(c);
         }
     }
 
@@ -282,25 +340,8 @@ impl WorkGraph {
         let mark = self.pristine.as_ref().expect("mark_pristine not called");
         let (nodes, edges, chains) = (mark.nodes, mark.edges, mark.chains);
         self.topo_version += 1;
-        for mut c in self.chains.drain(chains..) {
-            c.replaced_edges.clear();
-            c.nodes.clear();
-            c.edges.clear();
-            c.touched.clear();
-            self.chain_pool.push(c);
-        }
-        for mut l in self.succ_active_edges.drain(nodes..) {
-            l.clear();
-            self.edge_list_pool.push(l);
-        }
-        for mut l in self.pred_active_edges.drain(nodes..) {
-            l.clear();
-            self.edge_list_pool.push(l);
-        }
-        for mut l in self.chains_touching.drain(nodes..) {
-            l.clear();
-            self.chain_index_pool.push(l);
-        }
+        self.recycle_chains(chains);
+        self.resize_node_lists(nodes);
         self.ddg.truncate(nodes, edges);
         self.node_active.truncate(nodes);
         debug_assert!(self.node_active.iter().all(|a| *a));
@@ -310,23 +351,16 @@ impl WorkGraph {
         for touched in &mut self.chains_touching {
             touched.clear();
         }
+        let mark = self.pristine.as_ref().expect("marked");
         self.edge_active.truncate(edges);
         self.edge_active.copy_from_slice(&mark.edge_active);
-        self.succ_active_edges.truncate(nodes);
-        for (cur, pri) in self
-            .succ_active_edges
-            .iter_mut()
-            .zip(&mark.succ_active_edges)
-        {
-            cur.clone_from(pri);
+        for (i, cur) in self.succ_active_edges.iter_mut().enumerate() {
+            cur.clear();
+            cur.extend_from_slice(mark.succ_active_edges.get(i));
         }
-        self.pred_active_edges.truncate(nodes);
-        for (cur, pri) in self
-            .pred_active_edges
-            .iter_mut()
-            .zip(&mark.pred_active_edges)
-        {
-            cur.clone_from(pri);
+        for (i, cur) in self.pred_active_edges.iter_mut().enumerate() {
+            cur.clear();
+            cur.extend_from_slice(mark.pred_active_edges.get(i));
         }
         self.next_spill_base = mark.next_spill_base;
         self.pressure_dirty.clear();
@@ -512,12 +546,7 @@ impl WorkGraph {
         self.node_active.push(true);
         self.spill_reload.push(false);
         self.chain_of_node.push(None);
-        self.chains_touching
-            .push(self.chain_index_pool.pop().unwrap_or_default());
-        self.succ_active_edges
-            .push(self.edge_list_pool.pop().unwrap_or_default());
-        self.pred_active_edges
-            .push(self.edge_list_pool.pop().unwrap_or_default());
+        self.push_node_lists();
         id
     }
 
@@ -666,100 +695,89 @@ impl WorkGraph {
     /// Insert the memory-interface operations for a hierarchical target:
     /// a LoadR after every load whose value is consumed by a FU operation and
     /// a StoreR before every store whose data is produced by a FU operation.
+    /// Chains come from the pool and the rerouted edges go through one
+    /// scratch buffer, so rebinding a warm graph allocates nothing here.
     fn insert_memory_interface(&mut self) {
-        let nodes: Vec<NodeId> = self.ddg.node_ids().collect();
-        for n in nodes {
-            let kind = self.ddg.node(n).kind;
-            match kind {
+        let mut rerouted = std::mem::take(&mut self.interface_edges);
+        for i in 0..self.ddg.num_nodes() as u32 {
+            let n = NodeId(i);
+            rerouted.clear();
+            match self.ddg.node(n).kind {
                 OpKind::Load => {
                     // Consumers that need the value in a cluster bank.
-                    let consumers: Vec<(EdgeId, Edge)> = self
-                        .ddg
-                        .succ_edges(n)
-                        .filter(|(id, e)| {
-                            self.edge_active[id.index()]
-                                && e.kind == DepKind::Flow
-                                && !matches!(self.ddg.node(e.dst).kind, OpKind::Store)
-                        })
-                        .map(|(id, e)| (id, *e))
-                        .collect();
-                    if consumers.is_empty() {
+                    rerouted.extend(
+                        self.ddg
+                            .succ_edges(n)
+                            .filter(|(id, e)| {
+                                self.edge_active[id.index()]
+                                    && e.kind == DepKind::Flow
+                                    && !matches!(self.ddg.node(e.dst).kind, OpKind::Store)
+                            })
+                            .map(|(id, e)| (id, *e)),
+                    );
+                    if rerouted.is_empty() {
                         continue;
                     }
                     let ldr = self.push_node(Node::new(OpKind::LoadR));
-                    let mut chain_edges = vec![self.push_edge(Edge {
+                    let mut ch = self.take_chain(ChainKind::MemInterface, n);
+                    ch.nodes.push(ldr);
+                    ch.edges.push(self.push_edge(Edge {
                         src: n,
                         dst: ldr,
                         kind: DepKind::Flow,
                         distance: 0,
-                    })];
-                    let mut replaced = Vec::new();
-                    for (orig, e) in &consumers {
-                        self.deactivate_edge(*orig);
-                        replaced.push(*orig);
-                        chain_edges.push(self.push_edge(Edge {
+                    }));
+                    for &(orig, e) in &rerouted {
+                        self.deactivate_edge(orig);
+                        ch.replaced_edges.push(orig);
+                        ch.edges.push(self.push_edge(Edge {
                             src: ldr,
                             dst: e.dst,
                             kind: DepKind::Flow,
                             distance: e.distance,
                         }));
                     }
-                    self.push_chain(CommChain {
-                        kind: ChainKind::MemInterface,
-                        owner: n,
-                        replaced_edges: replaced,
-                        nodes: vec![ldr],
-                        edges: chain_edges,
-                        touched: Vec::new(),
-                        active: true,
-                    });
+                    self.push_chain(ch);
                 }
                 OpKind::Store => {
-                    let producers: Vec<(EdgeId, Edge)> = self
-                        .ddg
-                        .pred_edges(n)
-                        .filter(|(id, e)| {
-                            self.edge_active[id.index()]
-                                && e.kind == DepKind::Flow
-                                && !matches!(self.ddg.node(e.src).kind, OpKind::Load)
-                        })
-                        .map(|(id, e)| (id, *e))
-                        .collect();
-                    if producers.is_empty() {
+                    rerouted.extend(
+                        self.ddg
+                            .pred_edges(n)
+                            .filter(|(id, e)| {
+                                self.edge_active[id.index()]
+                                    && e.kind == DepKind::Flow
+                                    && !matches!(self.ddg.node(e.src).kind, OpKind::Load)
+                            })
+                            .map(|(id, e)| (id, *e)),
+                    );
+                    if rerouted.is_empty() {
                         continue;
                     }
                     let str_node = self.push_node(Node::new(OpKind::StoreR));
-                    let mut chain_edges = Vec::new();
-                    let mut replaced = Vec::new();
-                    for (orig, e) in &producers {
-                        self.deactivate_edge(*orig);
-                        replaced.push(*orig);
-                        chain_edges.push(self.push_edge(Edge {
+                    let mut ch = self.take_chain(ChainKind::MemInterface, n);
+                    ch.nodes.push(str_node);
+                    for &(orig, e) in &rerouted {
+                        self.deactivate_edge(orig);
+                        ch.replaced_edges.push(orig);
+                        ch.edges.push(self.push_edge(Edge {
                             src: e.src,
                             dst: str_node,
                             kind: DepKind::Flow,
                             distance: e.distance,
                         }));
                     }
-                    chain_edges.push(self.push_edge(Edge {
+                    ch.edges.push(self.push_edge(Edge {
                         src: str_node,
                         dst: n,
                         kind: DepKind::Flow,
                         distance: 0,
                     }));
-                    self.push_chain(CommChain {
-                        kind: ChainKind::MemInterface,
-                        owner: n,
-                        replaced_edges: replaced,
-                        nodes: vec![str_node],
-                        edges: chain_edges,
-                        touched: Vec::new(),
-                        active: true,
-                    });
+                    self.push_chain(ch);
                 }
                 _ => {}
             }
         }
+        self.interface_edges = rerouted;
     }
 
     /// Insert inter-cluster communication for `edge` (a flow dependence whose
