@@ -1,23 +1,20 @@
-//! Indexed vs linear-scan victim search, arena reuse and II-ladder skipping.
+//! Indexed vs linear-scan victim search, the reference scheduler and II-ladder
+//! skipping.
 //!
-//! Three measurements:
+//! Two measurements:
 //!
-//! * `victim_search/*` — end-to-end wall time to schedule the
-//!   ejection-churn-heavy suite (see `hcrf_workloads::churn`) with the
-//!   `SlotIndex`-backed `pick_victim` against the paper-literal O(active
-//!   nodes) scan it replaced (`Oracles::linear_victim_scan`). Both policies
-//!   choose bit-identical victims (asserted by `tests/victim_equivalence.rs`
-//!   and the randomized property test), so any ratio isolates the
-//!   victim-search cost inside an otherwise identical scheduler. `4C16S64` is the configuration whose churn-heavy
-//!   loops bounded PR 2 at 1.2×; `S128` is the no-regression control.
 //! * `victim_probe/*` — the isolated victim search on a fully occupied
-//!   512-node store, where the asymptotic O(nodes) → O(row occupants) gap
-//!   is visible without the rest of the scheduler around it.
-//! * `arena_ladder/*` — on the churn suite: the persistent `AttemptArena`
-//!   against per-attempt rebuilds (`Oracles::fresh_arena`, bit-identical
-//!   schedules per `tests/ladder_equivalence.rs`), and the budget-aware
-//!   II-ladder skipping against the unit ladder (`with_unit_ladder`, never a
-//!   higher final II per `tests/warmstart_equivalence.rs`).
+//!   512-node store: the `SlotIndex`-backed `pick_victim` against the
+//!   paper-literal O(active nodes) `pick_victim_linear` scan it replaced.
+//!   Both choose bit-identical victims (asserted by the randomized property
+//!   test), and the O(nodes) → O(row occupants) gap is visible without the
+//!   rest of the scheduler around it.
+//! * `arena_ladder/*` — on the churn suite: the default scheduler against
+//!   the reference scheduler (`with_reference`: per-attempt arena rebuilds,
+//!   the linear victim scan and batch pressure, bit-identical schedules per
+//!   `tests/oracle_equivalence.rs`), and the budget-aware II-ladder skipping
+//!   against the unit ladder (`with_unit_ladder`, never a higher final II
+//!   per `tests/warmstart_equivalence.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hcrf_ir::{DdgBuilder, OpKind, OpLatencies};
@@ -25,42 +22,8 @@ use hcrf_machine::{MachineConfig, RfOrganization};
 use hcrf_sched::mrt::ResourceCaps;
 use hcrf_sched::order::priority_order;
 use hcrf_sched::workgraph::WorkGraph;
-use hcrf_sched::{IterativeScheduler, Oracles, PlacementStore, SchedulerParams};
+use hcrf_sched::{IterativeScheduler, PlacementStore, SchedulerParams};
 use hcrf_workloads::churn_suite;
-
-fn victim_search(c: &mut Criterion) {
-    let loops = churn_suite(32);
-    // Default max_ii: the churn loops climb long II ladders by design, and a
-    // handful exhaust the default cap — deterministically and identically
-    // under both policies — which keeps the bench bounded.
-    let params = SchedulerParams::default().without_schedule();
-    let mut group = c.benchmark_group("victim_search");
-    for config in ["4C16S64", "S128"] {
-        let machine = MachineConfig::paper_baseline(RfOrganization::parse(config).unwrap());
-        let indexed = IterativeScheduler::new(machine.clone(), params);
-        let linear = IterativeScheduler::new(machine, params).with_oracles(Oracles {
-            linear_victim_scan: true,
-            ..Oracles::default()
-        });
-        group.bench_with_input(BenchmarkId::new("indexed", config), &indexed, |b, s| {
-            b.iter(|| {
-                loops
-                    .iter()
-                    .map(|l| s.schedule(&l.ddg).ii as u64)
-                    .sum::<u64>()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("linear", config), &linear, |b, s| {
-            b.iter(|| {
-                loops
-                    .iter()
-                    .map(|l| s.schedule(&l.ddg).ii as u64)
-                    .sum::<u64>()
-            })
-        });
-    }
-    group.finish();
-}
 
 fn victim_probe(c: &mut Criterion) {
     // A monolithic machine (8 FUs) fully packed at II 64: 512 placed adds,
@@ -74,11 +37,7 @@ fn victim_probe(c: &mut Criterion) {
     let w = WorkGraph::new(&g, &machine);
     let caps = ResourceCaps::from_machine(&machine);
     let order = priority_order(&w, &lat, ii);
-    let oracles = Oracles {
-        batch_pressure: true,
-        ..Oracles::default()
-    };
-    let mut store = PlacementStore::new(ii, caps, g.num_nodes(), order, oracles);
+    let mut store = PlacementStore::new(ii, caps, g.num_nodes(), order);
     for (i, n) in nodes.iter().enumerate() {
         store.place(&w, *n, (i % ii as usize) as i64, 0, &lat);
     }
@@ -104,9 +63,9 @@ fn victim_probe(c: &mut Criterion) {
 }
 
 fn arena_and_ladder(c: &mut Criterion) {
-    // Each variant isolates one mechanism on the churn suite: `fresh`
-    // rebuilds WorkGraph/order/store per II attempt instead of resetting the
-    // persistent arena, and `unit_ladder` climbs the II ladder by 1 instead
+    // Each variant departs from the default in one way on the churn suite:
+    // `reference` swaps every fast path for its paper-literal counterpart
+    // (same schedules), and `unit_ladder` climbs the II ladder by 1 instead
     // of the budget-aware geometric skip (it differs only in which failing
     // rungs it pays for).
     let loops = churn_suite(32);
@@ -115,11 +74,8 @@ fn arena_and_ladder(c: &mut Criterion) {
     let variants: [(&str, IterativeScheduler); 3] = [
         ("default", IterativeScheduler::new(machine.clone(), params)),
         (
-            "fresh_arena",
-            IterativeScheduler::new(machine.clone(), params).with_oracles(Oracles {
-                fresh_arena: true,
-                ..Oracles::default()
-            }),
+            "reference",
+            IterativeScheduler::new(machine.clone(), params).with_reference(),
         ),
         (
             "unit_ladder",
@@ -150,6 +106,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = victim_search, victim_probe, arena_and_ladder
+    targets = victim_probe, arena_and_ladder
 }
 criterion_main!(benches);

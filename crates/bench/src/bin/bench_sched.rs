@@ -33,10 +33,11 @@
 //! default trajectory file (pass `--out` explicitly to write a partial
 //! document).
 //!
-//! `--ablate` then reruns the same sweeps once per [`Oracles`] flag set
-//! alone, prints each flag's wall time as a ratio of the default's, and
-//! exits 1 unless every sweep's `sum_ii` and `failed` equal the default's:
-//! a fast path whose oracle is not slower has no reason to stay.
+//! `--ablate` then reruns the same sweeps once with the reference scheduler
+//! ([`IterativeScheduler::with_reference`]: every fast path swapped for its
+//! paper-literal counterpart), prints its wall time as a ratio of the
+//! default's, and exits 1 unless every sweep's `sum_ii` and `failed` equal
+//! the default's.
 //!
 //! ```text
 //! bench_sched [--loops N] [--churn N] [--wide N] [--threads 0]
@@ -49,18 +50,13 @@ use hcrf_engine::Engine;
 use hcrf_explore::json::Json;
 use hcrf_ir::Loop;
 use hcrf_machine::{MachineConfig, RfOrganization};
-use hcrf_sched::{
-    ArenaPool, IterativeScheduler, Oracles, PhaseTimings, SchedulerParams, SchedulerStats,
-};
+use hcrf_sched::{ArenaPool, IterativeScheduler, PhaseTimings, SchedulerParams, SchedulerStats};
 use hcrf_telemetry::{Telemetry, Verbosity, DEFAULT_TRACE_CAPACITY};
 use hcrf_workloads::{churn_suite, suite::suite, wide_window_suite, SuiteParams};
 use std::path::PathBuf;
 use std::time::Instant;
 
 const CONFIGS: [&str; 4] = ["4C16S64", "S128", "4C32S16", "8C16S16"];
-
-/// The `--ablate` runs: each [`Oracles`] flag set alone.
-const ORACLE_FLAGS: [&str; 3] = ["fresh_arena", "linear_victim_scan", "batch_pressure"];
 
 struct Args {
     loops: usize,
@@ -176,13 +172,14 @@ fn run_sweep(
     loops: &[Loop],
     config: &str,
     params: SchedulerParams,
-    oracles: Oracles,
+    reference: bool,
     telemetry: &Telemetry,
 ) -> Sweep {
     let machine = MachineConfig::paper_baseline(RfOrganization::parse(config).unwrap());
-    let sched = IterativeScheduler::new(machine, params)
-        .with_oracles(oracles)
-        .with_telemetry(telemetry.clone());
+    let mut sched = IterativeScheduler::new(machine, params).with_telemetry(telemetry.clone());
+    if reference {
+        sched = sched.with_reference();
+    }
     let start = Instant::now();
     // Loops scheduled on the work-stealing engine with a pooled arena per
     // worker; the fold below walks the index-ordered results, so every
@@ -548,14 +545,7 @@ fn main() {
             if !selected(suite_name, Some(config)) {
                 continue;
             }
-            let sweep = run_sweep(
-                &engine,
-                loops,
-                config,
-                *params,
-                Oracles::default(),
-                &telemetry,
-            );
+            let sweep = run_sweep(&engine, loops, config, *params, false, &telemetry);
             defaults.push((sweep.wall_ms, sweep.sum_ii, sweep.failed));
             println!(
                 "{suite_name:>8} / {config:<8} {:>9.1} ms | {:>9} ejections | {:>5} guard trips \
@@ -586,45 +576,38 @@ fn main() {
     if args.ablate {
         let default_ms: f64 = defaults.iter().map(|d| d.0).sum();
         let mut mismatches = 0usize;
-        for flag in ORACLE_FLAGS {
-            let oracles = Oracles {
-                fresh_arena: flag == "fresh_arena",
-                linear_victim_scan: flag == "linear_victim_scan",
-                batch_pressure: flag == "batch_pressure",
-            };
-            let mut wall_ms = 0.0;
-            let mut expected = defaults.iter();
-            for (suite_name, loops, params) in &suites {
-                for config in CONFIGS {
-                    if !selected(suite_name, Some(config)) {
-                        continue;
-                    }
-                    let sweep = run_sweep(
-                        &engine,
-                        loops,
-                        config,
-                        *params,
-                        oracles,
-                        &Telemetry::disabled(),
+        let mut wall_ms = 0.0;
+        let mut expected = defaults.iter();
+        for (suite_name, loops, params) in &suites {
+            for config in CONFIGS {
+                if !selected(suite_name, Some(config)) {
+                    continue;
+                }
+                let sweep = run_sweep(
+                    &engine,
+                    loops,
+                    config,
+                    *params,
+                    true,
+                    &Telemetry::disabled(),
+                );
+                wall_ms += sweep.wall_ms;
+                let &(_, sum_ii, failed) = expected.next().expect("same sweeps");
+                if (sweep.sum_ii, sweep.failed) != (sum_ii, failed) {
+                    eprintln!(
+                        "ABLATION MISMATCH reference {suite_name}/{config}: sum_ii {} failed {} \
+                         vs the default's {sum_ii} / {failed}",
+                        sweep.sum_ii, sweep.failed
                     );
-                    wall_ms += sweep.wall_ms;
-                    let &(_, sum_ii, failed) = expected.next().expect("same sweeps");
-                    if (sweep.sum_ii, sweep.failed) != (sum_ii, failed) {
-                        eprintln!(
-                            "ABLATION MISMATCH {flag} {suite_name}/{config}: sum_ii {} failed {} \
-                             vs the default's {sum_ii} / {failed}",
-                            sweep.sum_ii, sweep.failed
-                        );
-                        mismatches += 1;
-                    }
+                    mismatches += 1;
                 }
             }
-            println!(
-                "ablate {flag:<20} {:>9.1} ms = {:.2}x the default's {default_ms:.1} ms",
-                wall_ms,
-                wall_ms / default_ms.max(1e-9),
-            );
         }
+        println!(
+            "ablate reference {:>9.1} ms = {:.2}x the default's {default_ms:.1} ms",
+            wall_ms,
+            wall_ms / default_ms.max(1e-9),
+        );
         if mismatches > 0 {
             eprintln!("bench_sched: {mismatches} ablation sweep(s) changed a result");
             std::process::exit(1);

@@ -6,10 +6,9 @@ use crate::driver::{run_suite, ConfiguredMachine, RunOptions};
 use hcrf_ir::Loop;
 use hcrf_machine::{Capacity, MachineConfig, RfOrganization};
 use hcrf_rfmodel::evaluate;
-use serde::{Deserialize, Serialize};
 
 /// One point of Figure 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Point {
     /// Number of general-purpose functional units.
     pub fus: u32,

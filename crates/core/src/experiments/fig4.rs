@@ -4,13 +4,12 @@
 
 use hcrf_ir::Loop;
 use hcrf_sched::port_profile::{cumulative_distribution, port_requirements};
-use serde::{Deserialize, Serialize};
 
 /// Clustering degrees evaluated by the figure.
 pub const CLUSTER_DEGREES: [u32; 4] = [1, 2, 4, 8];
 
 /// Distribution of port requirements for one clustering degree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Series {
     /// Number of clusters.
     pub clusters: u32,

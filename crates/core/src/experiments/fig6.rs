@@ -5,10 +5,9 @@
 use crate::driver::{run_suite, ConfiguredMachine, RunOptions};
 use crate::experiments::FIG6_CONFIGS;
 use hcrf_ir::Loop;
-use serde::{Deserialize, Serialize};
 
 /// One bar pair of Figure 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Bar {
     /// Configuration name.
     pub config: String,

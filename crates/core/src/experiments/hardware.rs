@@ -6,10 +6,9 @@
 use crate::experiments::TABLE5_CONFIGS;
 use hcrf_machine::{MachineConfig, RfOrganization};
 use hcrf_rfmodel::{evaluate_with, AnalyticRfModel, ClockModel, HardwareEval};
-use serde::{Deserialize, Serialize};
 
 /// One row of the hardware evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareRow {
     /// Configuration name.
     pub config: String,

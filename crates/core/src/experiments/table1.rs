@@ -4,13 +4,12 @@
 use crate::driver::{run_suite, ConfiguredMachine, RunOptions};
 use hcrf_ir::Loop;
 use hcrf_perf::{classify_loop, BoundClass};
-use serde::{Deserialize, Serialize};
 
 /// The three configurations the table compares (all 128 registers total).
 pub const CONFIGS: [&str; 3] = ["S128", "4C32", "1C64S64"];
 
 /// Breakdown for one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Column {
     /// Configuration name.
     pub config: String,

@@ -4,7 +4,6 @@
 use crate::driver::{run_suite, ConfiguredMachine, RunOptions};
 use hcrf_ir::Loop;
 use hcrf_machine::{Capacity, RfOrganization};
-use serde::{Deserialize, Serialize};
 
 /// The register-file shapes of Table 3 (all banks unbounded).
 pub fn configurations() -> Vec<(String, RfOrganization)> {
@@ -45,7 +44,7 @@ fn hier(clusters: u32) -> RfOrganization {
 }
 
 /// One row of Table 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table3Row {
     /// Configuration label (with ∞ marks).
     pub config: String,

@@ -4,10 +4,9 @@
 use hcrf_ir::Loop;
 use hcrf_machine::{Capacity, MachineConfig, RfOrganization};
 use hcrf_sched::{schedule_loop, schedule_loop_baseline36, SchedulerParams};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate comparison between the two schedulers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table4Summary {
     /// Loops where the baseline achieves a smaller II than MIRS_HC.
     pub baseline_better: usize,

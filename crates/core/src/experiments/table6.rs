@@ -5,10 +5,9 @@
 use crate::driver::{run_suite, ConfiguredMachine, RunOptions};
 use crate::experiments::TABLE5_CONFIGS;
 use hcrf_ir::Loop;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table6Row {
     /// Configuration name.
     pub config: String,

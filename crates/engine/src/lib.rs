@@ -55,8 +55,7 @@ use std::sync::{mpsc, Mutex};
 /// Default cap on auto-resolved workers (`threads == 0`). Sweeps are
 /// memory-bandwidth-bound well before 16 schedulers run concurrently, and
 /// an uncapped resolution on a large shared host oversubscribes it for no
-/// wall-time gain. Explicit `threads` requests are never capped; callers
-/// needing a different auto cap use [`resolve_workers_capped`].
+/// wall-time gain. Explicit `threads` requests are never capped.
 pub const DEFAULT_WORKER_CAP: usize = 16;
 
 /// Resolve a requested thread count to a concrete worker count: `0` means
@@ -65,18 +64,13 @@ pub const DEFAULT_WORKER_CAP: usize = 16;
 /// resolution logic that used to be copy-pasted across the driver and the
 /// explore executor.
 pub fn resolve_workers(requested: usize) -> usize {
-    resolve_workers_capped(requested, DEFAULT_WORKER_CAP)
-}
-
-/// [`resolve_workers`] with an explicit cap on the auto-resolved count.
-pub fn resolve_workers_capped(requested: usize, cap: usize) -> usize {
     if requested != 0 {
         return requested;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-        .min(cap.max(1))
+        .min(DEFAULT_WORKER_CAP)
 }
 
 /// Identity of one inner task as the engine hands it to the work function.
@@ -823,8 +817,6 @@ mod tests {
         assert_eq!(resolve_workers(64), 64); // explicit requests uncapped
         let auto = resolve_workers(0);
         assert!((1..=DEFAULT_WORKER_CAP).contains(&auto));
-        assert_eq!(resolve_workers_capped(0, 1), 1);
-        assert!(resolve_workers_capped(0, 0) >= 1); // cap floor
     }
 
     #[test]

@@ -195,7 +195,9 @@ mod tests {
         assert!(g.node(m).reads_invariant);
     }
 
+    // The check is a `debug_assert!`, so release builds do not panic.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn memory_op_through_op_panics_in_debug() {
         let mut b = DdgBuilder::new("bad");

@@ -1,11 +1,10 @@
 //! Data dependence graphs of innermost loops.
 
 use crate::op::{OpKind, OpLatencies};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a node (operation) in a [`Ddg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -23,7 +22,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Index of an edge (dependence) in a [`Ddg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -35,7 +34,7 @@ impl EdgeId {
 }
 
 /// The kind of a dependence edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepKind {
     /// True (read-after-write) register dependence: the consumer must start
     /// `latency(producer)` cycles after the producer.
@@ -56,7 +55,7 @@ pub enum DepKind {
 /// counts without needing the original program: `base` identifies the array,
 /// `stride` is the address increment per loop iteration and `offset`
 /// distinguishes references into the same array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
     /// Identifier of the array / memory stream being accessed.
     pub base: u32,
@@ -89,7 +88,7 @@ impl MemAccess {
 }
 
 /// A node of the dependence graph: one operation of the loop body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Kind of operation.
     pub kind: OpKind,
@@ -117,7 +116,7 @@ impl Node {
 }
 
 /// A dependence edge of the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// Source (producer) node.
     pub src: NodeId,
@@ -147,7 +146,6 @@ impl Edge {
 
 /// A data dependence graph for one innermost loop, together with the loop
 /// level metadata needed by the performance model.
-#[derive(Serialize, Deserialize)]
 pub struct Ddg {
     /// Human readable loop name (kernel name or synthetic id).
     pub name: String,
@@ -530,7 +528,7 @@ impl Ddg {
 
 /// A loop: its dependence graph plus execution metadata used by the
 /// performance model (`cycles = II * (N + (SC-1) * E) + stalls`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Loop {
     /// The dependence graph of the loop body.
     pub ddg: Ddg,

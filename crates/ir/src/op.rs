@@ -1,7 +1,5 @@
 //! Operation kinds, resource classes and latency tables.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of a loop operation.
 ///
 /// The first group (`FAdd`..`FSqrt`) executes on the general-purpose
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// * [`OpKind::LoadR`] / [`OpKind::StoreR`] — movement between a cluster bank
 ///   and the shared second-level bank in a *hierarchical* organization
 ///   (also used for spilling a cluster-bank value into the shared bank).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpKind {
     /// Floating point addition / subtraction.
     FAdd,
@@ -113,7 +111,7 @@ impl OpKind {
 }
 
 /// The hardware resource class an operation occupies during execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceClass {
     /// General purpose floating point functional unit.
     Fu,
@@ -133,7 +131,7 @@ pub enum ResourceClass {
 /// hardware model scales the nanosecond latencies of the functional units and
 /// the memory hierarchy to cycles for each register-file configuration
 /// (Table 5 of the paper), and the result is stored here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpLatencies {
     /// Latency of additions and multiplications (paper baseline: 4 cycles).
     pub fadd: u32,

@@ -3,10 +3,9 @@
 use crate::ports::{BankPorts, PortCounts};
 use crate::rf::{Capacity, RfOrganization};
 use hcrf_ir::{OpLatencies, ResourceCounts};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a first-level cluster (0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClusterId(pub u32);
 
 impl ClusterId {
@@ -20,7 +19,7 @@ impl ClusterId {
 /// A complete VLIW core configuration: computational resources, operation
 /// latencies and the register-file organization (with its inter-level port
 /// counts and movement-operation latencies).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Number of general-purpose floating point units.
     pub fu_count: u32,

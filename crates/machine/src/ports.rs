@@ -14,10 +14,9 @@
 
 use crate::config::MachineConfig;
 use crate::rf::RfOrganization;
-use serde::{Deserialize, Serialize};
 
 /// Read/write ports and capacity of one register bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankPorts {
     /// Number of 64-bit registers in the bank (`u32::MAX` when unbounded).
     pub registers: u32,
@@ -35,7 +34,7 @@ impl BankPorts {
 }
 
 /// Port description of a complete register file organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortCounts {
     /// Ports of one first-level (cluster) bank. For a monolithic
     /// organization this *is* the single register file.

@@ -1,13 +1,12 @@
 //! Register file organizations and the `xCy-Sz` notation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Capacity of a register bank: a concrete number of registers or unbounded
 /// (used in the paper's static studies, Table 3 and Figure 4, where banks are
 /// assumed infinite to isolate the scheduler behaviour).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Capacity {
     /// A bank with exactly this many registers.
     Bounded(u32),
@@ -40,7 +39,7 @@ impl fmt::Display for Capacity {
 }
 
 /// A register-file organization in the paper's `xCy-Sz` design space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RfOrganization {
     /// Monolithic (centralized) register file: `Sz`.
     Monolithic {

@@ -1,9 +1,7 @@
 //! Set-associative cache model.
 
-use serde::{Deserialize, Serialize};
-
 /// Cache geometry and latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes (paper: 32 KB).
     pub size_bytes: u32,
@@ -52,7 +50,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,

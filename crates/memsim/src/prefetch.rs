@@ -9,10 +9,9 @@
 //! iterations are excluded to keep prologues short.
 
 use hcrf_ir::{Ddg, Loop, NodeId, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Which loads are scheduled with the miss latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetchPolicy {
     /// No prefetching: every load uses the hit latency and every miss stalls.
     None,

@@ -11,10 +11,9 @@
 
 use crate::cache::{Cache, CacheConfig};
 use hcrf_ir::MemAccess;
-use serde::{Deserialize, Serialize};
 
 /// One memory operation of the scheduled kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledAccess {
     /// Issue cycle within the kernel (0 ≤ cycle < II·SC, the flat schedule).
     pub issue_cycle: u32,
@@ -29,7 +28,7 @@ pub struct ScheduledAccess {
 }
 
 /// Result of replaying a kernel through the cache model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemorySimResult {
     /// Memory accesses simulated.
     pub accesses: u64,

@@ -7,10 +7,9 @@
 
 use hcrf_ir::{rec_mii, Loop, OpLatencies};
 use hcrf_sched::ScheduleResult;
-use serde::{Deserialize, Serialize};
 
 /// What limits a loop's initiation interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BoundClass {
     /// Limited by the floating-point functional units.
     FunctionalUnits,

@@ -2,7 +2,6 @@
 
 use hcrf_ir::Loop;
 use hcrf_sched::ScheduleResult;
-use serde::{Deserialize, Serialize};
 
 /// Execution cycles of one loop: `II * (N + (SC - 1) * E) + stalls`.
 pub fn execution_cycles(result: &ScheduleResult, l: &Loop, stall_cycles: u64) -> u64 {
@@ -34,7 +33,7 @@ pub fn ipc(result: &ScheduleResult) -> f64 {
 }
 
 /// Performance of one loop under one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopPerformance {
     /// Loop name.
     pub name: String,
@@ -79,7 +78,7 @@ impl LoopPerformance {
 }
 
 /// Aggregate of a whole suite under one configuration.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SuiteAggregate {
     /// Configuration label.
     pub config: String,

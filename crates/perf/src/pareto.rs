@@ -9,10 +9,9 @@
 //! `hcrf-explore` subsystem ranks whole design spaces with it.
 
 use crate::metrics::SuiteAggregate;
-use serde::{Deserialize, Serialize};
 
 /// The four minimized objectives of one configuration under one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricBundle {
     /// Execution time of the whole suite in nanoseconds.
     pub exec_time_ns: f64,

@@ -2,7 +2,6 @@
 //! per-configuration operation latencies (Table 5, last three columns).
 
 use hcrf_ir::OpLatencies;
-use serde::{Deserialize, Serialize};
 
 /// FO4-based clock model at a given technology node.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// latencies are then re-quantised: the functional-unit and memory-hit
 /// delays are roughly constant in nanoseconds, so configurations with faster
 /// clocks need more cycles per operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockModel {
     /// Delay of one fanout-of-4 inverter, in ns (≈ 38.1 ps at 0.10 µm).
     pub fo4_ns: f64,

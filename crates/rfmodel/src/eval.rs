@@ -6,10 +6,9 @@ use crate::model::{AnalyticRfModel, BankEstimate};
 use crate::reference;
 use hcrf_ir::OpLatencies;
 use hcrf_machine::MachineConfig;
-use serde::{Deserialize, Serialize};
 
 /// Where the hardware numbers of a [`HardwareEval`] came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSource {
     /// The paper's published CACTI 3.0 values (Table 5) were used.
     PaperReference,
@@ -19,7 +18,7 @@ pub enum ModelSource {
 
 /// Complete hardware characterisation of one machine configuration
 /// (one row of Table 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareEval {
     /// Configuration name in `xCy-Sz` notation.
     pub config: String,

@@ -1,10 +1,9 @@
 //! Analytical register-file access-time and area model.
 
 use hcrf_machine::BankPorts;
-use serde::{Deserialize, Serialize};
 
 /// Access time and area estimate for one register bank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BankEstimate {
     /// Access time in nanoseconds.
     pub access_ns: f64,
@@ -25,7 +24,7 @@ pub struct BankEstimate {
 /// numbers (Tables 2 and 5); the fit favours the monotone trends over exact
 /// per-point agreement since CACTI's internal sub-banking produces step
 /// discontinuities a smooth model cannot reproduce.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyticRfModel {
     /// Fixed sense-amplifier plus drive delay (ns).
     pub t_fixed: f64,

@@ -7,10 +7,8 @@
 //! (b) the analytical model of [`crate::model`] can be validated against
 //! them (`table2_rf_model` / `table5_hardware` benches print both).
 
-use serde::{Deserialize, Serialize};
-
 /// One row of the paper's Table 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaperHardwareRow {
     /// Configuration in `xCy-Sz` notation (e.g. `"4C16S16"`).
     pub config: &'static str,

@@ -19,16 +19,16 @@
 //!   capacity grown for spill nodes of one II never leaks into the next.
 //!
 //! Every reset must leave the arena indistinguishable (for scheduling
-//! decisions) from a freshly built one: `tests/ladder_equivalence.rs`
-//! asserts bit-identical suite results against the
-//! [`Oracles::fresh_arena`] oracle, and the
-//! randomized arena property test validates the store (including the MRT
-//! free-slot totals) after every reset.
+//! decisions) from a freshly built one. The reference scheduler
+//! ([`crate::IterativeScheduler::with_reference`]) builds a fresh arena for
+//! every attempt, and `tests/oracle_equivalence.rs` asserts bit-identical
+//! suite results against it; the randomized arena property test validates
+//! the store (including the MRT free-slot totals) after every reset.
 
 use crate::mrt::ResourceCaps;
 use crate::order::{priority_order_into, OrderScratch, PriorityOrder};
 use crate::store::PlacementStore;
-use crate::types::{Oracles, SchedulerStats};
+use crate::types::SchedulerStats;
 use crate::workgraph::WorkGraph;
 use hcrf_ir::analysis::RecurrenceAnalysis;
 use hcrf_ir::{Ddg, NodeId, OpLatencies};
@@ -96,13 +96,13 @@ impl AttemptArena {
     /// Build the arena for one loop on one machine: clones the body into a
     /// working graph, marks it pristine and shapes an empty placement store.
     /// [`AttemptArena::reset`] must run before the first attempt.
-    pub fn new(ddg: &Ddg, machine: &MachineConfig, oracles: Oracles) -> Self {
+    pub fn new(ddg: &Ddg, machine: &MachineConfig) -> Self {
         let mut w = WorkGraph::new(ddg, machine);
         w.mark_pristine();
         let caps = ResourceCaps::from_machine(machine);
         let pristine_nodes = w.ddg.num_nodes();
         let order_ii_sensitive = w.has_loop_carried_deps();
-        let store = PlacementStore::new(1, caps, pristine_nodes, PriorityOrder::empty(), oracles);
+        let store = PlacementStore::new(1, caps, pristine_nodes, PriorityOrder::empty());
         AttemptArena {
             w,
             store,
@@ -132,16 +132,15 @@ impl AttemptArena {
     /// keep their capacity. Semantically equivalent to
     /// [`AttemptArena::new`]: `tests/engine_equivalence.rs` proves suite
     /// results are bit-identical whether arenas are pooled across loops,
-    /// reused within one loop, or rebuilt per attempt
-    /// ([`Oracles::fresh_arena`]).
-    pub fn rebind(&mut self, ddg: &Ddg, machine: &MachineConfig, oracles: Oracles) {
+    /// reused within one loop, or rebuilt per attempt (reference mode).
+    pub fn rebind(&mut self, ddg: &Ddg, machine: &MachineConfig) {
         self.w.rebind(ddg, machine);
         self.w.mark_pristine();
         let caps = ResourceCaps::from_machine(machine);
         self.pristine_nodes = self.w.ddg.num_nodes();
         self.order_ii_sensitive = self.w.has_loop_carried_deps();
         self.order_ready = false;
-        self.store.rebind(caps, self.pristine_nodes, oracles);
+        self.store.rebind(caps, self.pristine_nodes);
         self.budget = 0;
         self.stats = SchedulerStats::default();
         self.ii = 1;
@@ -337,16 +336,16 @@ impl ArenaPool {
 
     /// Take an arena bound to `(ddg, machine)`: rebind the pooled one when
     /// present, build a fresh one otherwise.
-    pub fn take(&mut self, ddg: &Ddg, machine: &MachineConfig, oracles: Oracles) -> AttemptArena {
+    pub fn take(&mut self, ddg: &Ddg, machine: &MachineConfig) -> AttemptArena {
         match self.arena.take() {
             Some(mut a) => {
-                a.rebind(ddg, machine, oracles);
+                a.rebind(ddg, machine);
                 self.rebinds += 1;
                 a
             }
             None => {
                 self.builds += 1;
-                AttemptArena::new(ddg, machine, oracles)
+                AttemptArena::new(ddg, machine)
             }
         }
     }
@@ -412,7 +411,7 @@ mod tests {
     #[test]
     fn spill_growth_does_not_leak_into_next_reset() {
         let machine = MachineConfig::paper_baseline(RfOrganization::parse("S16").unwrap());
-        let mut arena = AttemptArena::new(&spill_heavy(), &machine, Oracles::default());
+        let mut arena = AttemptArena::new(&spill_heavy(), &machine);
         let pristine_nodes = arena.workgraph().ddg.num_nodes();
         let pristine_edges = arena.workgraph().ddg.num_edges();
         arena.reset(3, &lat());
@@ -467,7 +466,7 @@ mod tests {
     #[test]
     fn rebind_to_new_loop_and_machine_matches_fresh_build() {
         let m1 = MachineConfig::paper_baseline(RfOrganization::parse("S16").unwrap());
-        let mut arena = AttemptArena::new(&spill_heavy(), &m1, Oracles::default());
+        let mut arena = AttemptArena::new(&spill_heavy(), &m1);
         arena.reset(3, &lat());
         // Dirty the arena exactly like a failing attempt would.
         let (w, store) = arena.parts_mut();
@@ -487,9 +486,9 @@ mod tests {
         // Re-target at a clustered-hierarchical machine and a new loop.
         let g2 = recurrence_kernel();
         let m2 = MachineConfig::paper_baseline(RfOrganization::parse("4C16S64").unwrap());
-        arena.rebind(&g2, &m2, Oracles::default());
+        arena.rebind(&g2, &m2);
         let fresh = {
-            let mut f = AttemptArena::new(&g2, &m2, Oracles::default());
+            let mut f = AttemptArena::new(&g2, &m2);
             f.reset(2, &lat());
             f
         };
@@ -543,11 +542,13 @@ mod tests {
         assert_eq!(pool.rebinds(), scheduled - 1);
     }
 
-    /// End-to-end on the spill-heavy kernel: the reused arena must schedule
-    /// it bit-identically to fresh per-attempt state (the II ladder here
-    /// discards several spill-inserting attempts before succeeding).
+    /// End-to-end on the spill-heavy kernel: the default scheduler (reused
+    /// arena, indexed victims, incremental pressure) must schedule it
+    /// bit-identically to the reference scheduler, which builds fresh
+    /// per-attempt state (the II ladder here discards several
+    /// spill-inserting attempts before succeeding).
     #[test]
-    fn spill_heavy_kernel_schedules_identically_with_arena_reuse() {
+    fn spill_heavy_kernel_schedules_identically_in_reference_mode() {
         use crate::scheduler::IterativeScheduler;
         use crate::types::SchedulerParams;
         let g = spill_heavy();
@@ -555,10 +556,7 @@ mod tests {
         let params = SchedulerParams::default();
         let reused = IterativeScheduler::new(machine.clone(), params).schedule(&g);
         let fresh = IterativeScheduler::new(machine, params)
-            .with_oracles(Oracles {
-                fresh_arena: true,
-                ..Oracles::default()
-            })
+            .with_reference()
             .schedule(&g);
         assert!(!reused.failed);
         assert!(reused.stats.ii_restarts > 1, "ladder should have restarted");

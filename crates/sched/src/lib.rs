@@ -66,7 +66,5 @@ pub use scheduler::{
     schedule_loop, schedule_loop_baseline36, IterativeScheduler, PhaseTimings, EJECTION_GUARD_LIMIT,
 };
 pub use store::{PlacementStore, SlotIndex};
-pub use types::{
-    BankAssignment, Oracles, Placement, ScheduleResult, SchedulerParams, SchedulerStats,
-};
+pub use types::{BankAssignment, Placement, ScheduleResult, SchedulerParams, SchedulerStats};
 pub use validate::{validate_schedule, validate_store};

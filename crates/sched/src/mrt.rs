@@ -29,10 +29,9 @@
 
 use hcrf_ir::{OpKind, OpLatencies, ResourceClass};
 use hcrf_machine::MachineConfig;
-use serde::{Deserialize, Serialize};
 
 /// Capacity of every resource class, per cluster where applicable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceCaps {
     /// Functional units per cluster.
     pub fus_per_cluster: u32,
@@ -467,17 +466,6 @@ impl Mrt {
     /// O(1): maintained incrementally by every place/remove.
     pub fn free_fu_slots(&self, cluster: u32) -> u32 {
         self.fu_free[cluster as usize]
-    }
-
-    /// Number of LoadR issues in the given cluster and row (Figure 4 port
-    /// profiling measures the peak over rows).
-    pub fn loadr_in_row(&self, row: u32, cluster: u32) -> u16 {
-        self.lp[row as usize * self.caps.clusters as usize + cluster as usize]
-    }
-
-    /// Number of StoreR issues in the given cluster and row.
-    pub fn storer_in_row(&self, row: u32, cluster: u32) -> u16 {
-        self.sp[row as usize * self.caps.clusters as usize + cluster as usize]
     }
 
     /// Publish a table-occupancy snapshot into the telemetry metrics

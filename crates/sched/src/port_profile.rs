@@ -11,11 +11,10 @@ use crate::scheduler::schedule_loop;
 use crate::types::{ScheduleResult, SchedulerParams};
 use hcrf_ir::{Ddg, OpKind};
 use hcrf_machine::{Capacity, MachineConfig, RfOrganization};
-use serde::{Deserialize, Serialize};
 
 /// Port requirement of one loop: the number of LoadR / StoreR ports per
 /// cluster bank the schedule needs in its busiest kernel row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortRequirement {
     /// LoadR (shared-bank read) ports needed per cluster bank.
     pub lp: u32,

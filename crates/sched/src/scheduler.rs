@@ -31,9 +31,7 @@ use crate::arena::{ArenaPool, AttemptArena};
 use crate::cluster::select_cluster;
 use crate::mrt::ResourceCaps;
 use crate::pressure::{pick_spill_candidate_from, pressure, Pressure, PressureQuery};
-use crate::types::{
-    BankAssignment, Oracles, Placement, ScheduleResult, SchedulerParams, SchedulerStats,
-};
+use crate::types::{BankAssignment, Placement, ScheduleResult, SchedulerParams, SchedulerStats};
 use crate::workgraph::WorkGraph;
 use hcrf_ir::analysis::RecurrenceAnalysis;
 use hcrf_ir::{mii as mii_mod, Ddg, DepKind, NodeId, OpKind, OpLatencies};
@@ -80,7 +78,7 @@ pub fn schedule_loop_baseline36(ddg: &Ddg, machine: &MachineConfig) -> ScheduleR
 pub struct IterativeScheduler {
     machine: MachineConfig,
     params: SchedulerParams,
-    oracles: Oracles,
+    reference: bool,
     unit_ladder: bool,
     cold_attempts: bool,
     telemetry: Telemetry,
@@ -92,8 +90,8 @@ pub struct IterativeScheduler {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
     /// Building the [`AttemptArena`] (working-graph clone + memory-interface
-    /// insertion). Once per loop under arena reuse; once per attempt under
-    /// the [`Oracles::fresh_arena`] oracle.
+    /// insertion). Once per loop by default; once per attempt in reference
+    /// mode ([`IterativeScheduler::with_reference`]).
     pub graph_build: Duration,
     /// Priority-order computation (skipped by resets when the order is
     /// II-independent).
@@ -174,7 +172,7 @@ impl IterativeScheduler {
         IterativeScheduler {
             machine,
             params,
-            oracles: Oracles::default(),
+            reference: false,
             unit_ladder: false,
             cold_attempts: false,
             telemetry: Telemetry::disabled(),
@@ -192,20 +190,19 @@ impl IterativeScheduler {
         self
     }
 
-    /// Swap each decision-invisible fast path whose flag is set for its
-    /// paper-literal oracle (see [`Oracles`]). Results are bit-identical to
-    /// the default's under any selection (the `tests/*_equivalence.rs`
-    /// oracle suites assert it); this exists so tests and benches can
-    /// cross-check and measure the fast paths one at a time or all together.
-    pub fn with_oracles(mut self, oracles: Oracles) -> Self {
-        self.oracles = oracles;
+    /// Swap every decision-invisible fast path for its paper-literal
+    /// counterpart: the reference scheduler. It builds a fresh
+    /// [`AttemptArena`] for every II attempt (never drawing from or
+    /// returning to the pool), searches victims with the O(active nodes)
+    /// [`crate::PlacementStore::pick_victim_linear`] scan, and answers every
+    /// register-pressure query from a batch [`pressure`] snapshot instead of
+    /// the incremental tracker. Results, [`SchedulerStats`] included, are
+    /// bit-identical to the default's (`tests/oracle_equivalence.rs`); this
+    /// exists so tests and `bench_sched --ablate` can cross-check and
+    /// measure the fast paths.
+    pub fn with_reference(mut self) -> Self {
+        self.reference = true;
         self
-    }
-
-    /// Run every oracle at once ([`Oracles::REFERENCE`]): the paper-literal
-    /// reference scheduler.
-    pub fn with_reference(self) -> Self {
-        self.with_oracles(Oracles::REFERENCE)
     }
 
     /// Climb the II ladder strictly one step at a time, disabling the
@@ -269,9 +266,8 @@ impl IterativeScheduler {
     /// rebind one arena's allocations instead of rebuilding per loop. The
     /// execution engine gives each worker its own pool. Pooling is
     /// decision-invisible: results are bit-identical to an empty pool's
-    /// (which this method degenerates to under the
-    /// [`Oracles::fresh_arena`] oracle — fresh builds never touch the
-    /// pool).
+    /// (which this method degenerates to in reference mode — fresh builds
+    /// never touch the pool).
     pub fn schedule_with_timings_pooled(
         &self,
         ddg: &Ddg,
@@ -503,14 +499,12 @@ impl IterativeScheduler {
             timings.publish(&self.telemetry);
             if let Some(a) = arena.as_ref() {
                 a.store.mrt().publish_metrics(&self.telemetry);
-                if !self.oracles.batch_pressure {
-                    a.store.tracker().publish_metrics(&self.telemetry);
-                }
+                a.store.tracker().publish_metrics(&self.telemetry);
             }
         }
-        // Hand the arena back for the pool's next loop. Fresh-arena oracle
-        // runs never pooled their builds, so they return nothing either.
-        if !self.oracles.fresh_arena {
+        // Hand the arena back for the pool's next loop. Reference runs never
+        // pooled their builds, so they return nothing either.
+        if !self.reference {
             if let Some(a) = arena {
                 pool.put(a);
             }
@@ -518,7 +512,7 @@ impl IterativeScheduler {
         (result, timings)
     }
 
-    /// Prepare the arena (reset, or build under the fresh-build oracle) and
+    /// Prepare the arena (reset, or build in reference mode) and
     /// run one attempt at `ii`, folding its counters and phase times into
     /// the ladder accumulators. With `warm`, the reset seeds the store by
     /// modulo-remapping the snapshot's placements instead of starting empty.
@@ -535,16 +529,16 @@ impl IterativeScheduler {
         trace: &mut TraceBuf,
         warm: Option<&[(NodeId, i64, u32)]>,
     ) -> AttemptOutcome {
-        if arena.is_none() || self.oracles.fresh_arena {
+        if arena.is_none() || self.reference {
             let t = Instant::now();
             let t0 = trace.now_ns();
-            // The fresh-arena oracle rebuilds per attempt and must stay a
-            // true from-scratch baseline, so it never draws from the pool.
-            let (a, rebound) = if self.oracles.fresh_arena {
-                (AttemptArena::new(ddg, &self.machine, self.oracles), false)
+            // Reference mode rebuilds per attempt and must stay a true
+            // from-scratch baseline, so it never draws from the pool.
+            let (a, rebound) = if self.reference {
+                (AttemptArena::new(ddg, &self.machine), false)
             } else {
                 let before = pool.rebinds();
-                let a = pool.take(ddg, &self.machine, self.oracles);
+                let a = pool.take(ddg, &self.machine);
                 (a, pool.rebinds() > before)
             };
             *arena = Some(a);
@@ -711,8 +705,8 @@ impl IterativeScheduler {
                     budget_limited: false,
                 };
             }
-            // 1. Cluster selection. In oracle mode the store discards the
-            // dirty set, so it cannot grow for the whole attempt.
+            // 1. Cluster selection, after bringing the tracker up to date
+            // with the graph rewiring of the previous pop.
             state.store.sync_pressure(&mut state.w);
             let batch = self.batch_snapshot(state, lat);
             let choice = select_cluster(
@@ -811,11 +805,11 @@ impl IterativeScheduler {
         cluster_bounded || shared_bounded
     }
 
-    /// The batch pressure snapshot of the current placements when the
-    /// `batch_pressure` oracle is on; `None` otherwise, where the store's
-    /// incremental tracker answers every query.
+    /// The batch pressure snapshot of the current placements in reference
+    /// mode; `None` otherwise, where the store's incremental tracker answers
+    /// every query.
     fn batch_snapshot(&self, state: &AttemptArena, lat: &OpLatencies) -> Option<Pressure> {
-        self.oracles.batch_pressure.then(|| {
+        self.reference.then(|| {
             pressure(
                 &state.w,
                 state.store.placements(),
@@ -1138,7 +1132,7 @@ impl IterativeScheduler {
                 state.stats.guard_trips += 1;
                 return false;
             }
-            let victim = if self.oracles.linear_victim_scan {
+            let victim = if self.reference {
                 state
                     .store
                     .pick_victim_linear(&state.w, u, kind, force_at, cluster, lat)
@@ -1447,9 +1441,9 @@ mod tests {
         assert!(hier.ii >= mono.ii);
     }
 
-    #[test]
-    fn tiny_register_file_forces_spill_code() {
-        // A wide fan of long-lived values on a tiny monolithic RF.
+    /// A wide fan of long-lived values: twelve loads consumed late by a
+    /// chain of adds, which overflows a tiny register file.
+    fn pressure_loop() -> Ddg {
         let mut b = DdgBuilder::new("pressure");
         let mut defs = Vec::new();
         for i in 0..12 {
@@ -1467,7 +1461,12 @@ mod tests {
         }
         let s = b.store(30, 8);
         b.flow(prev, s, 0);
-        let g = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn tiny_register_file_forces_spill_code() {
+        let g = pressure_loop();
         let small = machine("S16");
         let r = schedule_loop(&g, &small, &SchedulerParams::default());
         // Either spill code was inserted or the II grew well beyond MII.
@@ -1529,51 +1528,52 @@ mod tests {
         validate_schedule(&g, &m, &r).unwrap();
     }
 
-    #[test]
-    fn batch_oracle_and_incremental_agree() {
-        // The incremental tracker must not change a single scheduling
-        // decision: results are bit-identical to the batch-pressure path,
-        // including on machines that force spilling.
-        let loops = [daxpy(), recurrence_loop()];
+    /// Schedules `loops` on each config in the default and in the
+    /// reference mode, asserts the two results are bit-identical, and
+    /// returns the default results for the caller's coverage checks.
+    fn assert_default_matches_reference(loops: &[Ddg]) -> Vec<ScheduleResult> {
+        let mut out = Vec::new();
         for cfg in ["S128", "S16", "4C32", "4C16S64", "8C16S16"] {
             let m = machine(cfg);
             let params = SchedulerParams::default();
-            for g in &loops {
-                let inc = IterativeScheduler::new(m.clone(), params).schedule(g);
-                let batch = IterativeScheduler::new(m.clone(), params)
-                    .with_oracles(Oracles {
-                        batch_pressure: true,
-                        ..Oracles::default()
-                    })
+            for g in loops {
+                let fast = IterativeScheduler::new(m.clone(), params).schedule(g);
+                let reference = IterativeScheduler::new(m.clone(), params)
+                    .with_reference()
                     .schedule(g);
-                assert_eq!(inc, batch, "engines diverged on {} / {}", g.name, cfg);
+                assert_eq!(fast, reference, "diverged on {} / {}", g.name, cfg);
+                out.push(fast);
             }
         }
+        out
+    }
+
+    #[test]
+    fn batch_oracle_and_incremental_agree() {
+        // The incremental tracker must not change a single scheduling
+        // decision: results are bit-identical to the reference scheduler's,
+        // which decides from the batch pressure snapshot, including on
+        // machines that force spilling.
+        let results =
+            assert_default_matches_reference(&[daxpy(), recurrence_loop(), pressure_loop()]);
+        assert!(
+            results
+                .iter()
+                .any(|r| r.spill_loads + r.spill_stores > 0 || r.stats.budget_exhausts > 0),
+            "no pair spilled or overflowed its registers, so pressure decided nothing"
+        );
     }
 
     #[test]
     fn indexed_and_linear_victim_search_agree() {
         // The SlotIndex must not change a single scheduling decision either:
-        // results are bit-identical to the linear victim scan it replaced.
-        let loops = [daxpy(), recurrence_loop()];
-        for cfg in ["S128", "S16", "4C32", "4C16S64", "8C16S16"] {
-            let m = machine(cfg);
-            let params = SchedulerParams::default();
-            for g in &loops {
-                let indexed = IterativeScheduler::new(m.clone(), params).schedule(g);
-                let linear = IterativeScheduler::new(m.clone(), params)
-                    .with_oracles(Oracles {
-                        linear_victim_scan: true,
-                        ..Oracles::default()
-                    })
-                    .schedule(g);
-                assert_eq!(
-                    indexed, linear,
-                    "victim policies diverged on {} / {}",
-                    g.name, cfg
-                );
-            }
-        }
+        // results are bit-identical to the reference scheduler's linear
+        // victim scan.
+        let results = assert_default_matches_reference(&[daxpy(), recurrence_loop()]);
+        assert!(
+            results.iter().any(|r| r.stats.ejections > 0),
+            "no pair ejected, so the victim search was never asked"
+        );
     }
 
     #[test]

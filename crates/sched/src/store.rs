@@ -17,15 +17,14 @@
 //! backtracking victim search enumerates only the nodes actually reserving
 //! the conflicting row — O(row occupancy) — instead of walking every active
 //! node. The linear scan survives as
-//! [`PlacementStore::pick_victim_linear`], a test/bench oracle that must
-//! choose the exact same victim (`tests/property_based.rs` asserts it on
-//! randomized place/eject sequences; `tests/victim_equivalence.rs` asserts
-//! bit-identical suite results).
+//! [`PlacementStore::pick_victim_linear`], the reference scheduler's victim
+//! search, which must choose the exact same victim (`tests/property_based.rs`
+//! asserts it on randomized place/eject sequences;
+//! `tests/oracle_equivalence.rs` asserts bit-identical suite results).
 
 use crate::mrt::{Mrt, ResourceCaps};
 use crate::order::PriorityOrder;
 use crate::pressure::{PlacementView, PressureTracker};
-use crate::types::Oracles;
 use crate::workgraph::{ChainKind, WorkGraph};
 use hcrf_ir::{NodeId, OpKind, OpLatencies, ResourceClass};
 use std::cmp::Reverse;
@@ -420,10 +419,6 @@ pub struct PlacementStore {
     /// Per-node hot fields (placement + `prev_cycle`), structure-of-arrays.
     hot: Vec<NodeHot>,
     tracker: PressureTracker,
-    /// The store reads one flag, `batch_pressure`: the tracker is never
-    /// consulted, so transactions skip its maintenance, keeping the oracle
-    /// an honest recompute-the-world baseline.
-    oracles: Oracles,
     /// Rows maintained by [`PlacementStore::apply_reservation`] this attempt
     /// (MRT counts and slot-index lists moved together for each) — the
     /// event-volume side of [`crate::SchedulerStats::fused_row_updates`].
@@ -446,13 +441,7 @@ pub struct PlacementStore {
 
 impl PlacementStore {
     /// Empty store for an attempt at the given II.
-    pub fn new(
-        ii: u32,
-        caps: ResourceCaps,
-        num_nodes: usize,
-        order: PriorityOrder,
-        oracles: Oracles,
-    ) -> Self {
+    pub fn new(ii: u32, caps: ResourceCaps, num_nodes: usize, order: PriorityOrder) -> Self {
         let ii = ii.max(1);
         PlacementStore {
             ii,
@@ -460,7 +449,6 @@ impl PlacementStore {
             index: SlotIndex::new(ii, &caps),
             hot: vec![NodeHot::EMPTY; num_nodes],
             tracker: PressureTracker::new(ii, caps.clusters, num_nodes),
-            oracles,
             fused_rows: 0,
             order,
             worklist: RankQueue::default(),
@@ -473,7 +461,7 @@ impl PlacementStore {
 
     /// Clear every piece of placement state and re-shape the II-sized tables
     /// for a new attempt — equivalent to [`PlacementStore::new`] with the
-    /// same capacities and pressure mode but reusing every allocation.
+    /// same capacities but reusing every allocation.
     /// `num_nodes` is the *pristine* node count of the working graph: the
     /// per-node arrays shrink back to it, so capacity grown for
     /// spill/communication nodes of a previous II cannot leak into this one.
@@ -492,21 +480,20 @@ impl PlacementStore {
         self.worklist.clear();
     }
 
-    /// Re-target the store at a new machine's capacities (and oracles) and
+    /// Re-target the store at a new machine's capacities and
     /// clear it for a fresh II ladder — equivalent to
     /// [`PlacementStore::new`] with an empty order but reusing the MRT,
     /// slot-index, tracker and per-node array allocations. `num_nodes` is
     /// the pristine node count of the newly bound working graph. The
     /// priority order is recomputed separately by the arena's first reset
     /// (via [`PlacementStore::order_mut`]), exactly as after `new`.
-    pub fn rebind(&mut self, caps: ResourceCaps, num_nodes: usize, oracles: Oracles) {
+    pub fn rebind(&mut self, caps: ResourceCaps, num_nodes: usize) {
         self.ii = 1;
         self.mrt.rebind(1, caps);
         self.index.rebind(1, &caps);
         self.hot.clear();
         self.hot.resize(num_nodes, NodeHot::EMPTY);
         self.tracker.rebind(1, caps.clusters, num_nodes);
-        self.oracles = oracles;
         self.fused_rows = 0;
         self.worklist.clear();
     }
@@ -604,8 +591,7 @@ impl PlacementStore {
     }
 
     /// Bring the incremental tracker up to date with any graph rewiring
-    /// (chain insertion/removal) since the last query. In oracle mode the
-    /// dirty set is discarded so it cannot grow for the whole attempt.
+    /// (chain insertion/removal) since the last query.
     pub fn sync_pressure(&mut self, w: &mut WorkGraph) {
         if !w.has_pressure_dirty() {
             // Nothing rewired since the last drain — the common case on the
@@ -615,16 +601,14 @@ impl PlacementStore {
         }
         let mut dirty = std::mem::take(&mut self.dirty_scratch);
         w.swap_pressure_dirty(&mut dirty);
-        if !self.oracles.batch_pressure {
-            // One chain rewiring pushes the same def once per flow edge it
-            // touches; refresh is idempotent and order-independent, so the
-            // duplicates are pure waste — each one re-derives the def's full
-            // lifetime from its consumer edges.
-            dirty.sort_unstable_by_key(|n| n.index());
-            dirty.dedup();
-            for &n in &dirty {
-                self.tracker.refresh(w, self.hot.as_slice(), n);
-            }
+        // One chain rewiring pushes the same def once per flow edge it
+        // touches; refresh is idempotent and order-independent, so the
+        // duplicates are pure waste — each one re-derives the def's full
+        // lifetime from its consumer edges.
+        dirty.sort_unstable_by_key(|n| n.index());
+        dirty.dedup();
+        for &n in &dirty {
+            self.tracker.refresh(w, self.hot.as_slice(), n);
         }
         self.dirty_scratch = dirty;
     }
@@ -669,9 +653,7 @@ impl PlacementStore {
             cluster,
             flags: NodeHot::PLACED | NodeHot::HAS_PREV,
         };
-        if !self.oracles.batch_pressure {
-            self.tracker.touch(w, self.hot.as_slice(), n);
-        }
+        self.tracker.touch(w, self.hot.as_slice(), n);
     }
 
     /// The single unplace path shared by `eject` and chain removal: release
@@ -683,11 +665,9 @@ impl PlacementStore {
             self.apply_reservation(kind, n, cycle, cluster, lat, false);
             self.hot[n.index()].flags &= !NodeHot::PLACED;
         }
-        if !self.oracles.batch_pressure {
-            // Refresh even when the node was unplaced: chain removal
-            // deactivates nodes, which perturbs lifetimes on its own.
-            self.tracker.touch(w, self.hot.as_slice(), n);
-        }
+        // Refresh even when the node was unplaced: chain removal
+        // deactivates nodes, which perturbs lifetimes on its own.
+        self.tracker.touch(w, self.hot.as_slice(), n);
     }
 
     /// Eject a node: unplace it, push it back on the worklist and remove the
@@ -766,9 +746,10 @@ impl PlacementStore {
         self.best_victim(w, u, cands.iter().copied())
     }
 
-    /// The paper-literal O(active nodes) victim scan, kept as the oracle the
-    /// property and equivalence tests compare [`PlacementStore::pick_victim`]
-    /// against (and as the baseline of `benches/ejection.rs`).
+    /// The paper-literal O(active nodes) victim scan: the reference
+    /// scheduler's victim search, which the property and equivalence tests
+    /// compare [`PlacementStore::pick_victim`] against (and the baseline of
+    /// `benches/ejection.rs`).
     pub fn pick_victim_linear(
         &self,
         w: &WorkGraph,
@@ -980,7 +961,7 @@ mod tests {
     fn store_for(w: &WorkGraph, m: &MachineConfig, ii: u32) -> PlacementStore {
         let caps = ResourceCaps::from_machine(m);
         let order = priority_order(w, &lat(), ii);
-        PlacementStore::new(ii, caps, w.ddg.num_nodes(), order, Oracles::default())
+        PlacementStore::new(ii, caps, w.ddg.num_nodes(), order)
     }
 
     #[test]

@@ -2,10 +2,9 @@
 
 use hcrf_ir::Ddg;
 use hcrf_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 
 /// Which register bank a value lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BankAssignment {
     /// A first-level cluster bank (or the single monolithic bank).
     Cluster(u32),
@@ -14,7 +13,7 @@ pub enum BankAssignment {
 }
 
 /// Placement of one operation in the final modulo schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// Issue cycle within the flat (non-modulo) schedule, normalised so the
     /// earliest operation issues at cycle 0.
@@ -37,7 +36,7 @@ impl Placement {
 }
 
 /// Tuning knobs of the iterative scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerParams {
     /// Attempts allowed per node at a given II before giving up
     /// (the paper's *Budget Ratio*; it uses values around 5-6).
@@ -90,50 +89,11 @@ impl SchedulerParams {
     }
 }
 
-/// Oracle selection for the scheduler's decision-invisible fast paths: one
-/// flag per fast path, each swapping it for its paper-literal counterpart.
-/// Schedules and [`SchedulerStats`] equality are bit-identical for each
-/// flag alone and for all of them at once (`tests/*_equivalence.rs`;
-/// `tests/oracle_equivalence.rs` runs the full set), so the set only exists
-/// to cross-check and measure the fast paths. Each one stays because its
-/// oracle is measurably slower on the paper's own sweeps. Paths with no
-/// oracle twin have a single form in both modes: every ejection, including
-/// the dependence violators of a forced placement, is one
-/// [`crate::PlacementStore::eject`] transaction, and communication insertion
-/// walks the popped node's live neighbourhood. The default selects every
-/// fast path; [`Oracles::REFERENCE`] selects every oracle.
+/// Counters describing the work the scheduler performed. Every counter is
+/// deterministic, so equality compares all of them: the reference scheduler
+/// ([`crate::IterativeScheduler::with_reference`]) must match the default on
+/// each one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Oracles {
-    /// Rebuild the working graph, priority order and placement store for
-    /// every II attempt instead of resetting a persistent (and pooled)
-    /// [`crate::AttemptArena`].
-    pub fresh_arena: bool,
-    /// Answer victim searches with the O(active nodes) scan instead of the
-    /// [`crate::SlotIndex`] row lists.
-    pub linear_victim_scan: bool,
-    /// Recompute the batch [`crate::pressure::pressure`] snapshot for every
-    /// register-pressure query; the incremental tracker is never maintained.
-    pub batch_pressure: bool,
-}
-
-impl Oracles {
-    /// Every oracle on: the paper-literal reference scheduler.
-    pub const REFERENCE: Oracles = Oracles {
-        fresh_arena: true,
-        linear_victim_scan: true,
-        batch_pressure: true,
-    };
-}
-
-/// Counters describing the work the scheduler performed.
-///
-/// Equality is *schedule equality*, not byte equality: the pressure-refresh
-/// counters (`pressure_refreshes`, `refresh_skips`) are excluded from
-/// `PartialEq` because the batch-pressure oracle never runs the tracker at
-/// all — its results must still compare equal to incremental runs
-/// (`tests/pressure_equivalence.rs`). Every other counter, including
-/// `fused_row_updates` (a mode-independent volume metric), participates.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct SchedulerStats {
     /// Number of node scheduling attempts performed (across all IIs).
     pub attempts: u64,
@@ -148,10 +108,9 @@ pub struct SchedulerStats {
     /// gap that are attempted after all by the success-side verification
     /// scan count as restarts, not skips.
     pub ii_skips: u32,
-    /// Attempt-state preparations beyond the first: arena resets under the
-    /// default reuse policy, full rebuilds under the
-    /// [`Oracles::fresh_arena`] oracle (counted the
-    /// same so results stay bit-comparable between the two).
+    /// Attempt-state preparations beyond the first: arena resets by default,
+    /// full rebuilds in reference mode (counted the same so results stay
+    /// bit-comparable between the two).
     pub arena_resets: u32,
     /// Attempts that failed on a budget-family limit (scheduling budget,
     /// spill-round limit or a completed-but-over-capacity schedule) rather
@@ -184,37 +143,18 @@ pub struct SchedulerStats {
     /// kept their cycle and cluster through the modulo-remap.
     pub warm_nodes_retained: u64,
     /// Pressure-tracker refresh requests; every one rescans the def's
-    /// consumer edges. Zero in batch-pressure-oracle mode, where the tracker
-    /// never runs; excluded from `PartialEq` for that reason.
+    /// consumer edges. The tracker runs in every mode, so reference runs
+    /// count the same refreshes as the default.
     pub pressure_refreshes: u64,
     /// Always 0: the tracker no longer skips refresh requests, so every
     /// request counts in `pressure_refreshes`. The field stays because the
-    /// `perfbench` harness builds this struct field by field; excluded from
-    /// `PartialEq`.
+    /// `perfbench` harness builds this struct field by field.
     pub refresh_skips: u64,
     /// MRT rows maintained by place/unplace reservations (one per occupied
     /// row of each reservation) — the row traffic of the store's
     /// place/eject transactions.
     pub fused_row_updates: u64,
 }
-
-impl PartialEq for SchedulerStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.attempts == other.attempts
-            && self.ejections == other.ejections
-            && self.ii_restarts == other.ii_restarts
-            && self.ii_skips == other.ii_skips
-            && self.arena_resets == other.arena_resets
-            && self.budget_exhausts == other.budget_exhausts
-            && self.guard_trips == other.guard_trips
-            && self.infeasible_cutoffs == other.infeasible_cutoffs
-            && self.warm_starts == other.warm_starts
-            && self.warm_nodes_retained == other.warm_nodes_retained
-            && self.fused_row_updates == other.fused_row_updates
-    }
-}
-
-impl Eq for SchedulerStats {}
 
 impl SchedulerStats {
     /// Fold one attempt's counters into a ladder-level accumulator. This is
@@ -251,7 +191,7 @@ impl SchedulerStats {
 }
 
 /// Result of scheduling one loop for one machine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleResult {
     /// Loop name.
     pub loop_name: String,

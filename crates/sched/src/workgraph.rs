@@ -313,14 +313,6 @@ impl WorkGraph {
         }
     }
 
-    /// Number of nodes of the pristine graph (panics if never marked).
-    pub fn pristine_nodes(&self) -> usize {
-        self.pristine
-            .as_ref()
-            .expect("mark_pristine not called")
-            .nodes
-    }
-
     /// Undo every insertion since [`WorkGraph::mark_pristine`]: truncate the
     /// appended nodes/edges/chains, restore the snapshotted edge activity
     /// (chains can deactivate — and their removal reactivate — *pristine*
@@ -387,11 +379,6 @@ impl WorkGraph {
     /// Whether the target has a shared second-level bank.
     pub fn is_hierarchical(&self) -> bool {
         self.hierarchical
-    }
-
-    /// Whether the target is a purely clustered organization.
-    pub fn is_clustered_only(&self) -> bool {
-        self.clustered
     }
 
     /// Whether a node is currently part of the graph.

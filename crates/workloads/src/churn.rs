@@ -29,10 +29,9 @@
 use hcrf_ir::{DdgBuilder, Loop, NodeId, OpKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the churn population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnParams {
     /// Number of loops to generate.
     pub loops: usize,

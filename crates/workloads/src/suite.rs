@@ -4,10 +4,9 @@
 use crate::kernels::all_kernels;
 use crate::synthetic::{SyntheticParams, SyntheticWorkload};
 use hcrf_ir::Loop;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the evaluation suite.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteParams {
     /// Total number of loops (kernels + synthetic).
     pub total_loops: usize,

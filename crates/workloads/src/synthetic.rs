@@ -19,10 +19,9 @@
 use hcrf_ir::{DdgBuilder, Loop, NodeId, OpKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the synthetic population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticParams {
     /// Number of loops to generate.
     pub loops: usize,

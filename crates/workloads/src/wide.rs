@@ -26,10 +26,9 @@
 use hcrf_ir::{DdgBuilder, Loop, NodeId, OpKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the wide-window population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WideWindowParams {
     /// Number of loops to generate.
     pub loops: usize,

@@ -12,7 +12,7 @@
 
 use hcrf::driver::ConfiguredMachine;
 use hcrf_ir::Loop;
-use hcrf_sched::{ArenaPool, IterativeScheduler, Oracles, SchedulerParams};
+use hcrf_sched::{ArenaPool, IterativeScheduler, SchedulerParams};
 use hcrf_workloads::small_suite;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,7 +73,7 @@ fn setup_pass(
         for l in loops {
             let before = allocations();
             let mii = scheduler.mii(&l.ddg, pool.recurrences());
-            let mut arena = pool.take(&l.ddg, machine, Oracles::default());
+            let mut arena = pool.take(&l.ddg, machine);
             arena.reset(mii, &machine.latencies);
             let count = allocations() - before;
             pool.put(arena);

@@ -1,28 +1,30 @@
 //! The decision-invisible fast paths must stay bit-identical to their
-//! paper-literal oracles all together, not only one at a time:
+//! paper-literal counterparts:
 //!
-//! * the full [`Oracles::REFERENCE`] set schedules the standard, churn and
-//!   wide suites across four machine configurations to results — and
-//!   therefore `SuiteAggregate`s — bit-identical to the default scheduler's;
-//! * the reference set also matches the default on `small_suite` across all
+//! * the reference scheduler (`IterativeScheduler::with_reference`: a fresh
+//!   arena per attempt, the linear victim scan and batch pressure
+//!   snapshots) schedules the standard, churn and wide suites across four
+//!   machine configurations to results — and therefore `SuiteAggregate`s —
+//!   bit-identical to the default scheduler's, every work counter included;
+//! * the reference also matches the default on `small_suite` across all
 //!   15 Table 5 organizations, where the paper's numbers come from;
 //! * the suites actually drive pressure refreshes and MRT row maintenance,
 //!   and the always-zero `refresh_skips` counter stays zero.
 //!
-//! Each flag on its own is checked with the same harness (`tests/common`)
-//! in the file of its mechanism: `ladder_equivalence` (`fresh_arena`),
-//! `victim_equivalence` (`linear_victim_scan`) and `pressure_equivalence`
-//! (`batch_pressure`).
+//! Each mechanism is also isolated by its own unit or property test: the
+//! arena by `arena_reset_equals_fresh_build` and
+//! `rebind_to_new_loop_and_machine_matches_fresh_build`, the victim search
+//! by `slot_index_matches_scan_and_victim_policies_agree` and
+//! `indexed_victim_matches_linear_scan`, and the tracker by
+//! `incremental_pressure_matches_batch_oracle`.
 
 mod common;
 
 use common::{assert_bit_identical, churn_params, CONFIGS};
 use hcrf::driver::ConfiguredMachine;
 use hcrf::experiments::TABLE5_CONFIGS;
-use hcrf_sched::{IterativeScheduler, Oracles, SchedulerParams};
+use hcrf_sched::{IterativeScheduler, SchedulerParams};
 use hcrf_workloads::{churn_suite, small_suite, wide_window_suite};
-
-const REFERENCE: [(&str, Oracles); 1] = [("reference", Oracles::REFERENCE)];
 
 #[test]
 fn reference_bit_identical_to_default_small_suite() {
@@ -31,19 +33,12 @@ fn reference_bit_identical_to_default_small_suite() {
         SchedulerParams::default(),
         "small_suite",
         &CONFIGS,
-        &REFERENCE,
     );
 }
 
 #[test]
 fn reference_bit_identical_to_default_churn_suite() {
-    assert_bit_identical(
-        &churn_suite(6),
-        churn_params(),
-        "churn_suite",
-        &CONFIGS,
-        &REFERENCE,
-    );
+    assert_bit_identical(&churn_suite(6), churn_params(), "churn_suite", &CONFIGS);
 }
 
 #[test]
@@ -53,7 +48,6 @@ fn reference_bit_identical_to_default_wide_suite() {
         SchedulerParams::default(),
         "wide_suite",
         &CONFIGS,
-        &REFERENCE,
     );
 }
 
@@ -64,7 +58,6 @@ fn reference_bit_identical_to_default_on_table5_configs() {
         SchedulerParams::default(),
         "small_suite",
         &TABLE5_CONFIGS,
-        &REFERENCE,
     );
 }
 

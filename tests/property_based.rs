@@ -11,7 +11,7 @@ use hcrf_sched::mrt::ResourceCaps;
 use hcrf_sched::order::priority_order;
 use hcrf_sched::workgraph::WorkGraph;
 use hcrf_sched::{
-    schedule_loop, validate_schedule, validate_store, AttemptArena, Oracles, PlacementStore,
+    schedule_loop, validate_schedule, validate_store, AttemptArena, PlacementStore,
     PressureTracker, SchedulerParams,
 };
 use proptest::prelude::*;
@@ -257,7 +257,7 @@ proptest! {
         let mut w = WorkGraph::new(&ddg, &machine);
         let caps = ResourceCaps::from_machine(&machine);
         let order = priority_order(&w, &lat, ii);
-        let mut store = PlacementStore::new(ii, caps, w.ddg.num_nodes(), order, Oracles::default());
+        let mut store = PlacementStore::new(ii, caps, w.ddg.num_nodes(), order);
         store.sync_pressure(&mut w);
         let nodes: Vec<_> = w.active_nodes().collect();
         let probe_kinds = [OpKind::FAdd, OpKind::FDiv, OpKind::Load, OpKind::LoadR, OpKind::StoreR];
@@ -426,7 +426,7 @@ proptest! {
     ) {
         let lat = OpLatencies::paper_baseline();
         let machine = &machines()[which];
-        let mut arena = AttemptArena::new(&ddg, machine, Oracles::default());
+        let mut arena = AttemptArena::new(&ddg, machine);
         let pristine_nodes = arena.workgraph().ddg.num_nodes();
         let pristine_edges = arena.workgraph().ddg.num_edges();
         for ii in iis {
@@ -505,7 +505,7 @@ proptest! {
     ) {
         let lat = OpLatencies::paper_baseline();
         let machine = &machines()[which];
-        let mut arena = AttemptArena::new(&ddg, machine, Oracles::default());
+        let mut arena = AttemptArena::new(&ddg, machine);
         arena.reset(ii0, &lat);
         let (w, store) = arena.parts_mut();
         let nodes: Vec<_> = w.active_nodes().collect();

@@ -7,8 +7,8 @@
 //!
 //! * every attempt beyond a loop's first resets the arena, so
 //!   `arena_resets == ii_restarts - 1` exactly (including warm attempts,
-//!   cold retries, gap re-scan attempts, and identically under the
-//!   fresh-arena oracle);
+//!   cold retries, gap re-scan attempts, and identically in reference
+//!   mode, which rebuilds the arena for every attempt);
 //! * the ladder covers every rung from the MII to the final II either by
 //!   attempting it or by skipping it, so
 //!   `ii_restarts + ii_skips >= ii - mii + 1` for scheduled loops;
@@ -27,7 +27,7 @@
 //!   each rung exactly once.
 
 use hcrf::driver::ConfiguredMachine;
-use hcrf_sched::{IterativeScheduler, Oracles, ScheduleResult, SchedulerParams};
+use hcrf_sched::{IterativeScheduler, ScheduleResult, SchedulerParams};
 use hcrf_workloads::{churn_suite, small_suite};
 
 const CONFIGS: [&str; 4] = ["S128", "4C32S16", "8C16S16", "4C16S64"];
@@ -198,23 +198,19 @@ fn counters_stay_consistent_on_the_standard_suite() {
 }
 
 #[test]
-fn fresh_arena_oracle_counts_resets_identically() {
+fn reference_mode_counts_resets_identically() {
     let cfg = ConfiguredMachine::from_name("4C16S64").unwrap();
-    let reused = IterativeScheduler::new(cfg.machine.clone(), churn_params());
-    let fresh =
-        IterativeScheduler::new(cfg.machine.clone(), churn_params()).with_oracles(Oracles {
-            fresh_arena: true,
-            ..Oracles::default()
-        });
+    let default = IterativeScheduler::new(cfg.machine.clone(), churn_params());
+    let reference = IterativeScheduler::new(cfg.machine.clone(), churn_params()).with_reference();
     for l in churn_suite(8) {
-        let a = reused.schedule(&l.ddg);
-        let b = fresh.schedule(&l.ddg);
+        let a = default.schedule(&l.ddg);
+        let b = reference.schedule(&l.ddg);
         assert_eq!(
             a.stats, b.stats,
-            "{}: arena reuse changed the recorded stats",
+            "{}: reference mode changed the recorded stats",
             l.ddg.name
         );
-        assert_invariants(&b, &format!("fresh / {}", l.ddg.name));
+        assert_invariants(&b, &format!("reference / {}", l.ddg.name));
     }
 }
 

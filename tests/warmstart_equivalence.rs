@@ -29,7 +29,7 @@
 
 use hcrf::driver::ConfiguredMachine;
 use hcrf_ir::{OpKind, OpLatencies};
-use hcrf_sched::{validate_store, AttemptArena, IterativeScheduler, Oracles, SchedulerParams};
+use hcrf_sched::{validate_store, AttemptArena, IterativeScheduler, SchedulerParams};
 use hcrf_telemetry::Telemetry;
 use hcrf_workloads::{churn_suite, small_suite, wide_window_suite};
 
@@ -169,7 +169,7 @@ fn warm_remap_keeps_the_store_valid() {
         let cfg = ConfiguredMachine::from_name(name).unwrap();
         let clusters = cfg.machine.clusters();
         for l in churn_suite(4) {
-            let mut arena = AttemptArena::new(&l.ddg, &cfg.machine, Oracles::default());
+            let mut arena = AttemptArena::new(&l.ddg, &cfg.machine);
             let ii0 = 4u32;
             arena.reset(ii0, &lat);
             let (w, store) = arena.parts_mut();
