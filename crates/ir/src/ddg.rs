@@ -146,6 +146,7 @@ impl Edge {
 
 /// A data dependence graph for one innermost loop, together with the loop
 /// level metadata needed by the performance model.
+#[derive(Default)]
 pub struct Ddg {
     /// Human readable loop name (kernel name or synthetic id).
     pub name: String,
@@ -236,11 +237,7 @@ impl Ddg {
     pub fn new(name: impl Into<String>) -> Self {
         Ddg {
             name: name.into(),
-            nodes: Vec::new(),
-            edges: Vec::new(),
-            succs: Vec::new(),
-            preds: Vec::new(),
-            spare_adjacency: Vec::new(),
+            ..Ddg::default()
         }
     }
 

@@ -1,8 +1,8 @@
 //! Lower bounds on the initiation interval: ResMII, RecMII and the
 //! per-cluster span floor.
 //!
-//! The minimum initiation interval (MII) of a modulo schedule is
-//! `max(ResMII, RecMII)`:
+//! The minimum initiation interval (MII) of a modulo schedule is the
+//! largest of three bounds ([`mii`]):
 //!
 //! * **ResMII** — resource-constrained bound: for every resource class, the
 //!   total occupancy of the loop body divided by the machine's total number
@@ -19,26 +19,28 @@
 //! copies in some row of its cluster's table. [`cluster_res_mii`] is the
 //! smallest II at which that fits for every FU op: `ceil(occ /
 //! fus_per_cluster)`, for example 17 for a divide on a 1-FU cluster, where
-//! ResMII over the total units reports 3. The scheduler's MII is the
-//! maximum of all three bounds; on a 1-cluster machine the floor never
-//! exceeds ResMII.
+//! ResMII over the total units reports 3. On a 1-cluster machine the floor
+//! never exceeds ResMII.
 
+use crate::analysis::RecurrenceAnalysis;
 use crate::ddg::Ddg;
 use crate::op::{OpKind, OpLatencies, ResourceClass};
 
 /// Resource counts available to a loop when computing ResMII.
 ///
-/// For a clustered machine these are the *total* resources (the best any
-/// cluster assignment could do), the convention the paper follows for
-/// ResMII. They cannot see that one op's occupancy is confined to one
-/// cluster's units; that per-cluster span floor is [`cluster_res_mii`],
-/// which the scheduler folds into the MII it reports and starts its II
-/// ladder from, so "% of loops achieving MII" counts against the larger of
-/// the two.
+/// For a clustered machine `fus`, `mem_ports` and `buses` are the *total*
+/// resources (the best any cluster assignment could do), the convention the
+/// paper follows for ResMII. They cannot see that one op's occupancy is
+/// confined to one cluster's units; `fus_per_cluster` carries that, for the
+/// per-cluster span floor [`cluster_res_mii`]. [`mii`] folds both in, and
+/// the scheduler reports it and starts its II ladder from it, so "% of
+/// loops achieving MII" counts against the larger of the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceCounts {
     /// Number of general purpose floating-point units.
     pub fus: u32,
+    /// Floating-point units of one cluster (`fus` on a monolithic machine).
+    pub fus_per_cluster: u32,
     /// Number of memory (load/store) ports.
     pub mem_ports: u32,
     /// Number of inter-cluster buses (0 when not applicable / unbounded).
@@ -46,10 +48,11 @@ pub struct ResourceCounts {
 }
 
 impl ResourceCounts {
-    /// The paper's baseline: 8 FUs and 4 memory ports.
+    /// The paper's baseline: 8 FUs in one cluster and 4 memory ports.
     pub fn paper_baseline() -> Self {
         ResourceCounts {
             fus: 8,
+            fus_per_cluster: 8,
             mem_ports: 4,
             buses: 0,
         }
@@ -116,7 +119,7 @@ fn div_ceil(a: u64, b: u64) -> u64 {
 /// Allocates its buffers; [`crate::analysis::RecurrenceAnalysis::rec_mii`]
 /// computes the same value in reusable ones.
 pub fn rec_mii(g: &Ddg, lat: &OpLatencies) -> u32 {
-    crate::analysis::RecurrenceAnalysis::default().rec_mii(g, lat)
+    RecurrenceAnalysis::default().rec_mii(g, lat)
 }
 
 /// One edge of a [`SubsetProbe`], endpoints renumbered inside the subset.
@@ -234,9 +237,26 @@ impl SubsetProbe {
     }
 }
 
-/// Combined lower bound `max(ResMII, RecMII)`.
+/// The MII: `max(ResMII, RecMII)` raised to the per-cluster span floor
+/// [`cluster_res_mii`].
+///
+/// Allocates its RecMII buffers; [`mii_with`] computes the same value in
+/// reusable ones.
 pub fn mii(g: &Ddg, lat: &OpLatencies, res: ResourceCounts) -> u32 {
-    res_mii(g, lat, res).max(rec_mii(g, lat))
+    mii_with(g, lat, res, &mut RecurrenceAnalysis::default())
+}
+
+/// [`mii`] computing RecMII in the caller's `recurrences` buffers, so a warm
+/// analysis makes it allocation-free.
+pub fn mii_with(
+    g: &Ddg,
+    lat: &OpLatencies,
+    res: ResourceCounts,
+    recurrences: &mut RecurrenceAnalysis,
+) -> u32 {
+    res_mii(g, lat, res)
+        .max(recurrences.rec_mii(g, lat))
+        .max(cluster_res_mii(g, lat, res.fus_per_cluster))
 }
 
 /// Convenience: count operations by resource class.
@@ -402,6 +422,20 @@ mod tests {
         }
         let g = b.build();
         assert_eq!(mii(&g, &lat(), ResourceCounts::paper_baseline()), 5);
+    }
+
+    #[test]
+    fn mii_includes_the_cluster_span_floor() {
+        // A divide on a 1-FU cluster raises it to its span floor.
+        let mut b = DdgBuilder::new("div");
+        let _ = b.op(OpKind::FDiv);
+        let g = b.build();
+        let one_fu = ResourceCounts {
+            fus_per_cluster: 1,
+            ..ResourceCounts::paper_baseline()
+        };
+        assert_eq!(mii(&g, &lat(), ResourceCounts::paper_baseline()), 3);
+        assert_eq!(mii(&g, &lat(), one_fu), 17);
     }
 
     #[test]

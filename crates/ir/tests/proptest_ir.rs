@@ -437,19 +437,20 @@ proptest! {
         }
     }
 
-    /// MII is the max of its two components and ResMII scales down with more
-    /// resources.
+    /// MII bounds each of its three components and ResMII scales down with
+    /// more resources.
     #[test]
     fn mii_composition(g in arb_graph()) {
         let lat = OpLatencies::paper_baseline();
-        let small = ResourceCounts { fus: 2, mem_ports: 1, buses: 0 };
-        let big = ResourceCounts { fus: 16, mem_ports: 8, buses: 0 };
+        let small = ResourceCounts { fus: 2, fus_per_cluster: 2, mem_ports: 1, buses: 0 };
+        let big = ResourceCounts { fus: 16, fus_per_cluster: 16, mem_ports: 8, buses: 0 };
         let res_small = mii::res_mii(&g, &lat, small);
         let res_big = mii::res_mii(&g, &lat, big);
         prop_assert!(res_big <= res_small);
         let m = mii::mii(&g, &lat, big);
         prop_assert!(m >= res_big);
         prop_assert!(m >= mii::rec_mii(&g, &lat));
+        prop_assert!(m >= mii::cluster_res_mii(&g, &lat, big.fus_per_cluster));
     }
 }
 

@@ -176,10 +176,11 @@ impl MachineConfig {
         self.rf.shared_capacity().map(Capacity::limit)
     }
 
-    /// Resource counts used for the ResMII bound.
+    /// Resource counts used for the MII bounds.
     pub fn resource_counts(&self) -> ResourceCounts {
         ResourceCounts {
             fus: self.fu_count,
+            fus_per_cluster: self.fu_count / self.clusters(),
             mem_ports: self.mem_ports,
             buses: 0,
         }

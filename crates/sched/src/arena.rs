@@ -26,7 +26,7 @@
 //! the store (including the MRT free-slot totals) after every reset.
 
 use crate::mrt::ResourceCaps;
-use crate::order::{priority_order_into, OrderScratch, PriorityOrder};
+use crate::order::{priority_order_into, OrderScratch};
 use crate::store::PlacementStore;
 use crate::types::SchedulerStats;
 use crate::workgraph::WorkGraph;
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 /// Reusable per-attempt state: working graph, placement store, priority
 /// order and the scheduler's scratch buffers. Created once per
 /// `schedule()` call and [`AttemptArena::reset`] for every II attempt.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AttemptArena {
     /// The working graph (pristine-marked at construction).
     pub(crate) w: WorkGraph,
@@ -93,54 +93,32 @@ pub struct AttemptArena {
 }
 
 impl AttemptArena {
-    /// Build the arena for one loop on one machine: clones the body into a
-    /// working graph, marks it pristine and shapes an empty placement store.
-    /// [`AttemptArena::reset`] must run before the first attempt.
+    /// Build the arena for one loop on one machine: an empty arena
+    /// [`AttemptArena::rebind`] to the pair. [`AttemptArena::reset`] must run
+    /// before the first attempt.
     pub fn new(ddg: &Ddg, machine: &MachineConfig) -> Self {
-        let mut w = WorkGraph::new(ddg, machine);
-        w.mark_pristine();
-        let caps = ResourceCaps::from_machine(machine);
-        let pristine_nodes = w.ddg.num_nodes();
-        let order_ii_sensitive = w.has_loop_carried_deps();
-        let store = PlacementStore::new(1, caps, pristine_nodes, PriorityOrder::empty());
-        AttemptArena {
-            w,
-            store,
-            order_scratch: OrderScratch::default(),
-            order_ii_sensitive,
-            order_ready: false,
-            pristine_nodes,
-            budget: 0,
-            warm_probe: false,
-            self_ejections: 0,
-            stats: SchedulerStats::default(),
-            ii: 1,
-            violators: Vec::new(),
-            pred_bounds: Vec::new(),
-            succ_bounds: Vec::new(),
-            chain_nodes: Vec::new(),
-            trace: TraceBuf::default(),
-        }
+        let mut arena = AttemptArena::default();
+        arena.rebind(ddg, machine);
+        arena
     }
 
-    /// Re-target a used arena at a *different* loop (and possibly a
-    /// different machine), reusing every allocation it has grown:
-    /// [`WorkGraph::rebind`] refills the working graph in place,
-    /// [`PlacementStore::rebind`] re-shapes the MRT/slot-index/tracker for
-    /// the new capacities, the priority-order buffers are recomputed into by
-    /// the next [`AttemptArena::reset`], and the scheduler scratch vectors
-    /// keep their capacity. Semantically equivalent to
-    /// [`AttemptArena::new`]: `tests/engine_equivalence.rs` proves suite
-    /// results are bit-identical whether arenas are pooled across loops,
-    /// reused within one loop, or rebuilt per attempt (reference mode).
+    /// Bind the arena to a loop on a machine, reusing every allocation it
+    /// has grown: [`WorkGraph::rebind`] refills the working graph in place
+    /// and marks it pristine, [`PlacementStore::rebind`] re-shapes the
+    /// MRT/slot-index/tracker for the new capacities, the priority-order
+    /// buffers are recomputed into by the next [`AttemptArena::reset`], and
+    /// the scheduler scratch vectors keep their capacity.
+    /// `tests/engine_equivalence.rs` proves suite results are bit-identical
+    /// whether arenas are pooled across loops, reused within one loop, or
+    /// rebuilt per attempt (reference mode).
     pub fn rebind(&mut self, ddg: &Ddg, machine: &MachineConfig) {
         self.w.rebind(ddg, machine);
         self.w.mark_pristine();
-        let caps = ResourceCaps::from_machine(machine);
         self.pristine_nodes = self.w.ddg.num_nodes();
         self.order_ii_sensitive = self.w.has_loop_carried_deps();
         self.order_ready = false;
-        self.store.rebind(caps, self.pristine_nodes);
+        let caps = ResourceCaps::from_machine(machine);
+        self.store.rebind(1, caps, self.pristine_nodes);
         self.budget = 0;
         self.stats = SchedulerStats::default();
         self.ii = 1;
@@ -151,15 +129,26 @@ impl AttemptArena {
         self.trace = TraceBuf::default();
     }
 
-    /// Prepare the arena for an attempt at `ii`: restore the pristine graph
-    /// (undoing the previous attempt's communication/spill insertions),
-    /// recompute the priority order in place (skipped when the order is
-    /// II-independent and already computed), clear-and-reshape the placement
-    /// store and requeue every active node.
+    /// Prepare the arena for an attempt at `ii`: [`AttemptArena::clear_for_ii`]
+    /// and requeue every active node.
     ///
     /// Returns the time spent recomputing the order (zero when skipped), so
     /// callers can split reset cost from ordering cost in phase timings.
     pub fn reset(&mut self, ii: u32, lat: &OpLatencies) -> Duration {
+        let order_time = self.clear_for_ii(ii, lat);
+        for n in self.w.active_nodes() {
+            self.store.requeue(n);
+        }
+        order_time
+    }
+
+    /// The prefix [`AttemptArena::reset`] and [`AttemptArena::reset_warm`]
+    /// share: restore the pristine graph (undoing the previous attempt's
+    /// communication/spill insertions), clear-and-reshape the placement
+    /// store, recompute the priority order in place (skipped when the order
+    /// is II-independent and already computed) and zero the attempt's
+    /// counters. Leaves the worklist empty; returns the ordering time.
+    fn clear_for_ii(&mut self, ii: u32, lat: &OpLatencies) -> Duration {
         let ii = ii.max(1);
         self.w.reset_to_pristine();
         self.store.reset_for_ii(ii, self.pristine_nodes);
@@ -177,9 +166,6 @@ impl AttemptArena {
         } else {
             Duration::ZERO
         };
-        for n in self.w.active_nodes() {
-            self.store.requeue(n);
-        }
         self.ii = ii;
         self.budget = 0;
         self.stats = SchedulerStats::default();
@@ -202,11 +188,11 @@ impl AttemptArena {
         }
     }
 
-    /// [`AttemptArena::reset`] for a warm-started attempt: the cold reset
-    /// runs first (pristine graph, re-shaped store, priority order), then
-    /// [`PlacementStore::warm_remap`] modulo-remaps the snapshot's surviving
-    /// placements into the new MRT, and only the nodes it could not retain
-    /// are requeued. In debug builds every remap is cross-checked against
+    /// [`AttemptArena::reset`] for a warm-started attempt: after the shared
+    /// [`AttemptArena::clear_for_ii`], [`PlacementStore::warm_remap`]
+    /// modulo-remaps the snapshot's surviving placements into the new MRT,
+    /// and only the nodes it could not retain are requeued. In debug builds
+    /// every remap is cross-checked against
     /// [`PlacementStore::check_consistency`].
     pub fn reset_warm(
         &mut self,
@@ -215,23 +201,7 @@ impl AttemptArena {
         snapshot: &[(NodeId, i64, u32)],
         binding_prefetch: bool,
     ) -> WarmReset {
-        let ii = ii.max(1);
-        self.w.reset_to_pristine();
-        self.store.reset_for_ii(ii, self.pristine_nodes);
-        let order_time = if self.order_ii_sensitive || !self.order_ready {
-            let t = Instant::now();
-            priority_order_into(
-                &self.w,
-                lat,
-                ii,
-                self.store.order_mut(),
-                &mut self.order_scratch,
-            );
-            self.order_ready = true;
-            t.elapsed()
-        } else {
-            Duration::ZERO
-        };
+        let order_time = self.clear_for_ii(ii, lat);
         let t = Instant::now();
         let retained = self
             .store
@@ -242,12 +212,9 @@ impl AttemptArena {
             }
         }
         let remap_time = t.elapsed();
-        self.ii = ii;
-        self.budget = 0;
-        self.stats = SchedulerStats::default();
         #[cfg(debug_assertions)]
         if let Some(err) = self.store.check_consistency(&self.w, lat) {
-            panic!("warm remap corrupted the store at II {ii}: {err}");
+            panic!("warm remap corrupted the store at II {}: {err}", self.ii);
         }
         WarmReset {
             order_time,

@@ -31,7 +31,7 @@ use hcrf_ir::{OpKind, OpLatencies, ResourceClass};
 use hcrf_machine::MachineConfig;
 
 /// Capacity of every resource class, per cluster where applicable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceCaps {
     /// Functional units per cluster.
     pub fus_per_cluster: u32,
@@ -105,7 +105,7 @@ impl Rows<'_> {
 }
 
 /// The modulo reservation table itself.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Mrt {
     ii: u32,
     caps: ResourceCaps,
@@ -132,26 +132,14 @@ pub struct Mrt {
 impl Mrt {
     /// Create an empty table for the given II.
     pub fn new(ii: u32, caps: ResourceCaps) -> Self {
-        let ii = ii.max(1);
-        let rows = ii as usize;
-        let c = caps.clusters as usize;
-        Mrt {
-            ii,
-            caps,
-            fu: vec![0; rows * c],
-            mem: vec![0; rows * c],
-            shared_mem: vec![0; rows],
-            bus: vec![0; rows],
-            lp: vec![0; rows * c],
-            sp: vec![0; rows * c],
-            fu_free: vec![ii * caps.fus_per_cluster; c],
-        }
+        let mut mrt = Mrt::default();
+        mrt.rebind(ii, caps);
+        mrt
     }
 
-    /// Re-shape the table for a new II, clearing every row count —
-    /// equivalent to [`Mrt::new`] with the same capacities but reusing the
-    /// allocations. The attempt arena calls this once per II restart instead
-    /// of rebuilding the table.
+    /// Re-shape the table for a new II, clearing every row count but
+    /// keeping the allocations. The attempt arena calls this once per II
+    /// restart instead of rebuilding the table.
     pub fn reset_for_ii(&mut self, ii: u32) {
         let ii = ii.max(1);
         self.ii = ii;
@@ -171,9 +159,9 @@ impl Mrt {
     }
 
     /// Re-target the table at a new machine's capacities and clear it for an
-    /// attempt at `ii` — equivalent to [`Mrt::new`] but reusing every row
-    /// vector allocation. The pooled attempt arena calls this when
-    /// re-binding its store to a new (loop, machine) pair.
+    /// attempt at `ii`, reusing every row vector allocation. The pooled
+    /// attempt arena calls this when re-binding its store to a new (loop,
+    /// machine) pair.
     pub fn rebind(&mut self, ii: u32, caps: ResourceCaps) {
         self.caps = caps;
         self.reset_for_ii(ii);

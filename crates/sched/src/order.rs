@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 /// Priority order for the iterative scheduler: `order[k]` is the node to
 /// schedule at the `k`-th position; `rank[node]` is its position (lower =
 /// higher priority).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PriorityOrder {
     /// Nodes in scheduling order.
     pub order: Vec<NodeId>,
@@ -43,15 +43,6 @@ pub struct PriorityOrder {
 }
 
 impl PriorityOrder {
-    /// An empty order (every node at lowest priority). Placeholder the
-    /// attempt arena starts from before its first `reset`.
-    pub fn empty() -> Self {
-        PriorityOrder {
-            order: Vec::new(),
-            rank: Vec::new(),
-        }
-    }
-
     /// Rank of a node (lower is scheduled earlier). Nodes unknown at ordering
     /// time (inserted later) are given the lowest priority.
     pub fn rank_of(&self, n: NodeId) -> usize {
@@ -80,7 +71,7 @@ pub struct OrderScratch {
 /// Compute the priority order for the active nodes of a working graph at the
 /// given candidate II.
 pub fn priority_order(w: &WorkGraph, lat: &OpLatencies, ii: u32) -> PriorityOrder {
-    let mut out = PriorityOrder::empty();
+    let mut out = PriorityOrder::default();
     priority_order_into(w, lat, ii, &mut out, &mut OrderScratch::default());
     out
 }

@@ -244,7 +244,7 @@ pub fn pressure<P: PlacementView + ?Sized>(
 /// `place`/`eject`/`remove_chain_members`/`sync_pressure` transactions, so a
 /// new scheduler mutation path cannot forget the tracker (the oracle tests
 /// would catch it if one did).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PressureTracker {
     ii: u32,
     clusters: u32,
@@ -270,21 +270,9 @@ pub struct PressureTracker {
 impl PressureTracker {
     /// Empty tracker for a schedule attempt at the given II.
     pub fn new(ii: u32, clusters: u32, num_nodes: usize) -> Self {
-        let ii = ii.max(1);
-        PressureTracker {
-            ii,
-            clusters,
-            rows_cluster: vec![vec![0; ii as usize]; clusters as usize],
-            rows_shared: vec![0; ii as usize],
-            invariant_cluster: vec![0; clusters as usize],
-            invariant_shared: 0,
-            lifetimes: vec![None; num_nodes],
-            invariant_of: vec![None; num_nodes],
-            max_cluster: vec![Cell::new((0, true)); clusters as usize],
-            max_shared: Cell::new((0, true)),
-            scratch: Vec::new(),
-            refreshes: 0,
-        }
+        let mut tracker = PressureTracker::default();
+        tracker.rebind(ii, clusters, num_nodes);
+        tracker
     }
 
     /// Drain the count of refresh requests accumulated since the last call
@@ -299,8 +287,7 @@ impl PressureTracker {
     }
 
     /// Clear every stored lifetime, row count and cache and re-shape the row
-    /// vectors for a new II — equivalent to [`PressureTracker::new`] with the
-    /// same cluster count but reusing the allocations. `num_nodes` is the
+    /// vectors for a new II, reusing the allocations. `num_nodes` is the
     /// pristine node count: capacity grown for spill/communication nodes of
     /// the previous II attempt is released so it cannot leak into the next.
     pub fn reset_for_ii(&mut self, ii: u32, num_nodes: usize) {
@@ -329,10 +316,9 @@ impl PressureTracker {
     }
 
     /// Re-target the tracker at a new machine's cluster count and clear it
-    /// for an attempt at `ii` — equivalent to [`PressureTracker::new`] but
-    /// reusing the row-vector allocations. Rows of clusters past the new
-    /// count are kept, unread, for a later rebind to a larger machine.
-    /// Called by [`crate::store::PlacementStore::rebind`].
+    /// for an attempt at `ii`, reusing the row-vector allocations. Rows of
+    /// clusters past the new count are kept, unread, for a later rebind to a
+    /// larger machine. Called by [`crate::store::PlacementStore::rebind`].
     pub fn rebind(&mut self, ii: u32, clusters: u32, num_nodes: usize) {
         let c = clusters as usize;
         self.clusters = clusters;
@@ -935,7 +921,9 @@ mod tests {
         let clusters = 4;
         let mut place: Vec<Option<(i64, u32)>> = vec![None; w.ddg.num_nodes()];
         let mut tracker = PressureTracker::new(ii, clusters, w.ddg.num_nodes());
-        for n in w.take_pressure_dirty() {
+        let mut dirty = Vec::new();
+        w.swap_pressure_dirty(&mut dirty);
+        for n in dirty {
             tracker.refresh(&w, &place, n);
         }
         let nodes: Vec<NodeId> = w.active_nodes().collect();
@@ -974,7 +962,9 @@ mod tests {
         w.insert_communication_into(c, edge_id, &mut new_nodes);
         place.resize(w.ddg.num_nodes(), None);
         tracker.grow(w.ddg.num_nodes());
-        for n in w.take_pressure_dirty() {
+        let mut dirty = Vec::new();
+        w.swap_pressure_dirty(&mut dirty);
+        for &n in &dirty {
             tracker.refresh(&w, &place, n);
         }
         assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);
@@ -993,7 +983,8 @@ mod tests {
             place[r.index()] = None;
             tracker.touch(&w, &place, r);
         }
-        for n in w.take_pressure_dirty() {
+        w.swap_pressure_dirty(&mut dirty);
+        for n in dirty {
             tracker.refresh(&w, &place, n);
         }
         assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);

@@ -29,7 +29,6 @@
 
 use crate::arena::{ArenaPool, AttemptArena};
 use crate::cluster::select_cluster;
-use crate::mrt::ResourceCaps;
 use crate::pressure::{pick_spill_candidate_from, pressure, Pressure, PressureQuery};
 use crate::types::{BankAssignment, Placement, ScheduleResult, SchedulerParams, SchedulerStats};
 use crate::workgraph::WorkGraph;
@@ -139,31 +138,47 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Outcome of one II attempt; the attempt's counters stay in the arena.
-#[derive(Debug, Clone, Copy)]
-enum AttemptOutcome {
-    Success,
-    /// The attempt was abandoned. `budget_limited` is set when the failure
-    /// was a budget-family limit (scheduling budget, spill-round limit,
-    /// completed-but-over-capacity) rather than a structural conflict — the
-    /// signal the budget-aware ladder bases its skip stride on.
-    Exhausted {
-        budget_limited: bool,
-    },
+/// Why an II attempt was abandoned: the one way out of the attempt loop
+/// besides placing every node. The ladder reads only which family a failure
+/// belongs to; the attempt's counters stay in the arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Failure {
+    /// A budget-family limit: the scheduling budget ran out with nodes
+    /// unplaced, the spill-round limit was hit with a bank still over
+    /// capacity, or a complete schedule overflowed a bank. More work or a
+    /// slightly larger II lowers the pressure gradually, so it counts in
+    /// [`SchedulerStats::budget_exhausts`], drives the skip stride and may
+    /// seed a warm start.
+    Budget,
+    /// A structural conflict: no free slot without backtracking or in a
+    /// warm probe, an infeasible cutoff, no victim, a guard trip, the
+    /// attempt cap, or nodes left unplaced when the worklist runs dry.
+    Structural,
 }
 
-/// Outcome of the pressure-check/spill loop run after placing one node.
-enum SpillOutcome {
-    /// Every bounded bank fits, or no further spilling is possible (the
-    /// end-of-attempt capacity check has the final word); keep scheduling.
-    Continue,
-    /// The spill-round budget is exhausted with a bank still over capacity:
-    /// abandon this II promptly instead of paying pressure checks for every
-    /// remaining node of a schedule the final capacity check must reject.
-    SpillLimit,
-    /// A spill operation could not be scheduled (baseline scheduler with no
-    /// free slot); abandon the attempt.
-    ScheduleFailed,
+/// The result of one II attempt, or of one step inside it.
+type Attempt = Result<(), Failure>;
+
+/// The per-`schedule()` state of the II ladder: the loop, the pool its arena
+/// comes from, the arena of the latest attempt and the accumulators every
+/// attempt folds into.
+struct Ladder<'a> {
+    ddg: &'a Ddg,
+    pool: &'a mut ArenaPool,
+    arena: Option<AttemptArena>,
+    stats: SchedulerStats,
+    timings: PhaseTimings,
+    trace: TraceBuf,
+    /// The surviving placements of the last failed attempt, which a warm
+    /// attempt remaps into its store.
+    warm_snap: Vec<(NodeId, i64, u32)>,
+}
+
+impl Ladder<'_> {
+    /// The arena of the latest attempt.
+    fn arena(&self) -> &AttemptArena {
+        self.arena.as_ref().expect("attempt ran")
+    }
 }
 
 impl IterativeScheduler {
@@ -232,19 +247,15 @@ impl IterativeScheduler {
         &self.machine
     }
 
-    /// Compute the MII of a loop for this machine: `max(ResMII, RecMII)`
-    /// raised to the per-cluster span floor ([`hcrf_ir::cluster_res_mii`]),
-    /// below which some FU op fits no table, so the II ladder starts at the
-    /// first rung an attempt can win. RecMII is computed in `scratch`
-    /// (the pooled scheduler passes [`ArenaPool::recurrences`]), so a warm
-    /// scratch makes this allocation-free.
+    /// Compute the MII of a loop for this machine ([`hcrf_ir::mii::mii`]:
+    /// `max(ResMII, RecMII)` raised to the per-cluster span floor, below
+    /// which some FU op fits no table), so the II ladder starts at the first
+    /// rung an attempt can win. RecMII is computed in `scratch` (the pooled
+    /// scheduler passes [`ArenaPool::recurrences`]), so a warm scratch makes
+    /// this allocation-free.
     pub fn mii(&self, ddg: &Ddg, scratch: &mut RecurrenceAnalysis) -> u32 {
-        let lat = &self.machine.latencies;
-        let fus_per_cluster = ResourceCaps::from_machine(&self.machine).fus_per_cluster;
-        let floor = mii_mod::cluster_res_mii(ddg, lat, fus_per_cluster);
-        mii_mod::res_mii(ddg, lat, self.machine.resource_counts())
-            .max(scratch.rec_mii(ddg, lat))
-            .max(floor)
+        let m = &self.machine;
+        mii_mod::mii_with(ddg, &m.latencies, m.resource_counts(), scratch)
     }
 
     /// Schedule one loop.
@@ -273,14 +284,18 @@ impl IterativeScheduler {
         ddg: &Ddg,
         pool: &mut ArenaPool,
     ) -> (ScheduleResult, PhaseTimings) {
-        let lat = self.machine.latencies;
         let mii = self.mii(ddg, pool.recurrences());
         let max_ii = self.params.max_ii;
-        let mut timings = PhaseTimings::default();
-        let mut stats = SchedulerStats::default();
-        let mut arena: Option<AttemptArena> = None;
-        let mut trace = self.telemetry.trace_buf();
-        let sched_start = trace.now_ns();
+        let mut l = Ladder {
+            ddg,
+            pool,
+            arena: None,
+            stats: SchedulerStats::default(),
+            timings: PhaseTimings::default(),
+            trace: self.telemetry.trace_buf(),
+            warm_snap: Vec::new(),
+        };
+        let sched_start = l.trace.now_ns();
         let mut ii = mii.max(1);
         // Budget-aware ladder state: the last failed II (low end of a
         // potential skip gap) and the streak of consecutive budget-limited
@@ -288,104 +303,48 @@ impl IterativeScheduler {
         let mut last_failed: Option<u32> = None;
         let mut streak = 0u32;
         let mut found: Option<ScheduleResult> = None;
-        // Warm-start state: the surviving placements of the previous failed
-        // attempt, remapped into the next rung's store when eligible (see the
-        // capture rules in the `Exhausted` arm below).
-        let mut warm_snap: Vec<(NodeId, i64, u32)> = Vec::new();
-        let mut warm_ready = false;
+        // Whether the next rung warm-starts from `l.warm_snap` (see the
+        // capture rules in the `Err` arm below).
+        let mut warm = false;
         while ii <= max_ii {
-            let warm = if warm_ready {
-                Some(warm_snap.as_slice())
-            } else {
-                None
-            };
-            let mut outcome = self.run_attempt(
-                &mut arena,
-                pool,
-                ddg,
-                ii,
-                &lat,
-                &mut stats,
-                &mut timings,
-                &mut trace,
-                warm,
-            );
-            if warm.is_some() {
-                if let AttemptOutcome::Exhausted { budget_limited } = outcome {
-                    // A failed warm attempt never advances the ladder on its
-                    // own: the seed can paint the scheduler into a corner a
-                    // cold attempt would avoid, so retry the rung cold.
-                    // Attempts are Markovian in the II after a reset, so the
-                    // retry behaves exactly like the cold ladder's attempt at
-                    // this rung — the warm ladder can only ever leave a rung
-                    // the cold ladder would also have left, which is what
-                    // keeps the final II never worse than cold.
-                    if budget_limited {
-                        stats.budget_exhausts += 1;
-                    }
-                    outcome = self.run_attempt(
-                        &mut arena,
-                        pool,
-                        ddg,
-                        ii,
-                        &lat,
-                        &mut stats,
-                        &mut timings,
-                        &mut trace,
-                        None,
-                    );
-                }
+            let mut outcome = self.run_attempt(&mut l, ii, warm);
+            if warm && outcome.is_err() {
+                // A failed warm attempt never advances the ladder on its
+                // own: the seed can paint the scheduler into a corner a
+                // cold attempt would avoid, so retry the rung cold.
+                // Attempts are Markovian in the II after a reset, so the
+                // retry behaves exactly like the cold ladder's attempt at
+                // this rung — the warm ladder can only ever leave a rung
+                // the cold ladder would also have left, which is what
+                // keeps the final II never worse than cold.
+                outcome = self.run_attempt(&mut l, ii, false);
             }
             match outcome {
-                AttemptOutcome::Success => {
-                    let a = arena.as_ref().expect("attempt ran");
-                    let mut best = self.finalize(ddg, a, mii);
+                Ok(()) => {
+                    let mut best = self.finalize(ddg, l.arena(), mii);
                     // Success after a skip: the gap IIs were never attempted,
                     // so scan them from below and keep the first success —
                     // exactly the II the unit ladder would have returned
                     // (whenever budget feasibility is monotone in the II).
                     // All-fail gap scans cost what the unit ladder would have
                     // paid for the same rungs; the skips before the final gap
-                    // remain pure savings.
+                    // remain pure savings. Failed gap rungs count towards the
+                    // budget-pressure signal like any other attempted rung
+                    // (they just cannot steer the stride any more).
                     if let Some(p) = last_failed {
                         for g in (p + 1)..ii {
-                            stats.ii_skips -= 1;
-                            let o = self.run_attempt(
-                                &mut arena,
-                                pool,
-                                ddg,
-                                g,
-                                &lat,
-                                &mut stats,
-                                &mut timings,
-                                &mut trace,
-                                None,
-                            );
-                            match o {
-                                AttemptOutcome::Success => {
-                                    best = self.finalize(
-                                        ddg,
-                                        arena.as_ref().expect("attempt ran"),
-                                        mii,
-                                    );
-                                    break;
-                                }
-                                AttemptOutcome::Exhausted { budget_limited } => {
-                                    // Gap rungs count towards the recorded
-                                    // budget-pressure signal like any other
-                                    // attempted rung (they just cannot steer
-                                    // the stride any more).
-                                    if budget_limited {
-                                        stats.budget_exhausts += 1;
-                                    }
-                                }
+                            l.stats.ii_skips -= 1;
+                            if self.run_attempt(&mut l, g, false).is_ok() {
+                                best = self.finalize(ddg, l.arena(), mii);
+                                break;
                             }
                         }
                     }
                     found = Some(best);
                     break;
                 }
-                AttemptOutcome::Exhausted { budget_limited } => {
+                Err(failure) => {
+                    let a = l.arena.as_ref().expect("attempt ran");
                     // Decide whether the next rung may warm-start from this
                     // failure. Only budget-limited failures with at least one
                     // active node left unplaced qualify: a structural failure
@@ -393,23 +352,20 @@ impl IterativeScheduler {
                     // completed-but-over-capacity schedule would remap to an
                     // empty worklist — the spill machinery never runs and the
                     // rung fails identically forever.
-                    warm_ready = false;
-                    if !self.cold_attempts && budget_limited {
-                        let a = arena.as_ref().expect("attempt ran");
-                        if a.w.active_nodes().any(|n| !a.store.is_placed(n)) {
-                            a.capture_warm_snapshot(&mut warm_snap);
-                            warm_ready = !warm_snap.is_empty();
+                    warm = false;
+                    if failure == Failure::Budget {
+                        let eligible = !self.cold_attempts
+                            && a.w.active_nodes().any(|n| !a.store.is_placed(n));
+                        if eligible {
+                            a.capture_warm_snapshot(&mut l.warm_snap);
+                            warm = !l.warm_snap.is_empty();
                         }
-                    }
-                    if budget_limited {
-                        stats.budget_exhausts += 1;
                         streak += 1;
                     } else {
-                        // A structural failure (no slot, no victim, guard
-                        // trip, infeasible cutoff, attempt cap) joins the
-                        // gallop only when it failed *deep* — after at least
-                        // two worklist cycles' worth of scheduling attempts —
-                        // on a clustered machine. Deep failures there are
+                        // A structural failure joins the gallop only when it
+                        // failed *deep* — after at least two worklist cycles'
+                        // worth of scheduling attempts — on a clustered
+                        // machine. Deep failures there are
                         // communication-churn storms that behave like budget
                         // exhaustion (the II is far too small and nearby
                         // rungs fail the same way). A shallow failure, or any
@@ -418,7 +374,6 @@ impl IterativeScheduler {
                         // frontier — exactly where skipping risks landing
                         // past the unit ladder's answer — and resets the
                         // gallop.
-                        let a = arena.as_ref().expect("attempt ran");
                         let deep = a.attempt_stats().attempts >= 2 * a.w.active_count() as u64;
                         if deep && self.machine.clusters() > 1 {
                             streak += 1;
@@ -447,7 +402,7 @@ impl IterativeScheduler {
                     let stride = if self.unit_ladder || streak == 0 {
                         1
                     } else {
-                        let attempt_stats = arena.as_ref().expect("attempt ran").attempt_stats();
+                        let attempt_stats = a.attempt_stats();
                         let storm = attempt_stats.ejections >= attempt_stats.attempts;
                         let cap = if storm { LADDER_STRIDE_CAP } else { 2 };
                         (1u32 << (streak - 1).min(3)).min(cap)
@@ -459,9 +414,9 @@ impl IterativeScheduler {
                         next = max_ii;
                     }
                     if next <= max_ii {
-                        stats.ii_skips += next - ii - 1;
+                        l.stats.ii_skips += next - ii - 1;
                         if next > ii + 1 {
-                            trace.instant(
+                            l.trace.instant(
                                 "ii_skip",
                                 "sched",
                                 &[
@@ -477,9 +432,9 @@ impl IterativeScheduler {
             }
         }
         let mut result = found.unwrap_or_else(|| self.failed_result(ddg, mii));
-        result.stats = stats;
+        result.stats = l.stats;
         if self.telemetry.is_enabled() {
-            trace.span_labeled(
+            l.trace.span_labeled(
                 "schedule",
                 "sched",
                 sched_start,
@@ -491,13 +446,13 @@ impl IterativeScheduler {
                     ("ejections", result.stats.ejections as i64),
                 ],
             );
-            self.telemetry.flush(&mut trace);
+            self.telemetry.flush(&mut l.trace);
             self.telemetry.counter_add("sched.loops", 1);
             self.telemetry
                 .counter_add("sched.failed_loops", u64::from(result.failed));
             result.stats.publish(&self.telemetry);
-            timings.publish(&self.telemetry);
-            if let Some(a) = arena.as_ref() {
+            l.timings.publish(&self.telemetry);
+            if let Some(a) = l.arena.as_ref() {
                 a.store.mrt().publish_metrics(&self.telemetry);
                 a.store.tracker().publish_metrics(&self.telemetry);
             }
@@ -505,45 +460,34 @@ impl IterativeScheduler {
         // Hand the arena back for the pool's next loop. Reference runs never
         // pooled their builds, so they return nothing either.
         if !self.reference {
-            if let Some(a) = arena {
-                pool.put(a);
+            if let Some(a) = l.arena {
+                l.pool.put(a);
             }
         }
-        (result, timings)
+        (result, l.timings)
     }
 
-    /// Prepare the arena (reset, or build in reference mode) and
+    /// Prepare the ladder's arena (reset, or build in reference mode) and
     /// run one attempt at `ii`, folding its counters and phase times into
     /// the ladder accumulators. With `warm`, the reset seeds the store by
-    /// modulo-remapping the snapshot's placements instead of starting empty.
-    #[allow(clippy::too_many_arguments)]
-    fn run_attempt(
-        &self,
-        arena: &mut Option<AttemptArena>,
-        pool: &mut ArenaPool,
-        ddg: &Ddg,
-        ii: u32,
-        lat: &OpLatencies,
-        stats: &mut SchedulerStats,
-        timings: &mut PhaseTimings,
-        trace: &mut TraceBuf,
-        warm: Option<&[(NodeId, i64, u32)]>,
-    ) -> AttemptOutcome {
-        if arena.is_none() || self.reference {
+    /// modulo-remapping `l.warm_snap`'s placements instead of starting empty.
+    fn run_attempt(&self, l: &mut Ladder, ii: u32, warm: bool) -> Attempt {
+        let lat = &self.machine.latencies;
+        if l.arena.is_none() || self.reference {
             let t = Instant::now();
-            let t0 = trace.now_ns();
+            let t0 = l.trace.now_ns();
             // Reference mode rebuilds per attempt and must stay a true
             // from-scratch baseline, so it never draws from the pool.
             let (a, rebound) = if self.reference {
-                (AttemptArena::new(ddg, &self.machine), false)
+                (AttemptArena::new(l.ddg, &self.machine), false)
             } else {
-                let before = pool.rebinds();
-                let a = pool.take(ddg, &self.machine);
-                (a, pool.rebinds() > before)
+                let before = l.pool.rebinds();
+                let a = l.pool.take(l.ddg, &self.machine);
+                (a, l.pool.rebinds() > before)
             };
-            *arena = Some(a);
-            timings.graph_build += t.elapsed();
-            trace.span(
+            l.arena = Some(a);
+            l.timings.graph_build += t.elapsed();
+            l.trace.span(
                 if rebound {
                     "arena_rebind"
                 } else {
@@ -554,7 +498,9 @@ impl IterativeScheduler {
                 &[],
             );
         }
-        let a = arena.as_mut().expect("just ensured");
+        let a = l.arena.as_mut().expect("just ensured");
+        let stats = &mut l.stats;
+        let trace = &mut l.trace;
         if stats.ii_restarts > 0 {
             stats.arena_resets += 1;
             trace.instant("arena_reset", "sched", &[("ii", ii as i64)]);
@@ -562,24 +508,23 @@ impl IterativeScheduler {
         stats.ii_restarts += 1;
         let t = Instant::now();
         let mut warm_unplaced = None;
-        let (order_time, warm_time) = match warm {
-            Some(snap) => {
-                let r = a.reset_warm(ii, lat, snap, self.params.binding_prefetch);
-                stats.warm_starts += 1;
-                stats.warm_nodes_retained += r.retained as u64;
-                warm_unplaced = Some((a.w.active_count() as u32).saturating_sub(r.retained));
-                trace.instant(
-                    "warm_start",
-                    "sched",
-                    &[("ii", ii as i64), ("retained", r.retained as i64)],
-                );
-                (r.order_time, r.remap_time)
-            }
-            None => (a.reset(ii, lat), Duration::ZERO),
+        let (order_time, warm_time) = if warm {
+            let r = a.reset_warm(ii, lat, &l.warm_snap, self.params.binding_prefetch);
+            stats.warm_starts += 1;
+            stats.warm_nodes_retained += r.retained as u64;
+            warm_unplaced = Some((a.w.active_count() as u32).saturating_sub(r.retained));
+            trace.instant(
+                "warm_start",
+                "sched",
+                &[("ii", ii as i64), ("retained", r.retained as i64)],
+            );
+            (r.order_time, r.remap_time)
+        } else {
+            (a.reset(ii, lat), Duration::ZERO)
         };
-        timings.order += order_time;
-        timings.warm_start += warm_time;
-        timings.resets += t
+        l.timings.order += order_time;
+        l.timings.warm_start += warm_time;
+        l.timings.resets += t
             .elapsed()
             .saturating_sub(order_time)
             .saturating_sub(warm_time);
@@ -591,25 +536,23 @@ impl IterativeScheduler {
         std::mem::swap(&mut a.trace, trace);
         let outcome = self.attempt(a, lat, warm_unplaced);
         std::mem::swap(&mut a.trace, trace);
-        timings.attempts += t.elapsed();
+        l.timings.attempts += t.elapsed();
         if a.self_ejections > 0 {
             self.telemetry
                 .counter_add("sched.self_ejections", a.self_ejections);
         }
         a.fold_store_counters();
         stats.absorb_attempt(&a.stats);
+        let budget_limited = outcome == Err(Failure::Budget);
+        stats.budget_exhausts += u32::from(budget_limited);
         if trace.enabled() {
-            let (ok, budget_limited) = match outcome {
-                AttemptOutcome::Success => (1, false),
-                AttemptOutcome::Exhausted { budget_limited } => (0, budget_limited),
-            };
             trace.span(
                 "ii_attempt",
                 "sched",
                 t0,
                 &[
                     ("ii", ii as i64),
-                    ("ok", ok),
+                    ("ok", i64::from(outcome.is_ok())),
                     ("attempts", a.stats.attempts as i64),
                     ("ejections", a.stats.ejections as i64),
                 ],
@@ -657,7 +600,7 @@ impl IterativeScheduler {
         state: &mut AttemptArena,
         lat: &OpLatencies,
         warm_unplaced: Option<u32>,
-    ) -> AttemptOutcome {
+    ) -> Attempt {
         let ii = state.ii;
         // A warm attempt pays a budget proportional to the unplaced
         // remainder the remap left over, not to the whole graph: the seed
@@ -701,9 +644,7 @@ impl IterativeScheduler {
                         ("node", u.0 as i64),
                     ],
                 );
-                return AttemptOutcome::Exhausted {
-                    budget_limited: false,
-                };
+                return Err(Failure::Structural);
             }
             // 1. Cluster selection, after bringing the tracker up to date
             // with the graph rewiring of the previous pop.
@@ -718,17 +659,9 @@ impl IterativeScheduler {
             );
             // 2. Communication with already placed neighbours.
             let budget_before = state.budget;
-            if !self.insert_and_schedule_communication(state, u, choice.cluster, lat) {
-                return AttemptOutcome::Exhausted {
-                    budget_limited: false,
-                };
-            }
+            self.insert_and_schedule_communication(state, u, choice.cluster, lat)?;
             // 3. Schedule the node itself.
-            if !self.schedule_node(state, u, choice.cluster, lat) {
-                return AttemptOutcome::Exhausted {
-                    budget_limited: false,
-                };
-            }
+            self.schedule_node(state, u, choice.cluster, lat)?;
             // No-progress rule: when `u` is still active but unplaced, its
             // forced placement violated the chains step 2 just inserted and
             // ejecting them ejected their owner, `u` itself. The chains are
@@ -742,21 +675,7 @@ impl IterativeScheduler {
             }
             // 4. Register pressure / spill.
             if self.has_bounded_banks() {
-                match self.check_and_spill(state, u, lat, &mut spill_rounds, spill_round_limit) {
-                    SpillOutcome::Continue => {}
-                    SpillOutcome::SpillLimit => {
-                        // A budget-family failure: more spill rounds (or a
-                        // larger II) would lower the pressure gradually.
-                        return AttemptOutcome::Exhausted {
-                            budget_limited: true,
-                        };
-                    }
-                    SpillOutcome::ScheduleFailed => {
-                        return AttemptOutcome::Exhausted {
-                            budget_limited: false,
-                        };
-                    }
-                }
+                self.check_and_spill(state, u, lat, &mut spill_rounds, spill_round_limit)?;
             }
             state.budget -= 1;
             if state.budget <= 0 {
@@ -765,9 +684,7 @@ impl IterativeScheduler {
                 // budget 0 is complete, not exhausted.
                 let unplaced_remain = state.w.active_nodes().any(|nd| !state.store.is_placed(nd));
                 if unplaced_remain {
-                    return AttemptOutcome::Exhausted {
-                        budget_limited: true,
-                    };
+                    return Err(Failure::Budget);
                 }
             }
         }
@@ -775,9 +692,7 @@ impl IterativeScheduler {
         // Every active node must be placed and the banks within capacity.
         let all_placed = state.w.active_nodes().all(|nd| state.store.is_placed(nd));
         if !all_placed {
-            return AttemptOutcome::Exhausted {
-                budget_limited: false,
-            };
+            return Err(Failure::Structural);
         }
         if self.has_bounded_banks() {
             state.store.sync_pressure(&mut state.w);
@@ -786,12 +701,10 @@ impl IterativeScheduler {
                 .over_capacity_bank(Self::pressure_source(state, &batch))
                 .is_some()
             {
-                return AttemptOutcome::Exhausted {
-                    budget_limited: true,
-                };
+                return Err(Failure::Budget);
             }
         }
-        AttemptOutcome::Success
+        Ok(())
     }
 
     fn has_bounded_banks(&self) -> bool {
@@ -851,8 +764,7 @@ impl IterativeScheduler {
 
     /// Insert (and immediately schedule) the communication chains needed for
     /// `u` to talk to its already placed neighbours from cluster `cluster`.
-    /// Returns `false` when the attempt must be abandoned (baseline scheduler
-    /// finding no slot, or budget pathologies).
+    /// Fails when scheduling a chain node does.
     ///
     /// Every iteration walks the live neighbourhood: scheduling a chain's
     /// nodes can eject neighbours and remove other chains, which
@@ -863,7 +775,7 @@ impl IterativeScheduler {
         u: NodeId,
         cluster: u32,
         lat: &OpLatencies,
-    ) -> bool {
+    ) -> Attempt {
         loop {
             // Find one active edge between u and a placed neighbour that needs
             // communication; insert a chain for it; repeat until none remain.
@@ -882,7 +794,7 @@ impl IterativeScheduler {
                 })
             });
             let Some((edge_id, _)) = candidate else {
-                return true;
+                return Ok(());
             };
             let edge = *state.w.ddg.edge(edge_id);
             let mut new_nodes = std::mem::take(&mut state.chain_nodes);
@@ -914,17 +826,19 @@ impl IterativeScheduler {
                         }
                     }
                 };
-                if !self.schedule_node(state, node, target_cluster, lat) {
+                if let Err(failure) = self.schedule_node(state, node, target_cluster, lat) {
                     state.chain_nodes = new_nodes;
-                    return false;
+                    return Err(failure);
                 }
             }
             state.chain_nodes = new_nodes;
         }
     }
 
-    /// Check register pressure and insert spill code until every bank fits
-    /// (or the spill budget is exhausted).
+    /// Check register pressure and insert spill code until every bank fits,
+    /// or no further spilling is possible (the end-of-attempt capacity check
+    /// then has the final word). Fails when the spill-round limit is hit with
+    /// a bank still over capacity, or when a spill node cannot be scheduled.
     fn check_and_spill(
         &self,
         state: &mut AttemptArena,
@@ -932,7 +846,7 @@ impl IterativeScheduler {
         lat: &OpLatencies,
         spill_rounds: &mut u32,
         spill_round_limit: u32,
-    ) -> SpillOutcome {
+    ) -> Attempt {
         loop {
             // One pressure probe per round: the over-capacity bank and, if
             // any, the spill candidate picked from the same lifetime set.
@@ -952,7 +866,7 @@ impl IterativeScheduler {
                     (bank, candidate.copied())
                 });
             let Some((bank, candidate)) = probe else {
-                return SpillOutcome::Continue;
+                return Ok(());
             };
             if *spill_rounds >= spill_round_limit {
                 // Spill budget exhausted with a bank still over capacity:
@@ -962,15 +876,16 @@ impl IterativeScheduler {
                 // still pull the bank back under its limit, but pressure
                 // this far past the spill budget almost never recovers, and
                 // every further placement would pay a pressure + spill
-                // check for it.
-                return SpillOutcome::SpillLimit;
+                // check for it. More spill rounds (or a larger II) would
+                // lower the pressure gradually: a budget-family failure.
+                return Err(Failure::Budget);
             }
             let Some(candidate) = candidate else {
-                return SpillOutcome::Continue;
+                return Ok(());
             };
             let def = candidate.def;
             let Some(last_consumer) = candidate.last_consumer else {
-                return SpillOutcome::Continue;
+                return Ok(());
             };
             // Find the active flow edge def -> last_consumer to reroute.
             let Some(edge_id) = state
@@ -979,7 +894,7 @@ impl IterativeScheduler {
                 .find(|(_, e)| e.kind == DepKind::Flow && e.dst == last_consumer)
                 .map(|(id, _)| id)
             else {
-                return SpillOutcome::Continue;
+                return Ok(());
             };
             *spill_rounds += 1;
             let to_shared = state.w.is_hierarchical() && matches!(bank, BankAssignment::Cluster(_));
@@ -1009,9 +924,9 @@ impl IterativeScheduler {
                     OpKind::StoreR | OpKind::Store => producer_cluster,
                     _ => consumer_cluster,
                 };
-                if !self.schedule_node(state, node, target, lat) {
+                if let Err(failure) = self.schedule_node(state, node, target, lat) {
                     state.chain_nodes = new_nodes;
-                    return SpillOutcome::ScheduleFailed;
+                    return Err(failure);
                 }
             }
             state.chain_nodes = new_nodes;
@@ -1019,23 +934,25 @@ impl IterativeScheduler {
     }
 
     /// Schedule one node on a cluster, forcing a slot and ejecting
-    /// conflicting operations when necessary. Returns `false` only when
-    /// backtracking is disabled and no free slot exists, or the ejection
-    /// guard trips.
+    /// conflicting operations when necessary. Fails structurally when no
+    /// free slot exists and the scheduler may not force one (backtracking
+    /// disabled, or a warm probe), when the conflict is unsatisfiable even
+    /// on an empty table, when no victim frees the resource, or when the
+    /// ejection guard trips.
     fn schedule_node(
         &self,
         state: &mut AttemptArena,
         u: NodeId,
         cluster: u32,
         lat: &OpLatencies,
-    ) -> bool {
+    ) -> Attempt {
         if !state.w.is_active(u) {
             // An ejection triggered while scheduling an earlier member of the
             // same communication/spill chain removed the whole chain; placing
             // a deactivated node would leak its MRT reservation for the rest
             // of the attempt (and poison the victim index with a node no
             // eject can ever reach).
-            return true;
+            return Ok(());
         }
         let ii = state.ii as i64;
         let kind = state.w.ddg.node(u).kind;
@@ -1084,29 +1001,26 @@ impl IterativeScheduler {
 
         if let Some(t) = found {
             state.store.place(&state.w, u, t, cluster, lat);
-            return true;
+            return Ok(());
         }
-        if !self.params.backtracking {
-            return false;
-        }
-        // A warm probe never forces: ejecting through the densely seeded
-        // store costs more than the cold retry it would displace, so the
-        // first conflict hands the rung over.
-        if state.warm_probe {
-            return false;
+        // A warm probe never forces either: ejecting through the densely
+        // seeded store costs more than the cold retry it would displace, so
+        // the first conflict hands the rung over.
+        if !self.params.backtracking || state.warm_probe {
+            return Err(Failure::Structural);
         }
 
         // Structurally unsatisfiable conflict: the class cannot take this
         // operation even on an empty table (a divide longer than the II
         // allows on this cluster's units), so no ejection cascade can ever
         // free the slot — abandon the attempt before paying for one. The
-        // cascade would reach the same `return false` through `pick_victim`
+        // cascade would reach the same failure through `pick_victim`
         // running out of candidates; cutting it short only saves the doomed
         // ejections (and their worklist churn), which the attempt discard
         // throws away anyway.
         if !state.store.mrt().placeable_on_empty(kind, lat) {
             state.stats.infeasible_cutoffs += 1;
-            return false;
+            return Err(Failure::Structural);
         }
 
         // Force a slot (Rau's trick: never force at or before the previous
@@ -1130,7 +1044,7 @@ impl IterativeScheduler {
             guard += 1;
             if guard > EJECTION_GUARD_LIMIT {
                 state.stats.guard_trips += 1;
-                return false;
+                return Err(Failure::Structural);
             }
             let victim = if self.reference {
                 state
@@ -1144,7 +1058,7 @@ impl IterativeScheduler {
             let Some(victim) = victim else {
                 // Nothing ejectable frees the resource (e.g. a divide
                 // longer than the II); abandon the attempt.
-                return false;
+                return Err(Failure::Structural);
             };
             let ejected = state.store.eject(&mut state.w, victim, lat);
             state.stats.ejections += ejected;
@@ -1152,7 +1066,7 @@ impl IterativeScheduler {
             if !state.w.is_active(u) {
                 // The ejection cascade removed the chain `u` belongs to;
                 // there is nothing left to place.
-                return true;
+                return Ok(());
             }
         }
         state.store.place(&state.w, u, force_at, cluster, lat);
@@ -1219,7 +1133,7 @@ impl IterativeScheduler {
                 ],
             );
         }
-        true
+        Ok(())
     }
 
     /// Build the public result from a successful attempt. The `stats` field
@@ -1401,7 +1315,9 @@ mod tests {
         let m = machine("8C16S16");
         let floor = hcrf_ir::cluster_res_mii(&g, &m.latencies, 1);
         assert_eq!(floor, 17);
-        assert!(mii_mod::mii(&g, &m.latencies, m.resource_counts()) < floor);
+        let base = mii_mod::res_mii(&g, &m.latencies, m.resource_counts())
+            .max(mii_mod::rec_mii(&g, &m.latencies));
+        assert!(base < floor);
         let r = schedule_loop(&g, &m, &SchedulerParams::default());
         assert!(!r.failed);
         assert_eq!(r.mii, floor);

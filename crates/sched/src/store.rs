@@ -39,7 +39,7 @@ use std::cmp::Reverse;
 /// ports) keep one list per (row, cluster); global classes (buses, and
 /// memory ports when the machine routes all memory traffic through a shared
 /// pool) keep one list per row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SlotIndex {
     ii: u32,
     clusters: u32,
@@ -59,25 +59,14 @@ pub struct SlotIndex {
 impl SlotIndex {
     /// Empty index for an II attempt.
     pub fn new(ii: u32, caps: &ResourceCaps) -> Self {
-        let ii = ii.max(1);
-        let rows = ii as usize;
-        let c = caps.clusters as usize;
-        let memory_shared = caps.memory_is_shared();
-        SlotIndex {
-            ii,
-            clusters: caps.clusters,
-            memory_shared,
-            fu: vec![Vec::new(); rows * c],
-            mem: vec![Vec::new(); if memory_shared { rows } else { rows * c }],
-            bus: vec![Vec::new(); rows],
-            lp: vec![Vec::new(); rows * c],
-            sp: vec![Vec::new(); rows * c],
-        }
+        let mut index = SlotIndex::default();
+        index.rebind(ii, caps);
+        index
     }
 
     /// Re-shape the index for a new II, clearing every occupancy list while
-    /// keeping their allocations — equivalent to [`SlotIndex::new`] with the
-    /// same capacities. The attempt arena calls this once per II restart.
+    /// keeping their allocations. The attempt arena calls this once per II
+    /// restart.
     pub fn reset_for_ii(&mut self, ii: u32) {
         let ii = ii.max(1);
         self.ii = ii;
@@ -100,8 +89,8 @@ impl SlotIndex {
 
     /// Re-shape the index for a new machine's capacities (cluster count and
     /// memory-port sharing can both change) and clear it for an attempt at
-    /// `ii` — equivalent to [`SlotIndex::new`] but reusing the occupancy-list
-    /// allocations. Called by [`PlacementStore::rebind`].
+    /// `ii`, reusing the occupancy-list allocations. Called by
+    /// [`PlacementStore::rebind`].
     pub fn rebind(&mut self, ii: u32, caps: &ResourceCaps) {
         self.clusters = caps.clusters;
         self.memory_shared = caps.memory_is_shared();
@@ -411,7 +400,7 @@ impl RankQueue {
 /// The unified placement state of one II attempt: every mutation is a
 /// `place`, `eject` or `remove_chain_members` transaction. See the module
 /// docs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlacementStore {
     ii: u32,
     mrt: Mrt,
@@ -442,26 +431,16 @@ pub struct PlacementStore {
 impl PlacementStore {
     /// Empty store for an attempt at the given II.
     pub fn new(ii: u32, caps: ResourceCaps, num_nodes: usize, order: PriorityOrder) -> Self {
-        let ii = ii.max(1);
-        PlacementStore {
-            ii,
-            mrt: Mrt::new(ii, caps),
-            index: SlotIndex::new(ii, &caps),
-            hot: vec![NodeHot::EMPTY; num_nodes],
-            tracker: PressureTracker::new(ii, caps.clusters, num_nodes),
-            fused_rows: 0,
+        let mut store = PlacementStore {
             order,
-            worklist: RankQueue::default(),
-            chain_ids_scratch: Vec::new(),
-            chain_members_scratch: Vec::new(),
-            dirty_scratch: Vec::new(),
-            warm_scratch: Vec::new(),
-        }
+            ..PlacementStore::default()
+        };
+        store.rebind(ii, caps, num_nodes);
+        store
     }
 
     /// Clear every piece of placement state and re-shape the II-sized tables
-    /// for a new attempt — equivalent to [`PlacementStore::new`] with the
-    /// same capacities but reusing every allocation.
+    /// for a new attempt, reusing every allocation.
     /// `num_nodes` is the *pristine* node count of the working graph: the
     /// per-node arrays shrink back to it, so capacity grown for
     /// spill/communication nodes of a previous II cannot leak into this one.
@@ -469,31 +448,30 @@ impl PlacementStore {
     /// [`PlacementStore::order_mut`]); the worklist is emptied, callers
     /// requeue the active nodes afterwards.
     pub fn reset_for_ii(&mut self, ii: u32, num_nodes: usize) {
-        let ii = ii.max(1);
-        self.ii = ii;
         self.mrt.reset_for_ii(ii);
         self.index.reset_for_ii(ii);
-        self.hot.clear();
-        self.hot.resize(num_nodes, NodeHot::EMPTY);
         self.tracker.reset_for_ii(ii, num_nodes);
-        self.fused_rows = 0;
-        self.worklist.clear();
+        self.clear_placements(ii, num_nodes);
     }
 
-    /// Re-target the store at a new machine's capacities and
-    /// clear it for a fresh II ladder — equivalent to
-    /// [`PlacementStore::new`] with an empty order but reusing the MRT,
-    /// slot-index, tracker and per-node array allocations. `num_nodes` is
-    /// the pristine node count of the newly bound working graph. The
-    /// priority order is recomputed separately by the arena's first reset
-    /// (via [`PlacementStore::order_mut`]), exactly as after `new`.
-    pub fn rebind(&mut self, caps: ResourceCaps, num_nodes: usize) {
-        self.ii = 1;
-        self.mrt.rebind(1, caps);
-        self.index.rebind(1, &caps);
+    /// Re-target the store at a new machine's capacities and clear it for an
+    /// attempt at `ii`, reusing the MRT, slot-index, tracker and per-node
+    /// array allocations. `num_nodes` is the pristine node count of the
+    /// newly bound working graph. The priority order is kept; the arena
+    /// recomputes it at its first reset (via [`PlacementStore::order_mut`]).
+    pub fn rebind(&mut self, ii: u32, caps: ResourceCaps, num_nodes: usize) {
+        self.mrt.rebind(ii, caps);
+        self.index.rebind(ii, &caps);
+        self.tracker.rebind(ii, caps.clusters, num_nodes);
+        self.clear_placements(ii, num_nodes);
+    }
+
+    /// The per-node and worklist tail of [`PlacementStore::reset_for_ii`]
+    /// and [`PlacementStore::rebind`].
+    fn clear_placements(&mut self, ii: u32, num_nodes: usize) {
+        self.ii = ii.max(1);
         self.hot.clear();
         self.hot.resize(num_nodes, NodeHot::EMPTY);
-        self.tracker.rebind(1, caps.clusters, num_nodes);
         self.fused_rows = 0;
         self.worklist.clear();
     }

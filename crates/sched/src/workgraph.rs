@@ -45,7 +45,7 @@ pub struct CommChain {
 }
 
 /// The working graph.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkGraph {
     /// The evolving dependence graph (nodes are never physically removed
     /// within an II attempt; they are deactivated instead).
@@ -161,29 +161,7 @@ impl WorkGraph {
     /// hierarchical organizations, inserts the memory-interface LoadR/StoreR
     /// operations (the paper's `G = G + LdRs + StRs` preprocessing step).
     pub fn new(original: &Ddg, machine: &MachineConfig) -> Self {
-        let mut wg = WorkGraph {
-            ddg: Ddg::new(String::new()),
-            node_active: Vec::new(),
-            edge_active: Vec::new(),
-            succ_active_edges: Vec::new(),
-            pred_active_edges: Vec::new(),
-            spill_reload: Vec::new(),
-            chains: Vec::new(),
-            original_nodes: 0,
-            original_mem_ops: 0,
-            hierarchical: false,
-            clustered: false,
-            next_spill_base: 0,
-            pressure_dirty: Vec::new(),
-            chain_of_node: Vec::new(),
-            chains_touching: Vec::new(),
-            topo_version: 0,
-            pristine: None,
-            chain_pool: Vec::new(),
-            edge_list_pool: Vec::new(),
-            chain_index_pool: Vec::new(),
-            interface_edges: Vec::new(),
-        };
+        let mut wg = WorkGraph::default();
         wg.rebind(original, machine);
         wg
     }
@@ -654,13 +632,6 @@ impl WorkGraph {
         Self::attach(&mut self.pred_active_edges[edge.dst.index()], e);
     }
 
-    /// Drain the defs whose lifetimes an edge rewiring may have perturbed
-    /// since the last drain. The scheduler refreshes each in its pressure
-    /// tracker; refreshing is idempotent, so duplicates are harmless.
-    pub fn take_pressure_dirty(&mut self) -> Vec<NodeId> {
-        std::mem::take(&mut self.pressure_dirty)
-    }
-
     /// Whether any defs are waiting in the pressure-dirty set. The store's
     /// per-pop sync probes this before paying for the buffer swap: most
     /// worklist pops follow no chain rewiring at all.
@@ -669,11 +640,12 @@ impl WorkGraph {
         !self.pressure_dirty.is_empty()
     }
 
-    /// [`WorkGraph::take_pressure_dirty`] without giving up either
-    /// allocation: the dirty set is swapped into `buf` (cleared first) and
-    /// the graph keeps `buf`'s old backing storage for the next rewiring.
-    /// The store's per-pop pressure sync uses this so draining an empty or
-    /// small dirty set never reallocates on either side.
+    /// Drain the defs whose lifetimes an edge rewiring may have perturbed
+    /// since the last drain into `buf` (cleared first); refreshing each in
+    /// the pressure tracker is idempotent, so duplicates are harmless. The
+    /// graph keeps `buf`'s old backing storage for the next rewiring, so
+    /// draining an empty or small dirty set never reallocates on either
+    /// side.
     pub fn swap_pressure_dirty(&mut self, buf: &mut Vec<NodeId>) {
         buf.clear();
         std::mem::swap(&mut self.pressure_dirty, buf);
@@ -1006,11 +978,6 @@ impl WorkGraph {
                 .map(|&id| id as usize)
                 .filter(|&id| self.chains[id].active),
         );
-    }
-
-    /// Nodes belonging to a chain (for the scheduler to unplace them).
-    pub fn chain_nodes(&self, chain: usize) -> &[NodeId] {
-        &self.chains[chain].nodes
     }
 
     /// The chain an inserted node belongs to, if any. O(1): chains never

@@ -10,7 +10,6 @@
 
 use hcrf::prelude::*;
 use hcrf_ir::{cluster_res_mii, rec_mii, res_mii};
-use hcrf_sched::mrt::ResourceCaps;
 use hcrf_sched::IterativeScheduler;
 use hcrf_telemetry::DEFAULT_TRACE_CAPACITY;
 use hcrf_workloads::all_kernels;
@@ -61,13 +60,13 @@ fn main() {
     // over the recurrences, and the per-cluster span floor (a non-pipelined
     // op confined to one cluster's units).
     let m = &config.machine;
-    let fus_per_cluster = ResourceCaps::from_machine(m).fus_per_cluster;
+    let res = m.resource_counts();
     println!(
         "MII {} = max(ResMII {}, RecMII {}, cluster span floor {})\n",
         result.mii,
-        res_mii(&kernel.ddg, &m.latencies, m.resource_counts()),
+        res_mii(&kernel.ddg, &m.latencies, res),
         rec_mii(&kernel.ddg, &m.latencies),
-        cluster_res_mii(&kernel.ddg, &m.latencies, fus_per_cluster),
+        cluster_res_mii(&kernel.ddg, &m.latencies, res.fus_per_cluster),
     );
 
     let (Some(graph), Some(placements)) = (&result.final_graph, &result.placements) else {

@@ -3,12 +3,13 @@
 //! `hcrf_ir::cluster_res_mii` is `max ceil(occ / fus_per_cluster)` over a
 //! loop's FU ops. It must be exactly the smallest II at which
 //! `Mrt::placeable_on_empty` accepts every op, with each Table 5
-//! configuration's own clock-scaled latencies. The scheduler's MII folds it
-//! in, so on those ladders no rung is infeasible by construction.
+//! configuration's own clock-scaled latencies. `hcrf_ir::mii` folds it in,
+//! and the scheduler's ladder starts there, so on those ladders no rung is
+//! infeasible by construction.
 
 use hcrf::driver::ConfiguredMachine;
 use hcrf::experiments::TABLE5_CONFIGS;
-use hcrf_ir::{cluster_res_mii, min_initiation_interval, DdgBuilder, OpKind, ResourceClass};
+use hcrf_ir::{cluster_res_mii, rec_mii, res_mii, DdgBuilder, OpKind, ResourceClass};
 use hcrf_sched::mrt::{Mrt, ResourceCaps};
 use hcrf_sched::{IterativeScheduler, SchedulerParams};
 use hcrf_workloads::small_suite;
@@ -26,6 +27,8 @@ fn floor_is_the_first_ii_every_fu_op_fits_an_empty_table() {
     for name in TABLE5_CONFIGS {
         let m = ConfiguredMachine::from_name(name).unwrap().machine;
         let caps = ResourceCaps::from_machine(&m);
+        // The MII reads the machine's resource counts, the MRT its caps.
+        assert_eq!(m.resource_counts().fus_per_cluster, caps.fus_per_cluster);
         for kind in FU_KINDS {
             assert_eq!(kind.resource_class(), ResourceClass::Fu);
             let mut b = DdgBuilder::new("one-op");
@@ -55,7 +58,8 @@ fn table5_ladders_start_at_the_floor_and_never_cut_off() {
         let scheduler = IterativeScheduler::new(m.clone(), SchedulerParams::default());
         let mut raised = 0;
         for l in &loops {
-            let base = min_initiation_interval(&l.ddg, &m.latencies, m.resource_counts());
+            let base = res_mii(&l.ddg, &m.latencies, m.resource_counts())
+                .max(rec_mii(&l.ddg, &m.latencies));
             let floor = cluster_res_mii(&l.ddg, &m.latencies, fus_per_cluster);
             let r = scheduler.schedule(&l.ddg);
             assert_eq!(r.mii, base.max(floor), "{name} {}", l.ddg.name);

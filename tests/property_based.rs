@@ -219,7 +219,9 @@ proptest! {
         let mut tracker = PressureTracker::new(ii, clusters, w.ddg.num_nodes());
         // The hierarchical preprocessing rewires edges before the tracker
         // exists; drain the dirty set once, like the scheduler does.
-        for n in w.take_pressure_dirty() {
+        let mut dirty = Vec::new();
+        w.swap_pressure_dirty(&mut dirty);
+        for n in dirty {
             tracker.refresh(&w, &placements, n);
         }
         let nodes: Vec<_> = w.active_nodes().collect();

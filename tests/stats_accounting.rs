@@ -24,9 +24,14 @@
 //!   loops;
 //! * the cold-attempts oracle records no warm activity at all;
 //! * the unit-ladder oracle under cold attempts never skips and attempts
-//!   each rung exactly once.
+//!   each rung exactly once;
+//! * each attempt exit moves the counters its failure class implies: the
+//!   budget exit and the spill-round limit count as budget exhausts and
+//!   seed warm starts, a missing free slot without backtracking does
+//!   neither and never gallops.
 
 use hcrf::driver::ConfiguredMachine;
+use hcrf_ir::{Ddg, DdgBuilder, OpKind};
 use hcrf_sched::{IterativeScheduler, ScheduleResult, SchedulerParams};
 use hcrf_workloads::{churn_suite, small_suite};
 
@@ -237,4 +242,106 @@ fn unit_ladder_never_skips_and_walks_every_rung() {
         }
         assert_invariants(&r, &format!("unit / {}", l.ddg.name));
     }
+}
+
+/// A wide fan of long-lived values: twelve loads consumed late by a chain
+/// of adds, which overflows a 16-register file at the first rungs.
+fn pressure_loop() -> Ddg {
+    let mut b = DdgBuilder::new("pressure");
+    let defs: Vec<_> = (0..12).map(|i| b.load(i, 8)).collect();
+    let mut prev = b.op(OpKind::FAdd);
+    b.flow(defs[0], prev, 0);
+    for d in &defs[1..] {
+        let a = b.op(OpKind::FAdd);
+        b.flow(prev, a, 0).flow(*d, a, 0);
+        prev = a;
+    }
+    let s = b.store(30, 8);
+    b.flow(prev, s, 0);
+    b.build()
+}
+
+/// What a budget-limited failure implies: it counts in `budget_exhausts`
+/// and seeds the next rung's warm start (a structural failure does neither).
+fn assert_budget_classified(r: &ScheduleResult, tag: &str) {
+    let s = &r.stats;
+    assert!(s.budget_exhausts > 0, "{tag}: no budget-limited failure");
+    assert!(s.warm_starts > 0, "{tag}: no warm start followed one");
+}
+
+#[test]
+fn budget_exit_is_a_budget_failure() {
+    // With one budget unit per node and no register bound, churn attempts
+    // end in the budget exit: nodes left unplaced when the budget runs out.
+    let cfg = ConfiguredMachine::from_name("Sinf").unwrap();
+    let params = SchedulerParams {
+        budget_ratio: 1,
+        ..churn_params()
+    };
+    let sched = IterativeScheduler::new(cfg.machine.clone(), params);
+    for l in churn_suite(4) {
+        let r = sched.schedule(&l.ddg);
+        let tag = format!("budget 1 / Sinf / {}", l.ddg.name);
+        assert_budget_classified(&r, &tag);
+        // On a monolithic machine a structural failure resets the gallop,
+        // so skips left standing come from budget-limited streaks.
+        assert!(r.stats.ii_skips > 0, "{tag}: no gallop over the rungs");
+    }
+}
+
+#[test]
+fn spill_limit_is_a_budget_failure() {
+    // A budget far beyond the attempt's needs leaves the register file as
+    // the only limit: the first rungs end when the spill rounds run out
+    // with the bank still over capacity.
+    let cfg = ConfiguredMachine::from_name("S16").unwrap();
+    let params = SchedulerParams {
+        budget_ratio: 1000,
+        ..SchedulerParams::default()
+    };
+    let g = pressure_loop();
+    let r = IterativeScheduler::new(cfg.machine.clone(), params).schedule(&g);
+    assert!(!r.failed, "the pressure loop schedules on S16");
+    assert_budget_classified(&r, "pressure / S16");
+    // Cold and one rung at a time, every failed rung is budget-limited.
+    let unit = IterativeScheduler::new(cfg.machine.clone(), params)
+        .with_unit_ladder()
+        .with_cold_attempts()
+        .schedule(&g);
+    assert!(unit.stats.ii_restarts > 1, "pressure / S16: no failed rung");
+    assert_eq!(
+        unit.stats.budget_exhausts,
+        unit.stats.ii_restarts - 1,
+        "pressure / S16: a failed rung was not budget-limited"
+    );
+}
+
+#[test]
+fn no_slot_exit_is_a_structural_failure() {
+    // Without backtracking an op that finds no free slot ends the attempt.
+    // With unbounded registers nothing else can: the budget never runs out
+    // when nothing is ejected. A structural failure is no budget exhaust,
+    // seeds no warm start and never gallops on a shallow attempt.
+    let mut restarts = 0;
+    for name in ["Sinf", "4CinfSinf", "8CinfSinf"] {
+        let cfg = ConfiguredMachine::from_name(name).unwrap();
+        let sched = IterativeScheduler::new(cfg.machine.clone(), SchedulerParams::baseline36());
+        for l in small_suite(8) {
+            let r = sched.schedule(&l.ddg);
+            let tag = format!("baseline36 / {name} / {}", l.ddg.name);
+            assert_invariants(&r, &tag);
+            let s = &r.stats;
+            assert_eq!(
+                s.budget_exhausts, 0,
+                "{tag}: budget exhaust without backtracking"
+            );
+            assert_eq!(
+                s.warm_starts, 0,
+                "{tag}: warm start after a structural failure"
+            );
+            assert_eq!(s.ii_skips, 0, "{tag}: gallop over structural failures");
+            restarts += s.ii_restarts - 1;
+        }
+    }
+    assert!(restarts > 0, "no attempt ran out of free slots");
 }
