@@ -3,10 +3,15 @@
 //!
 //! Two measurements:
 //!
-//! * `victim_probe/*` — the isolated victim search on a fully occupied
-//!   512-node store: the `SlotIndex`-backed `pick_victim` against the
-//!   paper-literal O(active nodes) `pick_victim_linear` scan it replaced.
-//!   Both choose bit-identical victims (asserted by the randomized property
+//! * `victim_probe/*` — the isolated victim search, the `SlotIndex`-backed
+//!   `pick_victim` against the paper-literal O(active nodes)
+//!   `pick_victim_linear` scan it replaced, on two fully occupied stores:
+//!   512 one-row adds on S128 (`indexed`, `linear`: the flat slot arrays),
+//!   and one 1-FU cluster of 8C16S16 holding three 34-row divides (the
+//!   fdiv of a clock twice as fast as S128's, as on the paper's fastest
+//!   clustered configurations) and 26 adds at II 128, probed at every row
+//!   (`indexed_multi_row`, `linear_multi_row`: the span list). Both searches
+//!   choose bit-identical victims (asserted by the randomized property
 //!   test), and the O(nodes) → O(row occupants) gap is visible without the
 //!   rest of the scheduler around it.
 //! * `arena_ladder/*` — on the churn suite: the default scheduler against
@@ -55,6 +60,53 @@ fn victim_probe(c: &mut Criterion) {
         bch.iter(|| {
             (0..ii as i64)
                 .filter_map(|row| store.pick_victim_linear(&w, probe, OpKind::FAdd, row, 0, &lat))
+                .map(|v| v.0 as u64)
+                .sum::<u64>()
+        })
+    });
+
+    // Cluster 5 of 8C16S16 (one FU) packed at II 128 with three 34-row
+    // divides back to back from row 0 and one add in each of the 26 rows
+    // left; the other clusters hold the same shape, so the active-node scan
+    // walks all of them.
+    let lat = OpLatencies::paper_baseline().rescaled(2.0);
+    let machine = MachineConfig::paper_baseline(RfOrganization::parse("8C16S16").unwrap());
+    let ii = 128u32;
+    let mut b = DdgBuilder::new("probe_multi_row");
+    let clusters = machine.clusters();
+    let per_cluster: Vec<_> = (0..clusters)
+        .map(|_| {
+            let divides: Vec<_> = (0..3).map(|_| b.op(OpKind::FDiv)).collect();
+            let adds: Vec<_> = (0..26).map(|_| b.op(OpKind::FAdd)).collect();
+            (divides, adds)
+        })
+        .collect();
+    let g = b.build();
+    let w = WorkGraph::new(&g, &machine);
+    let caps = ResourceCaps::from_machine(&machine);
+    let order = priority_order(&w, &lat, ii);
+    let mut store = PlacementStore::new(ii, caps, g.num_nodes(), order);
+    let span = lat.occupancy(OpKind::FDiv) as i64;
+    for (cluster, (divides, adds)) in per_cluster.iter().enumerate() {
+        for (i, d) in divides.iter().enumerate() {
+            store.place(&w, *d, i as i64 * span, cluster as u32, &lat);
+        }
+        for (i, a) in adds.iter().enumerate() {
+            store.place(&w, *a, 3 * span + i as i64, cluster as u32, &lat);
+        }
+    }
+    group.bench_function("indexed_multi_row", |bch| {
+        bch.iter(|| {
+            (0..ii as i64)
+                .filter_map(|row| store.pick_victim(&w, probe, OpKind::FAdd, row, 5))
+                .map(|v| v.0 as u64)
+                .sum::<u64>()
+        })
+    });
+    group.bench_function("linear_multi_row", |bch| {
+        bch.iter(|| {
+            (0..ii as i64)
+                .filter_map(|row| store.pick_victim_linear(&w, probe, OpKind::FAdd, row, 5, &lat))
                 .map(|v| v.0 as u64)
                 .sum::<u64>()
         })

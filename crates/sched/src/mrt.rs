@@ -749,6 +749,39 @@ mod tests {
     }
 
     #[test]
+    fn free_slot_total_survives_crossing_capacity() {
+        let lat = OpLatencies::paper_baseline();
+        // 2 FUs per cluster (4C16S64); at II 10 a 17-cycle divide holds one
+        // unit in every row and a second in rows 4..=10 mod 10.
+        let mut mrt = Mrt::new(10, caps("4C16S64"));
+        let steps: [(OpKind, i64, i32); 8] = [
+            (OpKind::FDiv, 4, 1), // within capacity
+            (OpKind::FAdd, 2, 1), // row 2 full
+            (OpKind::FAdd, 2, 1), // row 2 over capacity: free slots clamp
+            (OpKind::FAdd, 5, 1), // row 5 over capacity
+            (OpKind::FDiv, 4, 1), // over capacity in every row
+            (OpKind::FDiv, 4, -1),
+            (OpKind::FAdd, 2, -1),
+            (OpKind::FAdd, 5, -1), // back within capacity
+        ];
+        for (i, &(kind, cycle, delta)) in steps.iter().enumerate() {
+            if delta > 0 {
+                mrt.place(kind, cycle, 2, &lat);
+            } else {
+                mrt.remove(kind, cycle, 2, &lat);
+            }
+            assert_eq!(mrt.check_fu_free(), None, "after step {i}");
+        }
+        // The divide and one add are left: rows 1 and 3 hold one free unit.
+        assert_eq!(mrt.free_fu_slots(2), 2);
+        mrt.remove(OpKind::FAdd, 2, 2, &lat);
+        mrt.remove(OpKind::FDiv, 4, 2, &lat);
+        assert_eq!(mrt.check_fu_free(), None);
+        assert_eq!(mrt.free_fu_slots(2), 20);
+        assert_eq!(mrt, Mrt::new(10, caps("4C16S64")));
+    }
+
+    #[test]
     fn free_fu_slots_counts() {
         let lat = OpLatencies::paper_baseline();
         let mut mrt = Mrt::new(2, caps("4C32"));

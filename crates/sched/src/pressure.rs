@@ -8,6 +8,11 @@
 //! in the rows of the remaining partial window. Loop invariants occupy one
 //! register in every bank where they are consumed for the whole execution of
 //! the loop.
+//!
+//! The batch [`pressure`] walk adds both terms to every row; the incremental
+//! [`PressureTracker`] keeps the whole-II term as one wrap count per bank
+//! beside rows that hold only the partial windows, so MaxLive is the row
+//! maximum plus that count.
 
 use crate::types::BankAssignment;
 use crate::workgraph::WorkGraph;
@@ -224,13 +229,18 @@ pub fn pressure<P: PlacementView + ?Sized>(
 
 /// Incremental register-pressure engine.
 ///
-/// Maintains exactly the state the batch [`pressure`] function derives from
-/// scratch — per-bank row-occupancy vectors, per-def [`ValueLifetime`]s and
-/// per-node invariant-register counts — but as deltas: placing or ejecting a
-/// node only perturbs the lifetime of that node's own def and of the defs
-/// feeding it through active flow edges, so [`PressureTracker::touch`]
-/// re-derives just those few lifetimes and applies the row difference.
-/// Bank queries then cost O(II) instead of O(nodes · edges · II).
+/// Maintains the state the batch [`pressure`] function derives from
+/// scratch — per-bank row occupancy, per-def [`ValueLifetime`]s and per-node
+/// invariant-register counts — but as deltas: placing or ejecting a node
+/// only perturbs the lifetime of that node's own def and of the defs feeding
+/// it through active flow edges, so [`PressureTracker::touch`] re-derives
+/// just those few lifetimes and applies the row difference. Each bank's row
+/// occupancy is split in two: one integer counts the lifetimes' whole-II
+/// wraps (`Σ floor(length / II)`, the same in every row), and the rows hold
+/// only the partial windows. A lifetime longer than the II then touches its
+/// `length mod II` rows, not all II of them. Bank queries cost O(1) while
+/// the cached row maximum holds and O(II) after it was invalidated, instead
+/// of O(nodes · edges · II).
 ///
 /// The contract with the batch oracle: after every mutation is reported
 /// (placements via `touch`, graph rewirings via [`PressureTracker::refresh`]
@@ -248,17 +258,24 @@ pub fn pressure<P: PlacementView + ?Sized>(
 pub struct PressureTracker {
     ii: u32,
     clusters: u32,
-    /// Per-cluster row counts; only the first `clusters` rows are live.
+    /// Per-cluster partial-window row counts; only the first `clusters`
+    /// vectors are live.
     rows_cluster: Vec<Vec<u32>>,
     rows_shared: Vec<u32>,
+    /// Per-bank whole-II wraps, `Σ floor(length / II)` over the bank's
+    /// lifetimes: registers every row holds on top of its partial-window
+    /// count, kept as one integer instead of being added to every row.
+    wraps_cluster: Vec<u32>,
+    wraps_shared: u32,
     invariant_cluster: Vec<u32>,
     invariant_shared: u32,
     /// Stored contribution of each def node (`None` = contributes nothing).
     lifetimes: Vec<Option<ValueLifetime>>,
     /// Bank in which each placed invariant-reading node pins one register.
     invariant_of: Vec<Option<BankAssignment>>,
-    /// Lazily cached per-bank row maximum (`(max, valid)`): queries cost
-    /// O(1) for every bank untouched since the last query instead of O(II).
+    /// Lazily cached per-bank maximum of the partial-window rows
+    /// (`(max, valid)`): queries cost O(1) for every bank untouched since
+    /// the last query instead of O(II).
     max_cluster: Vec<Cell<(u32, bool)>>,
     max_shared: Cell<(u32, bool)>,
     /// Reusable buffer for the flow predecessors visited by `touch`.
@@ -299,6 +316,10 @@ impl PressureTracker {
         }
         self.rows_shared.clear();
         self.rows_shared.resize(ii as usize, 0);
+        for wraps in &mut self.wraps_cluster {
+            *wraps = 0;
+        }
+        self.wraps_shared = 0;
         for inv in &mut self.invariant_cluster {
             *inv = 0;
         }
@@ -325,6 +346,7 @@ impl PressureTracker {
         if self.rows_cluster.len() < c {
             self.rows_cluster.resize_with(c, Vec::new);
         }
+        self.wraps_cluster.resize(c, 0);
         self.invariant_cluster.resize(c, 0);
         self.max_cluster.resize(c, Cell::new((0, true)));
         self.reset_for_ii(ii, num_nodes);
@@ -521,55 +543,43 @@ impl PressureTracker {
         (full, rem, start_row)
     }
 
+    /// The bank's row counts, whole-II wrap count and cached row maximum.
+    fn bank_mut(&mut self, bank: BankAssignment) -> (&mut [u32], &mut u32, &Cell<(u32, bool)>) {
+        match bank {
+            BankAssignment::Cluster(c) => (
+                &mut self.rows_cluster[c as usize],
+                &mut self.wraps_cluster[c as usize],
+                &self.max_cluster[c as usize],
+            ),
+            BankAssignment::Shared => (
+                &mut self.rows_shared,
+                &mut self.wraps_shared,
+                &self.max_shared,
+            ),
+        }
+    }
+
     /// Replace one lifetime's row contribution with another's, touching only
-    /// the rows that differ. Same-bank transitions with an unchanged row
-    /// footprint (only the `last_consumer` moved) touch nothing at all and
-    /// keep the cached bank maximum valid; same-start stretches touch only
-    /// the `|rem₂ - rem₁|` rows the partial window grew or shrank by.
+    /// the rows that differ. The whole-II wraps move the bank's wrap count
+    /// and no row. Same-bank transitions with an unchanged partial window
+    /// touch no row and keep the cached bank maximum valid; same-start
+    /// stretches touch only the `|rem₂ - rem₁|` rows the partial window grew
+    /// or shrank by.
     ///
     /// The cached bank maximum is carried through the row writes instead of
     /// being invalidated: increments can only raise the maximum to the
     /// largest value they write, and a decrement can only move it when it
     /// hits a row currently *at* the maximum — so the O(II) rescan is
-    /// deferred to the rare shrink-from-the-max (and the `full`-count
-    /// transition, where a lifetime crosses a multiple of II).
+    /// deferred to the rare shrink-from-the-max.
     fn delta_apply(&mut self, old: Option<&ValueLifetime>, new: Option<&ValueLifetime>) {
         match (old, new) {
             (Some(o), Some(n)) if o.bank == n.bank => {
                 let ii = self.ii;
                 let (f1, r1, s1) = Self::decompose(o, ii);
                 let (f2, r2, s2) = Self::decompose(n, ii);
-                if (f1, r1, s1) == (f2, r2, s2) {
-                    return;
-                }
-                let (cell, rows) = match n.bank {
-                    BankAssignment::Cluster(c) => (
-                        &self.max_cluster[c as usize],
-                        &mut self.rows_cluster[c as usize],
-                    ),
-                    BankAssignment::Shared => (&self.max_shared, &mut self.rows_shared),
-                };
-                if f1 != f2 {
-                    // Every row moves by the full-count delta; the window
-                    // adjustment below may then touch some rows a second
-                    // time, so per-write max tracking cannot see final
-                    // values — fall back to invalidation.
-                    cell.set((0, false));
-                    let d = f2 as i64 - f1 as i64;
-                    for r in rows.iter_mut() {
-                        *r = (*r as i64 + d) as u32;
-                    }
-                    if s1 == s2 {
-                        let (lo, hi) = (r1.min(r2), r1.max(r2));
-                        if r2 > r1 {
-                            Self::for_wrapped(rows, (s1 + lo) % ii, hi - lo, |r| *r += 1);
-                        } else {
-                            Self::for_wrapped(rows, (s1 + lo) % ii, hi - lo, |r| *r -= 1);
-                        }
-                    } else {
-                        Self::for_wrapped(rows, s1, r1, |r| *r -= 1);
-                        Self::for_wrapped(rows, s2, r2, |r| *r += 1);
-                    }
+                let (rows, wraps, cell) = self.bank_mut(n.bank);
+                *wraps = *wraps + f2 - f1;
+                if (r1, s1) == (r2, s2) {
                     return;
                 }
                 let (cached, valid) = cell.get();
@@ -619,58 +629,29 @@ impl PressureTracker {
         }
     }
 
-    /// Add or remove one lifetime's per-row register occupancy, carrying the
-    /// cached bank maximum through the writes (see [`Self::delta_apply`]):
-    /// an add tracks the largest value it writes (and, when it touches every
-    /// row, *revalidates* an invalid cache for free); a remove only
-    /// invalidates when it decrements a row sitting at the cached maximum.
+    /// Add or remove one lifetime's register occupancy: its whole-II wraps
+    /// on the bank's wrap count, its partial window on `rem` rows, carrying
+    /// the cached bank maximum through the writes (see
+    /// [`Self::delta_apply`]): an add tracks the largest value it writes; a
+    /// remove only invalidates when it decrements a row sitting at the
+    /// cached maximum.
     fn apply(&mut self, lt: &ValueLifetime, add: bool) {
-        let ii = self.ii;
-        let length = lt.length();
-        let full = (length / ii as i64) as u32;
-        let rem = (length % ii as i64) as u32;
-        let (cell, rows) = match lt.bank {
-            BankAssignment::Cluster(c) => (
-                &self.max_cluster[c as usize],
-                &mut self.rows_cluster[c as usize],
-            ),
-            BankAssignment::Shared => (&self.max_shared, &mut self.rows_shared),
-        };
+        let (full, rem, start_row) = Self::decompose(lt, self.ii);
+        let (rows, wraps, cell) = self.bank_mut(lt.bank);
         let (cached, valid) = cell.get();
-        let start_row = lt.start.rem_euclid(ii as i64) as u32;
         if add {
+            *wraps += full;
             let mut grew_to = 0u32;
-            if full > 0 {
-                for r in rows.iter_mut() {
-                    *r += full;
-                }
-            }
-            if full > 0 || valid {
-                Self::for_wrapped(rows, start_row, rem, |r| {
-                    *r += 1;
-                    grew_to = grew_to.max(*r);
-                });
-            } else {
-                Self::for_wrapped(rows, start_row, rem, |r| *r += 1);
-            }
-            if full > 0 {
-                // Every row was touched: the scan below is exact whether or
-                // not the cache was valid before.
-                for &r in rows.iter() {
-                    grew_to = grew_to.max(r);
-                }
-                cell.set((grew_to, true));
-            } else if valid {
+            Self::for_wrapped(rows, start_row, rem, |r| {
+                *r += 1;
+                grew_to = grew_to.max(*r);
+            });
+            if valid {
                 cell.set((cached.max(grew_to), true));
             }
         } else {
+            *wraps -= full;
             let mut shrank_from_max = false;
-            if full > 0 {
-                for r in rows.iter_mut() {
-                    shrank_from_max |= *r == cached;
-                    *r -= full;
-                }
-            }
             Self::for_wrapped(rows, start_row, rem, |r| {
                 shrank_from_max |= *r == cached;
                 *r -= 1;
@@ -751,7 +732,7 @@ impl PressureQuery for PressureTracker {
             self.max_cluster[c as usize].set((m, true));
             m
         };
-        max + self.invariant_cluster[c as usize]
+        max + self.wraps_cluster[c as usize] + self.invariant_cluster[c as usize]
     }
     fn shared_live(&self) -> u32 {
         let (cached, valid) = self.max_shared.get();
@@ -762,7 +743,7 @@ impl PressureQuery for PressureTracker {
             self.max_shared.set((m, true));
             m
         };
-        max + self.invariant_shared
+        max + self.wraps_shared + self.invariant_shared
     }
 }
 
@@ -936,6 +917,38 @@ mod tests {
             place[n.index()] = None;
             tracker.touch(&w, &place, *n);
             assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);
+        }
+    }
+
+    #[test]
+    fn lifetime_crossing_a_multiple_of_the_ii_keeps_cluster_live_exact() {
+        // A def at cycle 1 read at cycles that move its lifetime across
+        // multiples of the II (4) and back, so its whole-II wrap count and
+        // partial window both change, starting from rows filled by a second
+        // lifetime.
+        let mut b = DdgBuilder::new("wrap");
+        let p = b.op(OpKind::FMul);
+        let q = b.op(OpKind::FMul);
+        let c = b.op(OpKind::FAdd);
+        let d = b.op(OpKind::FAdd);
+        b.flow(p, c, 0).flow(q, d, 0);
+        let g = b.build();
+        let w = WorkGraph::new(&g, &machine("S64"));
+        let ii = 4;
+        let mut place: Vec<Option<(i64, u32)>> = vec![None; w.ddg.num_nodes()];
+        let mut tracker = PressureTracker::new(ii, 1, w.ddg.num_nodes());
+        for (n, cycle) in [(q, 2), (d, 4), (p, 1)] {
+            place[n.index()] = Some((cycle, 0));
+            tracker.touch(&w, &place, n);
+        }
+        for read in [3, 4, 5, 8, 9, 14, 6, 2, 13] {
+            for at in [Some((read, 0)), None] {
+                place[c.index()] = at;
+                tracker.touch(&w, &place, c);
+                let batch = pressure(&w, &place, ii, 1, &lat(), false);
+                assert_eq!(tracker.cluster_live(0), batch.cluster[0], "{at:?}");
+                assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);
+            }
         }
     }
 

@@ -11,12 +11,17 @@
 //! victim of a forced slot, a dependence violator of a forced placement,
 //! the owner of a removed chain — is one `eject` transaction.
 //!
-//! The [`SlotIndex`] keeps per (resource class, row, cluster) lists of the
-//! placed nodes whose reservation touches that row (global classes such as
-//! buses and shared memory ports are indexed cluster-agnostically), so the
+//! The [`SlotIndex`] records, per (resource class, row, cluster), the placed
+//! nodes whose reservation touches that row (global classes such as buses
+//! and shared memory ports are indexed cluster-agnostically), so the
 //! backtracking victim search enumerates only the nodes actually reserving
 //! the conflicting row — O(row occupancy) — instead of walking every active
-//! node. The linear scan survives as
+//! node. One-row reservations sit in flat per-class slot arrays; the
+//! multi-row reservations of non-pipelined divides and square roots are one
+//! `(node, start row, span)` entry each in a per-(class, cluster) span list.
+//! So a place or eject never walks the 21–60 rows such an op covers on the
+//! paper's faster clustered clocks, and a rung reset zeroes the slot
+//! lengths and empties the span lists. The linear scan survives as
 //! [`PlacementStore::pick_victim_linear`], the reference scheduler's victim
 //! search, which must choose the exact same victim (`tests/property_based.rs`
 //! asserts it on randomized place/eject sequences;
@@ -29,31 +34,68 @@ use crate::workgraph::{ChainKind, WorkGraph};
 use hcrf_ir::{NodeId, OpKind, OpLatencies, ResourceClass};
 use std::cmp::Reverse;
 
-/// Per-(resource class, row, cluster) occupancy lists: which placed nodes
-/// reserve each row of the modulo reservation table.
+/// Most unit slots a one-row (row, group) slot keeps inline. Only classes
+/// modelled as unbounded (Table 3's static studies give LoadR/StoreR ports
+/// and buses `u32::MAX` units) are wider; their surplus entries spill into
+/// the span list like any over-subscribed slot.
+const MAX_SLOT_UNITS: u32 = 16;
+
+/// One span-list entry: `node` reserves the `len` consecutive rows (modulo
+/// the II) from row `start`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    node: NodeId,
+    start: u32,
+    len: u32,
+}
+
+/// The slot-index entries of one resource class.
+#[derive(Debug, Clone, Default)]
+struct ClassSlots {
+    /// Whether the class conflicts regardless of cluster (one group).
+    global: bool,
+    /// Groups per row: 1 for a global class, else the cluster count.
+    groups: usize,
+    /// Entries per (row, group) slot: the class's units per row, capped at
+    /// [`MAX_SLOT_UNITS`].
+    stride: usize,
+    /// One-row reservations: slot `row * groups + group` holds the
+    /// `len[slot]` nodes from `nodes[slot * stride]`.
+    nodes: Vec<NodeId>,
+    len: Vec<u8>,
+    /// Per group: every reservation spanning more than one row, plus the
+    /// one-row reservations that found their slot full.
+    spans: Vec<Vec<Span>>,
+}
+
+/// Per-(resource class, row, cluster) occupancy: which placed nodes reserve
+/// each row of the modulo reservation table.
 ///
-/// A node of occupancy `o` appears in the `min(o, II)` consecutive row lists
-/// (modulo the II) starting at its issue row — the same "touches" predicate
-/// the linear victim scan evaluates per candidate, precomputed at placement
-/// time. Cluster-local classes (FUs, per-cluster memory ports, LoadR/StoreR
-/// ports) keep one list per (row, cluster); global classes (buses, and
-/// memory ports when the machine routes all memory traffic through a shared
-/// pool) keep one list per row.
+/// A node of occupancy `o` reserves the `min(o, II)` consecutive rows
+/// (modulo the II) from its issue row — the same "touches" predicate the
+/// linear victim scan evaluates per candidate. Cluster-local classes (FUs,
+/// per-cluster memory ports, LoadR/StoreR ports) keep one group per cluster;
+/// global classes (buses, and memory ports when the machine routes all
+/// memory traffic through a shared pool) keep one group.
+///
+/// Two layouts, so that no update walks rows:
+/// * a one-row reservation takes an entry of its (row, group) slot in a flat
+///   per-class array, `stride` = the class's units per row entries wide;
+/// * a multi-row one (`min(o, II) > 1`, the non-pipelined divides and
+///   square roots) is one `(node, start row, span)` entry of its group's
+///   span list, which [`SlotIndex::candidates`] filters by
+///   `(row − start) mod II < span`.
+///
+/// A slot is full only when the MRT row is over-subscribed, which the
+/// scheduler never does (it ejects until [`Mrt::can_place`] holds); an entry
+/// that finds its slot full spills into the span list with span 1. Place and
+/// eject are O(1) plus a search of one slot or one group's span list, and a
+/// rung reset zeroes the slot lengths and empties the span lists.
 #[derive(Debug, Clone, Default)]
 pub struct SlotIndex {
     ii: u32,
-    clusters: u32,
-    memory_shared: bool,
-    /// `fu[row * clusters + cluster]`
-    fu: Vec<Vec<NodeId>>,
-    /// `mem[row * clusters + cluster]`, or `mem[row]` when memory is shared.
-    mem: Vec<Vec<NodeId>>,
-    /// `bus[row]` (buses are always global).
-    bus: Vec<Vec<NodeId>>,
-    /// `lp[row * clusters + cluster]`
-    lp: Vec<Vec<NodeId>>,
-    /// `sp[row * clusters + cluster]`
-    sp: Vec<Vec<NodeId>>,
+    /// Indexed by `ResourceClass as usize`.
+    classes: [ClassSlots; 5],
 }
 
 impl SlotIndex {
@@ -64,80 +106,57 @@ impl SlotIndex {
         index
     }
 
-    /// Re-shape the index for a new II, clearing every occupancy list while
-    /// keeping their allocations. The attempt arena calls this once per II
-    /// restart.
+    /// Re-shape the index for a new II and empty it, keeping its
+    /// allocations: zero the slot lengths, clear the span lists. The attempt
+    /// arena calls this once per II restart.
     pub fn reset_for_ii(&mut self, ii: u32) {
         let ii = ii.max(1);
         self.ii = ii;
-        let rows = ii as usize;
-        let c = self.clusters as usize;
-        let mem_slots = if self.memory_shared { rows } else { rows * c };
-        fn reshape(lists: &mut Vec<Vec<NodeId>>, len: usize) {
-            lists.truncate(len);
-            for l in lists.iter_mut() {
-                l.clear();
-            }
-            lists.resize_with(len, Vec::new);
+        for slots in &mut self.classes {
+            let n = ii as usize * slots.groups;
+            slots.len.clear();
+            slots.len.resize(n, 0);
+            // Entries past a slot's length are never read.
+            slots.nodes.resize(n * slots.stride, NodeId(u32::MAX));
+            slots.spans.iter_mut().for_each(Vec::clear);
         }
-        reshape(&mut self.fu, rows * c);
-        reshape(&mut self.mem, mem_slots);
-        reshape(&mut self.bus, rows);
-        reshape(&mut self.lp, rows * c);
-        reshape(&mut self.sp, rows * c);
     }
 
-    /// Re-shape the index for a new machine's capacities (cluster count and
-    /// memory-port sharing can both change) and clear it for an attempt at
-    /// `ii`, reusing the occupancy-list allocations. Called by
+    /// Re-shape the index for a new machine's capacities (cluster count,
+    /// units per row and memory-port sharing can all change) and clear it
+    /// for an attempt at `ii`, reusing the allocations. Called by
     /// [`PlacementStore::rebind`].
     pub fn rebind(&mut self, ii: u32, caps: &ResourceCaps) {
-        self.clusters = caps.clusters;
-        self.memory_shared = caps.memory_is_shared();
+        let shared = caps.memory_is_shared();
+        for (class, units, global) in [
+            (ResourceClass::Fu, caps.fus_per_cluster, false),
+            (
+                ResourceClass::MemPort,
+                if shared {
+                    caps.shared_mem_ports
+                } else {
+                    caps.mem_ports_per_cluster
+                },
+                shared,
+            ),
+            (ResourceClass::Bus, caps.buses, true),
+            (ResourceClass::SharedReadPort, caps.lp, false),
+            (ResourceClass::SharedWritePort, caps.sp, false),
+        ] {
+            let slots = &mut self.classes[class as usize];
+            slots.global = global;
+            slots.groups = if global { 1 } else { caps.clusters as usize };
+            slots.stride = units.min(MAX_SLOT_UNITS) as usize;
+            if slots.spans.len() < slots.groups {
+                slots.spans.resize_with(slots.groups, Vec::new);
+            }
+        }
         self.reset_for_ii(ii);
     }
 
-    /// Whether a resource class conflicts regardless of cluster.
-    fn is_global(&self, class: ResourceClass) -> bool {
-        match class {
-            ResourceClass::Bus => true,
-            ResourceClass::MemPort => self.memory_shared,
-            _ => false,
-        }
-    }
-
-    fn slot(&self, class: ResourceClass, row: u32, cluster: u32) -> usize {
-        if self.is_global(class) {
-            row as usize
-        } else {
-            row as usize * self.clusters as usize + cluster as usize
-        }
-    }
-
-    fn lists(&self, class: ResourceClass) -> &Vec<Vec<NodeId>> {
-        match class {
-            ResourceClass::Fu => &self.fu,
-            ResourceClass::MemPort => &self.mem,
-            ResourceClass::Bus => &self.bus,
-            ResourceClass::SharedReadPort => &self.lp,
-            ResourceClass::SharedWritePort => &self.sp,
-        }
-    }
-
-    fn lists_mut(&mut self, class: ResourceClass) -> &mut Vec<Vec<NodeId>> {
-        match class {
-            ResourceClass::Fu => &mut self.fu,
-            ResourceClass::MemPort => &mut self.mem,
-            ResourceClass::Bus => &mut self.bus,
-            ResourceClass::SharedReadPort => &mut self.lp,
-            ResourceClass::SharedWritePort => &mut self.sp,
-        }
-    }
-
-    /// Add (`add`) or remove `n` in the row lists of one reservation: the
-    /// `min(occupancy, II)` consecutive rows (modulo the II) from its issue
-    /// row — the slot-index leg of the store's place/eject transaction,
-    /// which moves the MRT counts and these lists together.
+    /// Add (`add`) or remove `n` for one reservation: the `min(occupancy,
+    /// II)` consecutive rows (modulo the II) from its issue row — the
+    /// slot-index leg of the store's place/eject transaction.
     pub(crate) fn update_span(
         &mut self,
         n: NodeId,
@@ -148,32 +167,46 @@ impl SlotIndex {
         add: bool,
     ) {
         let class = kind.resource_class();
-        let (stride, offset) = if self.is_global(class) {
-            (1, 0)
-        } else {
-            (self.clusters as usize, cluster as usize)
-        };
-        // One `rem_euclid` for the issue row, then a wrap at the II.
         let ii = self.ii;
         let start = cycle.rem_euclid(ii as i64) as u32;
-        let lists = self.lists_mut(class);
-        for row in (start..ii)
-            .chain(0..start)
-            .take(lat.occupancy(kind) as usize)
-        {
-            let list = &mut lists[row as usize * stride + offset];
+        let len = lat.occupancy(kind).min(ii);
+        let slots = &mut self.classes[class as usize];
+        let group = if slots.global { 0 } else { cluster as usize };
+        if len == 1 {
+            let slot = start as usize * slots.groups + group;
+            let first = slot * slots.stride;
+            let held = usize::from(slots.len[slot]);
             if add {
-                list.push(n);
-            } else if let Some(pos) = list.iter().position(|&x| x == n) {
-                list.swap_remove(pos);
-            } else {
-                debug_assert!(false, "SlotIndex: {n} missing from {class:?} row {row}");
+                if held < slots.stride {
+                    slots.nodes[first + held] = n;
+                    slots.len[slot] += 1;
+                    return;
+                }
+            } else if let Some(pos) = slots.nodes[first..first + held]
+                .iter()
+                .position(|&x| x == n)
+            {
+                slots.nodes[first + pos] = slots.nodes[first + held - 1];
+                slots.len[slot] -= 1;
+                return;
             }
+        }
+        let spans = &mut slots.spans[group];
+        if add {
+            spans.push(Span {
+                node: n,
+                start,
+                len,
+            });
+        } else if let Some(pos) = spans.iter().position(|s| s.node == n) {
+            spans.swap_remove(pos);
+        } else {
+            debug_assert!(false, "SlotIndex: {n} missing from {class:?} row {start}");
         }
     }
 
-    /// Record a placement: the node enters the `min(occupancy, II)`
-    /// consecutive row lists (modulo the II) starting at its issue row.
+    /// Record a placement: the node reserves the `min(occupancy, II)`
+    /// consecutive rows (modulo the II) starting at its issue row.
     pub fn insert(&mut self, n: NodeId, kind: OpKind, cycle: i64, cluster: u32, lat: &OpLatencies) {
         self.update_span(n, kind, cycle, cluster, lat, true);
     }
@@ -184,15 +217,43 @@ impl SlotIndex {
     }
 
     /// Placed nodes whose reservation of `class` touches `row` (on `cluster`
-    /// for cluster-local classes; the cluster is ignored for global ones).
-    pub fn candidates(&self, class: ResourceClass, row: u32, cluster: u32) -> &[NodeId] {
-        &self.lists(class)[self.slot(class, row, cluster)]
+    /// for cluster-local classes; the cluster is ignored for global ones),
+    /// in no particular order: the row's one-row slot, then the group's span
+    /// entries that cover the row.
+    pub fn candidates(
+        &self,
+        class: ResourceClass,
+        row: u32,
+        cluster: u32,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        let slots = &self.classes[class as usize];
+        let group = if slots.global { 0 } else { cluster as usize };
+        let slot = row as usize * slots.groups + group;
+        let one_row = &slots.nodes[slot * slots.stride..][..usize::from(slots.len[slot])];
+        let ii = self.ii;
+        let covers = move |s: &&Span| {
+            let offset = if row >= s.start {
+                row - s.start
+            } else {
+                row + ii - s.start
+            };
+            offset < s.len
+        };
+        one_row
+            .iter()
+            .copied()
+            .chain(slots.spans[group].iter().filter(covers).map(|s| s.node))
     }
 
     /// Compare against an index rebuilt from scratch; returns a description
-    /// of the first diverging list, if any. Membership is order-insensitive
-    /// (`swap_remove` reorders lists; victim selection is order-independent).
+    /// of the first (class, row, group) whose candidate sets differ, if any.
+    /// Membership is compared as a set per row, so it does not depend on
+    /// which layout holds an entry or in what order (`swap_remove` reorders
+    /// entries; victim selection is order-independent).
     pub fn diff(&self, other: &SlotIndex) -> Option<String> {
+        if self.ii != other.ii {
+            return Some(format!("II {} vs {}", self.ii, other.ii));
+        }
         let classes = [
             ResourceClass::Fu,
             ResourceClass::MemPort,
@@ -201,17 +262,25 @@ impl SlotIndex {
             ResourceClass::SharedWritePort,
         ];
         for class in classes {
-            let (a, b) = (self.lists(class), other.lists(class));
-            if a.len() != b.len() {
-                return Some(format!("{class:?}: {} slots vs {}", a.len(), b.len()));
+            let (a, b) = (
+                &self.classes[class as usize],
+                &other.classes[class as usize],
+            );
+            if a.groups != b.groups {
+                return Some(format!("{class:?}: {} groups vs {}", a.groups, b.groups));
             }
-            for (slot, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-                let mut x: Vec<u32> = x.iter().map(|n| n.0).collect();
-                let mut y: Vec<u32> = y.iter().map(|n| n.0).collect();
-                x.sort_unstable();
-                y.sort_unstable();
-                if x != y {
-                    return Some(format!("{class:?} slot {slot}: {x:?} vs {y:?}"));
+            for row in 0..self.ii {
+                for group in 0..a.groups as u32 {
+                    let set = |index: &SlotIndex| {
+                        let mut v: Vec<u32> =
+                            index.candidates(class, row, group).map(|n| n.0).collect();
+                        v.sort_unstable();
+                        v
+                    };
+                    let (x, y) = (set(self), set(other));
+                    if x != y {
+                        return Some(format!("{class:?} row {row} group {group}: {x:?} vs {y:?}"));
+                    }
                 }
             }
         }
@@ -408,9 +477,10 @@ pub struct PlacementStore {
     /// Per-node hot fields (placement + `prev_cycle`), structure-of-arrays.
     hot: Vec<NodeHot>,
     tracker: PressureTracker,
-    /// Rows maintained by [`PlacementStore::apply_reservation`] this attempt
-    /// (MRT counts and slot-index lists moved together for each) — the
-    /// event-volume side of [`crate::SchedulerStats::fused_row_updates`].
+    /// Reservation rows covered by the MRT updates of
+    /// [`PlacementStore::apply_reservation`] this attempt (`min(occ, II)` per
+    /// reservation) — the event-volume side of
+    /// [`crate::SchedulerStats::fused_row_updates`].
     fused_rows: u64,
     order: PriorityOrder,
     worklist: RankQueue,
@@ -592,9 +662,9 @@ impl PlacementStore {
     }
 
     /// The reservation kernel shared by place and unplace: the MRT row
-    /// counts and the [`SlotIndex`] row lists move together. Non-FU classes
-    /// pin their MRT resource only in the issue row, but the index lists the
-    /// node across its whole occupancy span.
+    /// counts and the [`SlotIndex`] entry move together. Non-FU classes pin
+    /// their MRT resource only in the issue row; every class is indexed
+    /// across its whole occupancy span.
     fn apply_reservation(
         &mut self,
         kind: OpKind,
@@ -706,8 +776,9 @@ impl PlacementStore {
 
     /// Choose an ejection victim that frees the resource `kind` needs at
     /// `cycle` on `cluster`, enumerating only the nodes the [`SlotIndex`]
-    /// records for the conflicting (class, row, cluster) — O(row occupancy)
-    /// instead of O(active nodes). Original nodes with the lowest priority
+    /// records for the conflicting (class, row, cluster) — O(row occupancy
+    /// plus the cluster's multi-row reservations) instead of O(active
+    /// nodes). Original nodes with the lowest priority
     /// are preferred; inserted nodes are a last resort (removing them drags
     /// their owner out too); ties break towards the lowest node id, exactly
     /// like the linear scan.
@@ -721,7 +792,7 @@ impl PlacementStore {
     ) -> Option<NodeId> {
         let class = kind.resource_class();
         let cands = self.index.candidates(class, self.row_of(cycle), cluster);
-        self.best_victim(w, u, cands.iter().copied())
+        self.best_victim(w, u, cands)
     }
 
     /// The paper-literal O(active nodes) victim scan: the reference
@@ -963,7 +1034,7 @@ mod tests {
             assert!(store
                 .slot_index()
                 .candidates(ResourceClass::Fu, row, 1)
-                .contains(&d));
+                .any(|n| n == d));
         }
         assert_eq!(store.eject(&mut w, d, &lat()), 1);
         assert!(!store.is_placed(d));
@@ -985,7 +1056,7 @@ mod tests {
         // Both loads conflict in row 0 regardless of the cluster queried.
         for c in 0..4 {
             let cands = store.slot_index().candidates(ResourceClass::MemPort, 0, c);
-            assert_eq!(cands.len(), 2, "cluster {c}");
+            assert_eq!(cands.count(), 2, "cluster {c}");
         }
         assert_eq!(store.check_consistency(&w, &lat()), None);
     }
@@ -1016,6 +1087,101 @@ mod tests {
                     "{kind:?} @ {cycle}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn divide_above_its_occupancy_is_a_candidate_in_exactly_its_span_rows() {
+        let mut b = DdgBuilder::new("span");
+        let d = b.op(OpKind::FDiv);
+        let g = b.build();
+        let m = machine("8C16S16"); // 1 FU per cluster
+        let w = WorkGraph::new(&g, &m);
+        let ii = 24;
+        let mut store = store_for(&w, &m, ii);
+        // Issue row 20: the 17-row span wraps onto rows 0..=12.
+        store.place(&w, d, 44, 3, &lat());
+        assert_eq!(store.check_consistency(&w, &lat()), None);
+        let probe = NodeId(u32::MAX - 1);
+        for row in 0..ii {
+            let covered = (row + ii - 20) % ii < 17;
+            let on = |cluster| {
+                store
+                    .slot_index()
+                    .candidates(ResourceClass::Fu, row, cluster)
+                    .any(|n| n == d)
+            };
+            assert_eq!(on(3), covered, "row {row}");
+            assert!(!on(2), "row {row} on another cluster");
+            assert_eq!(
+                store.pick_victim(&w, probe, OpKind::FAdd, row as i64, 3),
+                store.pick_victim_linear(&w, probe, OpKind::FAdd, row as i64, 3, &lat()),
+                "row {row}"
+            );
+        }
+    }
+
+    #[test]
+    fn over_subscribed_one_row_slot_matches_the_scan() {
+        let mut b = DdgBuilder::new("over");
+        let adds: Vec<_> = (0..3).map(|_| b.op(OpKind::FAdd)).collect();
+        let g = b.build();
+        let m = machine("8C16S16"); // a one-entry FU slot per (row, cluster)
+        let mut w = WorkGraph::new(&g, &m);
+        let mut store = store_for(&w, &m, 4);
+        let in_row = |store: &PlacementStore| {
+            let mut v: Vec<_> = store
+                .slot_index()
+                .candidates(ResourceClass::Fu, 1, 5)
+                .collect();
+            v.sort();
+            v
+        };
+        // Three adds forced into one row of a one-FU cluster: the slot
+        // fills, and the other two spill.
+        for &n in &adds {
+            store.place(&w, n, 5, 5, &lat());
+            assert_eq!(store.check_consistency(&w, &lat()), None);
+        }
+        assert_eq!(in_row(&store), adds);
+        store.eject(&mut w, adds[0], &lat());
+        assert_eq!(store.check_consistency(&w, &lat()), None);
+        assert_eq!(in_row(&store), adds[1..]);
+        store.place(&w, adds[0], 1, 5, &lat());
+        store.eject(&mut w, adds[2], &lat());
+        assert_eq!(store.check_consistency(&w, &lat()), None);
+        assert_eq!(in_row(&store), adds[..2]);
+        for &n in &adds[..2] {
+            store.eject(&mut w, n, &lat());
+        }
+        assert_eq!(store.check_consistency(&w, &lat()), None);
+        assert!(in_row(&store).is_empty());
+    }
+
+    #[test]
+    fn reset_empties_both_layouts() {
+        let mut b = DdgBuilder::new("reset");
+        let d = b.op(OpKind::FDiv);
+        let adds: Vec<_> = (0..3).map(|_| b.op(OpKind::FAdd)).collect();
+        let l = b.load(0, 8);
+        let g = b.build();
+        let m = machine("8C16S16");
+        let w = WorkGraph::new(&g, &m);
+        let caps = ResourceCaps::from_machine(&m);
+        let mut store = store_for(&w, &m, 20);
+        store.place(&w, d, 3, 0, &lat()); // span list
+        for &n in &adds {
+            store.place(&w, n, 7, 1, &lat()); // a slot, then its spill
+        }
+        store.place(&w, l, 2, 0, &lat());
+        assert!(store
+            .slot_index()
+            .diff(&SlotIndex::new(20, &caps))
+            .is_some());
+        for ii in [20, 7] {
+            store.reset_for_ii(ii, g.num_nodes());
+            assert_eq!(store.slot_index().diff(&SlotIndex::new(ii, &caps)), None);
+            assert_eq!(store.check_consistency(&w, &lat()), None);
         }
     }
 

@@ -150,9 +150,10 @@ pub struct SchedulerStats {
     /// request counts in `pressure_refreshes`. The field stays because the
     /// `perfbench` harness builds this struct field by field.
     pub refresh_skips: u64,
-    /// MRT rows maintained by place/unplace reservations (one per occupied
-    /// row of each reservation) — the row traffic of the store's
-    /// place/eject transactions.
+    /// Reservation rows the MRT updates of place/unplace cover:
+    /// `min(occupancy, II)` per reservation, so a 17-cycle divide placed at
+    /// II 24 counts 17 — the row volume of the store's place/eject
+    /// transactions, whether or not a row is walked one at a time.
     pub fused_row_updates: u64,
 }
 

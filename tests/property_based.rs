@@ -244,17 +244,20 @@ proptest! {
     /// from-scratch scan of the placements (and the MRT equals a replayed
     /// table), and the victim chosen by the indexed `pick_victim` equals the
     /// linear-scan oracle's choice for arbitrary (kind, cycle, cluster)
-    /// conflict probes — mirroring the PR 2 pressure-oracle pattern.
+    /// conflict probes — mirroring the PR 2 pressure-oracle pattern. IIs up
+    /// to 48 put 17-cycle divides on partial, wrapping multi-row spans, and
+    /// 8C16S16's one-FU clusters make unchecked placements fill and
+    /// over-subscribe one-row slots.
     #[test]
     fn slot_index_matches_scan_and_victim_policies_agree(
         ddg in arb_loop(14),
-        ops in prop::collection::vec((any::<u16>(), 0u32..4, 0i64..48), 4..48),
-        probes in prop::collection::vec((0u8..5, 0i64..48, 0u32..4), 1..12),
-        hier in any::<bool>(),
-        ii in 1u32..9,
+        ops in prop::collection::vec((any::<u16>(), 0u32..8, 0i64..96), 4..48),
+        probes in prop::collection::vec((0u8..5, 0i64..96, 0u32..8), 1..12),
+        which in 0usize..3,
+        ii in 1u32..49,
     ) {
         let lat = OpLatencies::paper_baseline();
-        let cfg = if hier { "4C16S64" } else { "S64" };
+        let cfg = ["S64", "4C16S64", "8C16S16"][which];
         let machine = MachineConfig::paper_baseline(RfOrganization::parse(cfg).unwrap());
         let mut w = WorkGraph::new(&ddg, &machine);
         let caps = ResourceCaps::from_machine(&machine);
