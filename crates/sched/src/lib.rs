@@ -63,7 +63,8 @@ pub use arena::{ArenaPool, AttemptArena};
 pub use port_profile::{port_requirements, PortRequirement};
 pub use pressure::{Pressure, PressureQuery, PressureTracker, ValueLifetime};
 pub use scheduler::{
-    schedule_loop, schedule_loop_baseline36, IterativeScheduler, PhaseTimings, EJECTION_GUARD_LIMIT,
+    schedule_loop, schedule_loop_baseline36, IterativeScheduler, PhaseTimings, ATTEMPT_CAP_BUDGETS,
+    EJECTION_GUARD_LIMIT,
 };
 pub use store::{PlacementStore, SlotIndex};
 pub use types::{BankAssignment, Placement, ScheduleResult, SchedulerParams, SchedulerStats};

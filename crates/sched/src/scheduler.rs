@@ -46,6 +46,20 @@ use std::time::{Duration, Instant};
 /// re-occupying every row) and a larger II is needed.
 pub const EJECTION_GUARD_LIMIT: u32 = 4096;
 
+/// Hard bound on the worklist pops of one II attempt, in budgets: an
+/// attempt that pops more than `ATTEMPT_CAP_BUDGETS·(n+8)·budget_ratio`
+/// nodes (`n` active nodes at the attempt's start) fails as structural. The
+/// no-progress rule ends self-ejection storms far below it; what still
+/// reaches it is credit from communication or spill chains that stay placed
+/// while the attempt cycles, and every pop that inserts a chain adds nodes
+/// to the working graph. Ablation over perfbench's three workloads on both
+/// populations: 8 is the smallest power of two that leaves every decision
+/// unchanged (the default population's six capped attempts end on the same
+/// rungs as at 64, after 1.3k–1.9k pops instead of 10k–15k, with at most
+/// ~3.2k working-graph nodes instead of ~26k); 4 moves `fig6_real`'s
+/// execution cycles and 2 also moves its ΣII.
+pub const ATTEMPT_CAP_BUDGETS: u64 = 8;
+
 /// Largest stride the budget-aware II ladder takes after a run of failed
 /// attempts. Roughly the square root of the deep churn ladders' length
 /// (~60–80 rungs): a larger cap saves fewer mid-ladder attempts than it adds
@@ -613,17 +627,20 @@ impl IterativeScheduler {
         };
         state.warm_probe = warm_unplaced.is_some();
         state.self_ejections = 0;
-        // Safety net on scheduling attempts. The budget grows by
-        // Budget_Ratio per inserted communication or spill node (as in the
-        // paper), and a pop that ejects itself keeps none of that credit (the
-        // no-progress rule after step 3), so an eject/re-insert ping-pong
-        // ends as an ordinary budget-limited failure long before this cap.
-        // What still reaches it is credit from communication or spill
-        // chains that do stay placed while the attempt keeps cycling; each
-        // hit is counted in `sched.attempt_caps` and traced as an
+        // Safety net on scheduling attempts, `ATTEMPT_CAP_BUDGETS` budgets
+        // of pops. The budget grows by Budget_Ratio per inserted
+        // communication or spill node (as in the paper), and a pop that
+        // ejects itself keeps none of that credit (the no-progress rule
+        // after step 3), so an eject/re-insert ping-pong ends as an ordinary
+        // budget-limited failure long before this cap. What still reaches
+        // it is credit from communication or spill chains that do stay
+        // placed while the attempt keeps cycling. Each such pop adds nodes
+        // to the working graph, so the cap bounds memory as well as time.
+        // Each hit is counted in `sched.attempt_caps` and traced as an
         // `attempt_cap` instant.
-        let attempt_cap =
-            64 * (state.w.active_count() as u64 + 8) * (self.params.budget_ratio as u64).max(1);
+        let attempt_cap = ATTEMPT_CAP_BUDGETS
+            * (state.w.active_count() as u64 + 8)
+            * (self.params.budget_ratio as u64).max(1);
         let spill_round_limit = 4 * (state.w.original_nodes() as u32 + 4);
         let mut spill_rounds = 0u32;
 

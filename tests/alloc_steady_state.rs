@@ -1,4 +1,6 @@
-//! The per-pair setup allocates nothing at steady state.
+//! The scheduler's heap stays small: per-pair setup allocates nothing at
+//! steady state, and a runaway II attempt cannot grow the heap without
+//! bound.
 //!
 //! For every (loop, machine) pair the scheduler computes the MII once,
 //! rebinds the pooled arena to the pair (working-graph clone, memory
@@ -9,45 +11,63 @@
 //! count per pair. The machines share one pool and differ in cluster count
 //! and organization: S64 is monolithic, 4C64 clustered, and 4C16S64 and
 //! 8C16S16 are hierarchical, so their rebinds rebuild the memory interface.
+//!
+//! An attempt that keeps inserting communication chains grows its working
+//! graph on every pop until the attempt cap stops it, so the cap bounds the
+//! transient heap too. The full suite's pairs that reach the cap must each
+//! schedule within a fixed heap peak.
 
 use hcrf::driver::ConfiguredMachine;
 use hcrf_ir::Loop;
 use hcrf_sched::{ArenaPool, IterativeScheduler, SchedulerParams};
-use hcrf_workloads::small_suite;
+use hcrf_telemetry::{Telemetry, Verbosity};
+use hcrf_workloads::{small_suite, suite::suite, SuiteParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// The system allocator, counting the allocations of the current thread
-/// (the test harness runs other threads alongside).
+/// The system allocator, counting the allocations of the current thread and
+/// its live and peak heap bytes (the test harness runs other threads
+/// alongside). A block freed on another thread than the one that allocated
+/// it moves both threads' live counts, so only differences taken on one
+/// thread are meaningful.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Record an allocation event that moves the live bytes by `delta`
+/// (`count` is false for a free).
+fn record(count: bool, delta: i64) {
     // `try_with` fails only while the thread is being torn down.
-    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + u64::from(count)));
+    let _ = LIVE_BYTES.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        record(true, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        record(true, layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        record(true, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(false, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -57,6 +77,16 @@ static GLOBAL: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Run `f` and return its result with the most heap bytes the current
+/// thread held during it beyond what it held at the start.
+fn heap_peak_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let start = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(start));
+    let out = f();
+    let peak = PEAK_BYTES.with(Cell::get);
+    (out, (peak - start) as u64)
 }
 
 /// One pass of per-pair setups over every (machine, loop) pair: the MII,
@@ -117,4 +147,44 @@ fn second_pass_of_per_pair_setup_allocates_nothing() {
         &steady[..steady.len().min(8)]
     );
     assert_eq!(pool.builds(), 1);
+}
+
+#[test]
+fn attempt_cap_bounds_the_heap_of_storm_pairs() {
+    const HEAP_PEAK_LIMIT: u64 = 3 << 20;
+    let loops = suite(SuiteParams::default());
+    // Every (loop, configuration) pair of the default suite × 15 Table 5
+    // configurations with an attempt that reaches the cap. Their peaks are
+    // 0.3–2.2 MB at the 8-budget cap; at 64 budgets they were 2.3–18.2 MB.
+    for (name, config) in [
+        ("syn0720_fu", "8C16S16"),
+        ("syn0998_fu", "8C16S16"),
+        ("syn0888_fu", "8C16S16"),
+        ("syn1056_fu", "2C64"),
+        ("syn0613_fu", "2C64S32"),
+    ] {
+        let ddg = &loops
+            .iter()
+            .find(|l| l.ddg.name == name)
+            .unwrap_or_else(|| panic!("{name} missing from the default suite"))
+            .ddg;
+        let machine = ConfiguredMachine::from_name(config).unwrap().machine;
+        let telemetry = Telemetry::reporter(Verbosity::Silent);
+        let scheduler = IterativeScheduler::new(machine, SchedulerParams::default())
+            .with_telemetry(telemetry.clone());
+        let (result, peak) = heap_peak_during(|| scheduler.schedule(ddg));
+        assert!(!result.failed, "{name}@{config} failed to schedule");
+        let caps = telemetry
+            .metrics_snapshot()
+            .counter("sched.attempt_caps")
+            .unwrap_or(0);
+        assert!(
+            caps > 0,
+            "{name}@{config}: no attempt reaches the cap, so this pair bounds nothing"
+        );
+        assert!(
+            peak < HEAP_PEAK_LIMIT,
+            "{name}@{config}: heap peak {peak} B while scheduling (limit {HEAP_PEAK_LIMIT} B)"
+        );
+    }
 }

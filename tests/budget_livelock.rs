@@ -11,7 +11,9 @@
 
 use hcrf::driver::ConfiguredMachine;
 use hcrf_ir::Loop;
-use hcrf_sched::{validate_schedule, IterativeScheduler, ScheduleResult, SchedulerParams};
+use hcrf_sched::{
+    validate_schedule, IterativeScheduler, ScheduleResult, SchedulerParams, ATTEMPT_CAP_BUDGETS,
+};
 use hcrf_telemetry::{Telemetry, Verbosity, DEFAULT_TRACE_CAPACITY};
 use hcrf_workloads::{suite::suite, SuiteParams};
 
@@ -44,8 +46,10 @@ fn counter(telemetry: &Telemetry, key: &str) -> u64 {
 #[test]
 fn self_ejecting_pops_do_not_run_attempts_to_the_cap() {
     let loops = suite(SuiteParams::default());
-    // (loop, config, final II). Without the no-progress rule these take
-    // 76 127, 61 970 and 53 935 scheduling attempts.
+    // (loop, config, final II). Without the no-progress rule these took
+    // 76 127, 61 970 and 53 935 scheduling attempts, measured when the
+    // attempt cap was 64 budgets (`ATTEMPT_CAP_BUDGETS` is lower now, so
+    // the same storms would stop sooner at the cap).
     for (name, config, ii) in [
         ("syn1006_fu", "4C32S16", 27),
         ("syn0502_fu", "2C32", 44),
@@ -77,6 +81,11 @@ fn remaining_attempt_cap_hits_are_counted_and_traced() {
     // there self-ejects, but the pops in between insert chains that stay
     // placed and keep their credit.
     let (r, telemetry) = schedule_pair(&loops, "syn1056_fu", "2C64");
+    let nodes = loops
+        .iter()
+        .find(|l| l.ddg.name == "syn1056_fu")
+        .map(|l| l.ddg.num_nodes() as u64)
+        .unwrap();
     assert_eq!(r.ii, 22, "syn1056_fu@2C64: final II moved");
     assert_eq!(counter(&telemetry, "sched.attempt_caps"), 1);
     let caps: Vec<_> = telemetry
@@ -94,6 +103,15 @@ fn remaining_attempt_cap_hits_are_counted_and_traced() {
             .unwrap_or_else(|| panic!("attempt_cap instant lacks `{key}`"))
     };
     assert_eq!(arg("ii"), 11);
-    assert!(arg("attempts") > 0 && arg("ejections") > 0);
+    // The attempt fails on the first pop past the cap, 8·(28+8)·6 + 1 pops,
+    // so retuning `ATTEMPT_CAP_BUDGETS` has to change this number.
+    let budget_ratio = u64::from(SchedulerParams::default().budget_ratio);
+    assert_eq!(ATTEMPT_CAP_BUDGETS * (nodes + 8) * budget_ratio + 1, 1729);
+    assert_eq!(
+        arg("attempts"),
+        1729,
+        "syn1056_fu@2C64: the II 11 attempt stopped elsewhere than at the cap"
+    );
+    assert!(arg("ejections") > 0);
     assert!(arg("node") >= 0);
 }
