@@ -233,7 +233,7 @@ impl RecurrenceAnalysis {
     pub fn rec_mii(&mut self, g: &Ddg, lat: &OpLatencies) -> u32 {
         let mut hi = 1i64;
         let mut back_edge = false;
-        for (_, e) in g.edges() {
+        for (_, e) in g.linked_edges() {
             hi += e.delay(g.node(e.src).kind, lat).max(0);
             back_edge |= e.distance > 0;
         }
@@ -319,7 +319,7 @@ impl AcyclicSchedule {
         let n = g.num_nodes();
         let ii = ii as i64;
         self.relax.clear();
-        self.relax.extend(g.edges().map(|(_, e)| {
+        self.relax.extend(g.linked_edges().map(|(_, e)| {
             let w = e.delay(g.node(e.src).kind, lat) - ii * e.distance as i64;
             (e.src.0, e.dst.0, w)
         }));

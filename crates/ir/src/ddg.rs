@@ -146,19 +146,33 @@ impl Edge {
 
 /// A data dependence graph for one innermost loop, together with the loop
 /// level metadata needed by the performance model.
+///
+/// The node and edge arrays may end in a *detached tail*: nodes and edges
+/// appended by [`Ddg::add_detached_node`] / [`Ddg::add_detached_edge`],
+/// which get ids and are readable through [`Ddg::node`] / [`Ddg::edge`]
+/// (and counted by [`Ddg::num_nodes`] / [`Ddg::num_edges`]) but are in no
+/// adjacency list. The *linked graph* is the prefix before the tail: the
+/// adjacency accessors ([`Ddg::succ_edge_ids`] and the iterators built on
+/// it) and the analyses of this crate see exactly its edges, and a detached
+/// node has no successors or predecessors. A linked add after a detached
+/// one panics, so the linked graph is always a prefix of both arrays.
 #[derive(Default)]
 pub struct Ddg {
     /// Human readable loop name (kernel name or synthetic id).
     pub name: String,
     nodes: Vec<Node>,
     edges: Vec<Edge>,
+    /// Adjacency of the linked nodes only: `succs.len()` is the linked
+    /// node count.
     succs: Vec<Vec<EdgeId>>,
     preds: Vec<Vec<EdgeId>>,
+    /// Number of linked edges (the prefix of `edges` in the adjacency).
+    linked_edges: usize,
     /// Cleared `(succs, preds)` lists of the nodes a shrinking `clone_from`
     /// cut off, the lowest former node on top, so the next `add_node` (or a
     /// growing `clone_from`) gets back the list that node position held.
-    /// Only `clone_from` parks lists here: `truncate`, which runs once per
-    /// II attempt, drops them.
+    /// Only `clone_from` parks lists here; `truncate` drops the lists of
+    /// linked nodes it cuts off, and detached nodes have none.
     spare_adjacency: Vec<(Vec<EdgeId>, Vec<EdgeId>)>,
 }
 
@@ -171,6 +185,7 @@ impl fmt::Debug for Ddg {
             .field("edges", &self.edges)
             .field("succs", &self.succs)
             .field("preds", &self.preds)
+            .field("linked_edges", &self.linked_edges)
             .finish()
     }
 }
@@ -182,6 +197,7 @@ impl PartialEq for Ddg {
             && self.edges == other.edges
             && self.succs == other.succs
             && self.preds == other.preds
+            && self.linked_edges == other.linked_edges
     }
 }
 
@@ -193,6 +209,7 @@ impl Clone for Ddg {
             edges: self.edges.clone(),
             succs: self.succs.clone(),
             preds: self.preds.clone(),
+            linked_edges: self.linked_edges,
             spare_adjacency: Vec::new(),
         }
     }
@@ -207,6 +224,7 @@ impl Clone for Ddg {
         self.name.clone_from(&source.name);
         self.nodes.clone_from(&source.nodes);
         self.edges.clone_from(&source.edges);
+        self.linked_edges = source.linked_edges;
         let n = source.succs.len();
         if self.succs.len() > n {
             let surplus = self.succs.drain(n..).zip(self.preds.drain(n..)).rev();
@@ -265,12 +283,28 @@ impl Ddg {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Iterate over `(id, edge)` pairs.
+    /// Iterate over `(id, edge)` pairs, detached edges included.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, &Edge)> {
         self.edges
             .iter()
             .enumerate()
             .map(|(i, e)| (EdgeId(i as u32), e))
+    }
+
+    /// Number of linked edges (the edges in the adjacency lists).
+    pub fn num_linked_edges(&self) -> usize {
+        self.linked_edges
+    }
+
+    /// Iterate over the `(id, edge)` pairs of the linked graph: every edge
+    /// before the detached tail.
+    pub fn linked_edges(&self) -> impl Iterator<Item = (EdgeId, &Edge)> {
+        self.edges().take(self.linked_edges)
+    }
+
+    /// Whether the graph has a detached tail.
+    fn has_detached(&self) -> bool {
+        self.succs.len() < self.nodes.len() || self.linked_edges < self.edges.len()
     }
 
     /// Access a node.
@@ -290,30 +324,49 @@ impl Ddg {
         &self.edges[id.index()]
     }
 
-    /// Outgoing edges of `id`.
+    /// Outgoing linked edges of `id`.
     pub fn succ_edges(&self, id: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> {
-        self.succs[id.index()]
+        self.succ_edge_ids(id)
             .iter()
             .map(move |&e| (e, &self.edges[e.index()]))
     }
 
-    /// Incoming edges of `id`.
+    /// Incoming linked edges of `id`.
     pub fn pred_edges(&self, id: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> {
-        self.preds[id.index()]
+        self.pred_edge_ids(id)
             .iter()
             .map(move |&e| (e, &self.edges[e.index()]))
     }
 
-    /// Ids of the outgoing edges of `id`, in insertion order.
+    /// Ids of the outgoing linked edges of `id`, in insertion order; empty
+    /// for a detached node.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
     #[inline]
     pub fn succ_edge_ids(&self, id: NodeId) -> &[EdgeId] {
-        &self.succs[id.index()]
+        Self::adjacency(&self.succs, self.nodes.len(), id)
     }
 
-    /// Ids of the incoming edges of `id`, in insertion order.
+    /// Ids of the incoming linked edges of `id`, in insertion order; empty
+    /// for a detached node.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
     #[inline]
     pub fn pred_edge_ids(&self, id: NodeId) -> &[EdgeId] {
-        &self.preds[id.index()]
+        Self::adjacency(&self.preds, self.nodes.len(), id)
+    }
+
+    #[inline]
+    fn adjacency(lists: &[Vec<EdgeId>], num_nodes: usize, id: NodeId) -> &[EdgeId] {
+        match lists.get(id.index()) {
+            Some(list) => list,
+            None => {
+                assert!(id.index() < num_nodes, "node {id} out of range");
+                &[]
+            }
+        }
     }
 
     /// Successor node ids (through any edge kind), with repetitions when
@@ -341,8 +394,15 @@ impl Ddg {
             .map(|(_, e)| e.src)
     }
 
-    /// Add a node, returning its id.
+    /// Add a linked node, returning its id.
+    ///
+    /// # Panics
+    /// Panics if the graph has a detached tail.
     pub fn add_node(&mut self, node: Node) -> NodeId {
+        assert!(
+            !self.has_detached(),
+            "linked node added after a detached one"
+        );
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
         let (succs, preds) = self.spare_adjacency.pop().unwrap_or_default();
@@ -351,28 +411,55 @@ impl Ddg {
         id
     }
 
-    /// Add an edge, returning its id.
+    /// Add a linked edge, returning its id.
+    ///
+    /// # Panics
+    /// Panics if either endpoint is out of range or the graph has a
+    /// detached tail.
+    pub fn add_edge(&mut self, edge: Edge) -> EdgeId {
+        assert!(
+            !self.has_detached(),
+            "linked edge added after a detached one"
+        );
+        let id = self.add_detached_edge(edge);
+        self.succs[edge.src.index()].push(id);
+        self.preds[edge.dst.index()].push(id);
+        self.linked_edges += 1;
+        id
+    }
+
+    /// Append a node to the detached tail: it gets an id and no adjacency
+    /// lists, so nothing is allocated beyond the node array's own growth.
+    pub fn add_detached_node(&mut self, node: Node) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(node);
+        id
+    }
+
+    /// Append an edge to the detached tail: it gets an id and is readable
+    /// through [`Ddg::edge`], but no adjacency list holds it.
     ///
     /// # Panics
     /// Panics if either endpoint is out of range.
-    pub fn add_edge(&mut self, edge: Edge) -> EdgeId {
+    pub fn add_detached_edge(&mut self, edge: Edge) -> EdgeId {
         assert!(edge.src.index() < self.nodes.len(), "edge src out of range");
         assert!(edge.dst.index() < self.nodes.len(), "edge dst out of range");
         let id = EdgeId(self.edges.len() as u32);
-        self.succs[edge.src.index()].push(id);
-        self.preds[edge.dst.index()].push(id);
         self.edges.push(edge);
         id
     }
 
     /// Truncate the graph back to a prefix of `num_nodes` nodes and
-    /// `num_edges` edges, undoing every `add_node` / `add_edge` past those
-    /// marks. The adjacency lists of surviving nodes are repaired by popping
-    /// the truncated edge ids (edges are appended in increasing id order, so
-    /// each list's suffix holds exactly the ids being removed).
+    /// `num_edges` edges, undoing every add past those marks. Detached
+    /// nodes and edges are plain array truncation. Truncated linked edges
+    /// are also popped from the adjacency lists of surviving nodes (edges
+    /// are appended in increasing id order, so each list's suffix holds
+    /// exactly the ids being removed).
     ///
     /// Used by the scheduler's attempt arena to restore the pristine working
-    /// graph between II attempts without re-cloning the loop body.
+    /// graph between II attempts without re-cloning the loop body; its
+    /// communication and spill insertions are all detached, so there this
+    /// touches no adjacency list.
     ///
     /// # Panics
     /// Panics if a surviving edge references a truncated node (callers must
@@ -380,13 +467,14 @@ impl Ddg {
     pub fn truncate(&mut self, num_nodes: usize, num_edges: usize) {
         assert!(num_nodes <= self.nodes.len(), "node truncation grows");
         assert!(num_edges <= self.edges.len(), "edge truncation grows");
-        for i in (num_edges..self.edges.len()).rev() {
+        for i in (num_edges..self.linked_edges).rev() {
             let e = self.edges[i];
             let popped = self.succs[e.src.index()].pop();
             debug_assert_eq!(popped, Some(EdgeId(i as u32)));
             let popped = self.preds[e.dst.index()].pop();
             debug_assert_eq!(popped, Some(EdgeId(i as u32)));
         }
+        self.linked_edges = self.linked_edges.min(num_edges);
         self.edges.truncate(num_edges);
         for e in &self.edges {
             assert!(
@@ -402,8 +490,8 @@ impl Ddg {
     /// Remove a set of nodes (and every edge touching them), compacting ids.
     ///
     /// Returns the mapping `old NodeId -> new NodeId` (removed nodes map to
-    /// `None`). Used by the schedulers when undoing previously inserted
-    /// communication or spill operations.
+    /// `None`). The result is fully linked: surviving detached nodes and
+    /// edges join the adjacency lists.
     pub fn remove_nodes(&mut self, remove: &[NodeId]) -> Vec<Option<NodeId>> {
         let mut keep = vec![true; self.nodes.len()];
         for id in remove {
@@ -438,6 +526,7 @@ impl Ddg {
                 self.edges.push(Edge { src, dst, ..e });
             }
         }
+        self.linked_edges = self.edges.len();
         mapping
     }
 
@@ -481,7 +570,7 @@ impl Ddg {
         }
         // A single node with a self edge is also a recurrence.
         let mut self_loop = vec![false; self.nodes.len()];
-        for e in &self.edges {
+        for e in &self.edges[..self.linked_edges] {
             if e.src == e.dst {
                 self_loop[e.src.index()] = true;
             }
@@ -492,15 +581,26 @@ impl Ddg {
         }
     }
 
-    /// Validate internal consistency (adjacency lists match edges, memory
-    /// nodes carry descriptors). Intended for debug assertions and tests.
+    /// Validate internal consistency (the adjacency lists hold exactly the
+    /// linked edges, memory nodes carry descriptors). Intended for debug
+    /// assertions and tests.
     pub fn validate(&self) -> Result<(), String> {
-        if self.succs.len() != self.nodes.len() || self.preds.len() != self.nodes.len() {
+        if self.succs.len() > self.nodes.len() || self.preds.len() != self.succs.len() {
             return Err("adjacency list length mismatch".into());
+        }
+        let listed: usize = self.succs.iter().map(Vec::len).sum();
+        if listed != self.linked_edges || self.preds.iter().map(Vec::len).sum::<usize>() != listed {
+            return Err("adjacency lists hold other edges than the linked ones".into());
         }
         for (i, e) in self.edges.iter().enumerate() {
             if e.src.index() >= self.nodes.len() || e.dst.index() >= self.nodes.len() {
                 return Err(format!("edge {i} out of range"));
+            }
+            if i >= self.linked_edges {
+                continue;
+            }
+            if e.src.index() >= self.succs.len() || e.dst.index() >= self.succs.len() {
+                return Err(format!("linked edge {i} touches a detached node"));
             }
             if !self.succs[e.src.index()].contains(&EdgeId(i as u32)) {
                 return Err(format!("edge {i} missing from succ list"));
@@ -629,6 +729,73 @@ mod tests {
         g.truncate(n, e);
         g.validate().unwrap();
         assert_eq!(g, pristine);
+    }
+
+    #[test]
+    fn detached_tail_is_invisible_to_the_adjacency_and_truncates_away() {
+        let lat = OpLatencies::paper_baseline();
+        let mut g = diamond();
+        let pristine = g.clone();
+        let (n, e) = (g.num_nodes(), g.num_edges());
+        // A detached node on a cycle through the diamond's source: linked,
+        // it would be a recurrence.
+        let x = g.add_detached_node(Node::new(OpKind::Move));
+        let into = g.add_detached_edge(Edge {
+            src: NodeId(0),
+            dst: x,
+            kind: DepKind::Flow,
+            distance: 0,
+        });
+        g.add_detached_edge(Edge {
+            src: x,
+            dst: NodeId(0),
+            kind: DepKind::Flow,
+            distance: 1,
+        });
+        g.validate().unwrap();
+        assert_eq!((g.num_nodes(), g.num_edges()), (n + 1, e + 2));
+        assert_eq!(g.num_linked_edges(), e);
+        assert_eq!(g.edge(into).dst, x);
+        assert_eq!(g.linked_edges().count(), e);
+        for v in pristine.node_ids() {
+            assert_eq!(g.succ_edge_ids(v), pristine.succ_edge_ids(v));
+            assert_eq!(g.pred_edge_ids(v), pristine.pred_edge_ids(v));
+        }
+        assert!(g.succ_edge_ids(x).is_empty() && g.pred_edge_ids(x).is_empty());
+        assert!(crate::analysis::recurrences(&g, &lat).is_empty());
+        assert_eq!(crate::mii::rec_mii(&g, &lat), 1);
+        let sched = crate::analysis::acyclic_schedule(&g, &lat, 1);
+        let want = crate::analysis::acyclic_schedule(&pristine, &lat, 1);
+        assert_eq!(sched.estart[..n], want.estart[..]);
+        assert_eq!(sched.estart[x.index()], 0);
+        g.truncate(n, e);
+        g.validate().unwrap();
+        assert_eq!(g, pristine);
+        // Without the tail, linked adds work again.
+        g.add_node(Node::new(OpKind::FAdd));
+        g.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "linked node added after a detached one")]
+    fn linked_node_after_a_detached_one_panics() {
+        let mut g = diamond();
+        g.add_detached_node(Node::new(OpKind::Move));
+        g.add_node(Node::new(OpKind::FAdd));
+    }
+
+    #[test]
+    #[should_panic(expected = "linked edge added after a detached one")]
+    fn linked_edge_after_a_detached_one_panics() {
+        let mut g = diamond();
+        let edge = Edge {
+            src: NodeId(0),
+            dst: NodeId(3),
+            kind: DepKind::Flow,
+            distance: 0,
+        };
+        g.add_detached_edge(edge);
+        g.add_edge(edge);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Property tests of the IR layer: SCC computation against a brute-force
-//! reachability oracle, MII bounds, ASAP/ALAP consistency, and exactness of
+//! reachability oracle, MII bounds, ASAP/ALAP consistency, exactness of
 //! the buffer-reusing analyses against the straightforward implementations
-//! kept in [`reference`].
+//! kept in [`reference`], and the invisibility of a graph's detached tail.
 
 // The oracle comparisons index two matrices in lockstep; iterator zipping
 // would only obscure them.
 #![allow(clippy::needless_range_loop)]
 
 use hcrf_ir::analysis::{AcyclicSchedule, RecurrenceAnalysis};
-use hcrf_ir::{analysis, mii, Ddg, DdgBuilder, NodeId, OpKind, OpLatencies, ResourceCounts};
+use hcrf_ir::{
+    analysis, mii, Ddg, DdgBuilder, DepKind, Edge, Node, NodeId, OpKind, OpLatencies,
+    ResourceCounts,
+};
 use proptest::prelude::*;
 
 /// The loop analyses as they were written before they moved into reusable
@@ -471,5 +474,84 @@ proptest! {
         assert_matches_reference(&first, &mut a, &mut sched)?;
         assert_matches_reference(&second, &mut a, &mut sched)?;
         assert_matches_reference(&first, &mut a, &mut sched)?;
+    }
+}
+
+/// A detached tail for a graph of at least one node: new node kinds (the
+/// register-to-register kinds the scheduler inserts) and edges as
+/// `(src, dst, distance)` picks, reduced modulo the grown node count so
+/// they join old and new nodes alike.
+fn arb_tail() -> impl Strategy<Value = (Vec<usize>, Vec<(usize, usize, u32)>)> {
+    (
+        prop::collection::vec(0usize..3, 0..6),
+        prop::collection::vec((0usize..32, 0usize..32, 0u32..3), 0..12),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Appending a detached tail changes nothing the adjacency or the
+    /// analyses see: every linked node keeps its edge lists, a detached
+    /// node has none, and the SCCs, recurrences, RecMII and ASAP/ALAP equal
+    /// those of the same graph with the tail's nodes linked and its edges
+    /// left out. Truncating the tail gives back the graph before it.
+    #[test]
+    fn detached_tail_is_invisible_and_truncates_away(
+        g in arb_exactness_graph(),
+        (kinds, edges) in arb_tail(),
+    ) {
+        let lat = OpLatencies::paper_baseline();
+        let pristine = g.clone();
+        let (n, e) = (g.num_nodes(), g.num_edges());
+        let mut g = g;
+        let mut isolated = pristine.clone();
+        for k in &kinds {
+            let kind = [OpKind::Move, OpKind::LoadR, OpKind::StoreR][*k];
+            g.add_detached_node(Node::new(kind));
+            isolated.add_node(Node::new(kind));
+        }
+        for &(s, d, distance) in &edges {
+            let total = g.num_nodes();
+            g.add_detached_edge(Edge {
+                src: NodeId((s % total) as u32),
+                dst: NodeId((d % total) as u32),
+                kind: DepKind::Flow,
+                distance,
+            });
+        }
+        prop_assert!(g.validate().is_ok());
+        prop_assert_eq!(g.num_linked_edges(), e);
+        for v in g.node_ids() {
+            prop_assert_eq!(g.succ_edge_ids(v), isolated.succ_edge_ids(v));
+            prop_assert_eq!(g.pred_edge_ids(v), isolated.pred_edge_ids(v));
+        }
+
+        let mut a = RecurrenceAnalysis::default();
+        let mut want = RecurrenceAnalysis::default();
+        prop_assert_eq!(
+            &a.compute_sccs(&g).component,
+            &want.compute_sccs(&isolated).component
+        );
+        a.compute(&g, &lat);
+        want.compute(&isolated, &lat);
+        let recs = |r: &RecurrenceAnalysis| -> Vec<(Vec<NodeId>, u32)> {
+            r.iter().map(|r| (r.nodes.to_vec(), r.rec_mii)).collect()
+        };
+        prop_assert_eq!(recs(&a), recs(&want));
+        let rec = want.rec_mii(&isolated, &lat);
+        prop_assert_eq!(a.rec_mii(&g, &lat), rec);
+        prop_assert_eq!(mii::rec_mii(&g, &lat), rec);
+        for ii in 1..=rec + 2 {
+            let got = analysis::acyclic_schedule(&g, &lat, ii);
+            let want = analysis::acyclic_schedule(&isolated, &lat, ii);
+            prop_assert_eq!(&got.estart, &want.estart, "estart at II {}", ii);
+            prop_assert_eq!(&got.lstart, &want.lstart, "lstart at II {}", ii);
+            prop_assert_eq!(got.length, want.length);
+        }
+
+        g.truncate(n, e);
+        prop_assert!(g.validate().is_ok());
+        prop_assert_eq!(&g, &pristine);
     }
 }

@@ -1156,51 +1156,42 @@ impl IterativeScheduler {
     /// Build the public result from a successful attempt. The `stats` field
     /// is left default: the ladder in [`IterativeScheduler::schedule_with_timings`]
     /// owns all counter accumulation across II restarts and overwrites it.
+    ///
+    /// MaxLive comes from a batch [`pressure`] walk over the placements
+    /// normalised so the earliest operation issues at cycle 0, in both
+    /// modes. Reading it from the store's incremental tracker instead
+    /// (normalising only rotates each bank's rows, so the maxima agree) kept
+    /// every result but measured slower end to end: `explore_sweep`
+    /// `sweep_s` lost 10 of 10 paired runs against this walk.
     fn finalize(&self, original: &Ddg, state: &AttemptArena, mii: u32) -> ScheduleResult {
         let ii = state.ii;
-        let lat = self.machine.latencies;
-        let clusters = self.machine.clusters();
-        // Normalise cycles so the earliest operation issues at cycle 0.
-        let min_cycle = state
+        let (min_cycle, max_cycle) = state
             .w
             .active_nodes()
             .filter_map(|n| state.store.placement(n).map(|(c, _)| c))
-            .min()
-            .unwrap_or(0);
-        let mut placements_vec = vec![
-            Placement {
-                cycle: 0,
-                cluster: 0
-            };
-            state.w.ddg.num_nodes()
-        ];
-        let mut max_cycle = 0u32;
+            .fold(None, |span, c| match span {
+                None => Some((c, c)),
+                Some((lo, hi)) => Some((c.min(lo), c.max(hi))),
+            })
+            .unwrap_or((0, 0));
+        let sc = (max_cycle - min_cycle) as u32 / ii + 1;
         let mut shifted: Vec<Option<(i64, u32)>> = vec![None; state.w.ddg.num_nodes()];
         for n in state.w.active_nodes() {
-            if let Some((c, cl)) = state.store.placement(n) {
-                let cyc = (c - min_cycle) as u32;
-                placements_vec[n.index()] = Placement {
-                    cycle: cyc,
-                    cluster: cl,
-                };
-                shifted[n.index()] = Some((cyc as i64, cl));
-                max_cycle = max_cycle.max(cyc);
-            }
+            shifted[n.index()] = state.store.placement(n).map(|(c, cl)| (c - min_cycle, cl));
         }
-        let sc = max_cycle / ii + 1;
         let pr = pressure(
             &state.w,
             &shifted,
             ii,
-            clusters,
-            &lat,
+            self.machine.clusters(),
+            &self.machine.latencies,
             self.params.binding_prefetch,
         );
         let (loadr, storer, moves, spill_loads, spill_stores) = state.w.inserted_counts();
         let memory_ops = state.w.active_memory_ops();
         let total_ops = state.w.active_count() as u32;
         let (final_graph, final_placements) = if self.params.keep_schedule {
-            let (g, p) = active_subgraph(&state.w, &placements_vec);
+            let (g, p) = active_subgraph(&state.w, &shifted);
             (Some(g), Some(p))
         } else {
             (None, None)
@@ -1213,7 +1204,7 @@ impl IterativeScheduler {
             sc,
             achieved_mii: ii == mii,
             failed: false,
-            max_live_cluster: pr.cluster.clone(),
+            max_live_cluster: pr.cluster,
             max_live_shared: pr.shared,
             loadr_ops: loadr,
             storer_ops: storer,
@@ -1232,15 +1223,19 @@ impl IterativeScheduler {
 }
 
 /// Extract the active subgraph of a working graph together with the matching
-/// placements (compacting node ids).
-fn active_subgraph(w: &WorkGraph, placements: &[Placement]) -> (Ddg, Vec<Placement>) {
+/// normalised placements (compacting node ids; every active node is placed).
+fn active_subgraph(w: &WorkGraph, placements: &[Option<(i64, u32)>]) -> (Ddg, Vec<Placement>) {
     let mut g = Ddg::new(w.ddg.name.clone());
     let mut mapping = vec![None; w.ddg.num_nodes()];
     let mut out_place = Vec::new();
     for n in w.active_nodes() {
         let new_id = g.add_node(w.ddg.node(n).clone());
         mapping[n.index()] = Some(new_id);
-        out_place.push(placements[n.index()]);
+        let (cycle, cluster) = placements[n.index()].expect("active node placed");
+        out_place.push(Placement {
+            cycle: cycle as u32,
+            cluster,
+        });
     }
     for (id, e) in w.ddg.edges() {
         if !w.edge_is_active(id) {

@@ -48,7 +48,11 @@ pub struct CommChain {
 #[derive(Debug, Clone, Default)]
 pub struct WorkGraph {
     /// The evolving dependence graph (nodes are never physically removed
-    /// within an II attempt; they are deactivated instead).
+    /// within an II attempt; they are deactivated instead). The loop body
+    /// and the memory interface are its linked graph; every communication
+    /// and spill node and edge joins its detached tail, so the `Ddg`
+    /// adjacency describes the pristine graph only and a reset is plain
+    /// truncation.
     pub ddg: Ddg,
     node_active: Vec<bool>,
     edge_active: Vec<bool>,
@@ -172,6 +176,11 @@ impl WorkGraph {
     /// graph is the loop body plus the permanent memory-interface chains.
     /// Re-marking (after a rebind) refills the existing snapshot in place.
     pub fn mark_pristine(&mut self) {
+        debug_assert_eq!(
+            self.ddg.num_linked_edges(),
+            self.ddg.num_edges(),
+            "the pristine graph is linked"
+        );
         let mark = self.pristine.get_or_insert_with(PristineMark::default);
         mark.nodes = self.ddg.num_nodes();
         mark.edges = self.ddg.num_edges();
@@ -196,13 +205,9 @@ impl WorkGraph {
     /// and is left untouched; callers must call [`WorkGraph::mark_pristine`]
     /// before the first reset, exactly as after `new`.
     pub fn rebind(&mut self, original: &Ddg, machine: &MachineConfig) {
-        // Drop the last attempt's communication and spill nodes first, as a
-        // reset would: `clone_from` then parks at most the pristine graph's
-        // adjacency lists, which the memory interface below takes back,
-        // instead of holding one list pair per node ever inserted.
-        if let Some(mark) = &self.pristine {
-            self.ddg.truncate(mark.nodes, mark.edges);
-        }
+        // The last attempt's communication and spill nodes are detached, so
+        // `clone_from` parks at most the pristine graph's adjacency lists,
+        // which the memory interface below takes back.
         self.ddg.clone_from(original);
         let n = original.num_nodes();
         self.resize_node_lists(n);
@@ -506,13 +511,31 @@ impl WorkGraph {
         }
     }
 
+    /// Append a communication or spill node. It joins the `Ddg` detached
+    /// (no adjacency lists are created): the scheduler walks its own
+    /// active lists, and the order and the memory interface read the `Ddg`
+    /// adjacency only on the pristine graph, so the lists would never be
+    /// read before the next reset truncates them.
     fn push_node(&mut self, node: Node) -> NodeId {
+        let id = self.ddg.add_detached_node(node);
+        self.track_node();
+        id
+    }
+
+    /// Append a memory-interface node: linked, because the pristine graph's
+    /// analyses (the priority order) walk the `Ddg` adjacency.
+    fn push_linked_node(&mut self, node: Node) -> NodeId {
         let id = self.ddg.add_node(node);
+        self.track_node();
+        id
+    }
+
+    /// The per-node bookkeeping of an appended node.
+    fn track_node(&mut self) {
         self.node_active.push(true);
         self.spill_reload.push(false);
         self.chain_of_node.push(None);
         self.push_node_lists();
-        id
     }
 
     /// A fresh (or recycled) chain shell with empty member lists, ready for
@@ -571,17 +594,31 @@ impl WorkGraph {
         self.chains.push(chain);
     }
 
+    /// Append a communication or spill edge, detached (see
+    /// [`WorkGraph::push_node`]).
     fn push_edge(&mut self, edge: Edge) -> EdgeId {
+        let id = self.ddg.add_detached_edge(edge);
+        self.track_edge(id, edge);
+        id
+    }
+
+    /// Append a memory-interface edge, linked.
+    fn push_linked_edge(&mut self, edge: Edge) -> EdgeId {
+        let id = self.ddg.add_edge(edge);
+        self.track_edge(id, edge);
+        id
+    }
+
+    /// The activity and active-adjacency bookkeeping of an appended edge.
+    fn track_edge(&mut self, id: EdgeId, edge: Edge) {
         if edge.kind == DepKind::Flow {
             self.pressure_dirty.push(edge.src);
         }
-        let id = self.ddg.add_edge(edge);
         self.edge_active.push(true);
         // Appended ids are monotonically increasing, so pushing keeps the
         // active lists sorted.
         self.succ_active_edges[edge.src.index()].push(id);
         self.pred_active_edges[edge.dst.index()].push(id);
-        id
     }
 
     /// Remove an id from a sorted active-adjacency list.
@@ -677,10 +714,10 @@ impl WorkGraph {
                     if rerouted.is_empty() {
                         continue;
                     }
-                    let ldr = self.push_node(Node::new(OpKind::LoadR));
+                    let ldr = self.push_linked_node(Node::new(OpKind::LoadR));
                     let mut ch = self.take_chain(ChainKind::MemInterface, n);
                     ch.nodes.push(ldr);
-                    ch.edges.push(self.push_edge(Edge {
+                    ch.edges.push(self.push_linked_edge(Edge {
                         src: n,
                         dst: ldr,
                         kind: DepKind::Flow,
@@ -689,7 +726,7 @@ impl WorkGraph {
                     for &(orig, e) in &rerouted {
                         self.deactivate_edge(orig);
                         ch.replaced_edges.push(orig);
-                        ch.edges.push(self.push_edge(Edge {
+                        ch.edges.push(self.push_linked_edge(Edge {
                             src: ldr,
                             dst: e.dst,
                             kind: DepKind::Flow,
@@ -712,20 +749,20 @@ impl WorkGraph {
                     if rerouted.is_empty() {
                         continue;
                     }
-                    let str_node = self.push_node(Node::new(OpKind::StoreR));
+                    let str_node = self.push_linked_node(Node::new(OpKind::StoreR));
                     let mut ch = self.take_chain(ChainKind::MemInterface, n);
                     ch.nodes.push(str_node);
                     for &(orig, e) in &rerouted {
                         self.deactivate_edge(orig);
                         ch.replaced_edges.push(orig);
-                        ch.edges.push(self.push_edge(Edge {
+                        ch.edges.push(self.push_linked_edge(Edge {
                             src: e.src,
                             dst: str_node,
                             kind: DepKind::Flow,
                             distance: e.distance,
                         }));
                     }
-                    ch.edges.push(self.push_edge(Edge {
+                    ch.edges.push(self.push_linked_edge(Edge {
                         src: str_node,
                         dst: n,
                         kind: DepKind::Flow,

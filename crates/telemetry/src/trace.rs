@@ -71,7 +71,18 @@ impl TraceEvent {
     }
 }
 
-fn pack_args(args: &[(&'static str, i64)]) -> ([(&'static str, i64); MAX_ARGS], u8) {
+/// Pack an event's arguments into its fixed-size array. An event carries at
+/// most [`MAX_ARGS`] arguments: a debug build panics on more, naming the
+/// event; a release build keeps the first `MAX_ARGS`.
+fn pack_args(
+    name: &'static str,
+    args: &[(&'static str, i64)],
+) -> ([(&'static str, i64); MAX_ARGS], u8) {
+    debug_assert!(
+        args.len() <= MAX_ARGS,
+        "trace event `{name}` has {} arguments, at most {MAX_ARGS} are recorded",
+        args.len()
+    );
     let mut packed = [("", 0i64); MAX_ARGS];
     let n = args.len().min(MAX_ARGS);
     packed[..n].copy_from_slice(&args[..n]);
@@ -158,7 +169,7 @@ impl TraceBuf {
             return;
         }
         let ts = self.now_ns();
-        let (packed, nargs) = pack_args(args);
+        let (packed, nargs) = pack_args(name, args);
         self.push(TraceEvent {
             name,
             cat,
@@ -198,7 +209,7 @@ impl TraceBuf {
             return;
         }
         let end = self.now_ns();
-        let (packed, nargs) = pack_args(args);
+        let (packed, nargs) = pack_args(name, args);
         self.push(TraceEvent {
             name,
             cat,
@@ -396,6 +407,18 @@ mod tests {
         assert!(!events[1].is_instant());
         assert_eq!(events[1].label.as_deref(), Some("loop-1"));
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "trace event `crowded` has 5 arguments")]
+    fn an_event_with_too_many_arguments_panics_in_debug_builds() {
+        let mut buf = TraceBuf::enabled_at(Instant::now(), true);
+        buf.instant(
+            "crowded",
+            "t",
+            &[("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)],
+        );
     }
 
     #[test]

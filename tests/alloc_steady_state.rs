@@ -12,13 +12,20 @@
 //! and organization: S64 is monolithic, 4C64 clustered, and 4C16S64 and
 //! 8C16S16 are hierarchical, so their rebinds rebuild the memory interface.
 //!
+//! The same holds for whole schedules. The communication and spill chains
+//! an attempt inserts, and the reset that truncates them, reuse buffers the
+//! pool already owns: an inserted node gets no dependence-graph adjacency
+//! lists. So a second pass of full schedules allocates per pair only what
+//! `finalize` builds for the result, a count that does not grow with the
+//! chains the attempts inserted.
+//!
 //! An attempt that keeps inserting communication chains grows its working
 //! graph on every pop until the attempt cap stops it, so the cap bounds the
 //! transient heap too. The full suite's pairs that reach the cap must each
 //! schedule within a fixed heap peak.
 
 use hcrf::driver::ConfiguredMachine;
-use hcrf_ir::Loop;
+use hcrf_ir::{Ddg, Loop};
 use hcrf_sched::{ArenaPool, IterativeScheduler, SchedulerParams};
 use hcrf_telemetry::{Telemetry, Verbosity};
 use hcrf_workloads::{small_suite, suite::suite, SuiteParams};
@@ -145,6 +152,111 @@ fn second_pass_of_per_pair_setup_allocates_nothing() {
          allocations): {:?}",
         steady.len(),
         &steady[..steady.len().min(8)]
+    );
+    assert_eq!(pool.builds(), 1);
+}
+
+/// One pass of full schedules over `pairs` through `pool`. Returns, per
+/// pair, the allocations of the schedule call and the ladder's budget
+/// exhaustions.
+fn schedule_pass(
+    pool: &mut ArenaPool,
+    pairs: &[(&IterativeScheduler, &str, &Ddg)],
+) -> Vec<(String, String, u64, u32)> {
+    pairs
+        .iter()
+        .map(|(scheduler, config, ddg)| {
+            let before = allocations();
+            let (result, _) = scheduler.schedule_with_timings_pooled(ddg, pool);
+            let count = allocations() - before;
+            let exhausts = result.stats.budget_exhausts;
+            drop(result);
+            (config.to_string(), ddg.name.clone(), count, exhausts)
+        })
+        .collect()
+}
+
+#[test]
+fn second_pass_of_full_schedules_allocates_only_for_the_result() {
+    // What `finalize` allocates: the result's three buffers (loop name,
+    // configuration name, cluster MaxLive vector), the normalised
+    // placements, and the batch MaxLive walk's rows (one per cluster plus
+    // four) and lifetime list (at most eight growth steps). A ladder
+    // finalizes at most twice, when the gap scan after a skip replaces its
+    // first success. Attempts start cold: a debug build rebuilds the
+    // store's tables after every warm start to cross-check them, which
+    // allocates per restart by design.
+    let per_pair_limit = |clusters: u32| 2 * (16 + u64::from(clusters));
+    let configs = ["S32", "4C64", "4C16S16", "8C16S16"];
+    let schedulers: Vec<IterativeScheduler> = configs
+        .iter()
+        .map(|name| {
+            let machine = ConfiguredMachine::from_name(name).unwrap().machine;
+            IterativeScheduler::new(machine, SchedulerParams::default().without_schedule())
+                .with_cold_attempts()
+        })
+        .collect();
+    let small = small_suite(60);
+    let full = suite(SuiteParams::default());
+    // Spill storms: every rung of these ladders up to the last runs its
+    // attempt into the spill-round limit, inserting and truncating chains
+    // all the way.
+    let storms: Vec<(&str, &Ddg)> = [
+        ("syn0220_fu", "S32"),
+        ("syn0574_fu", "4C16S16"),
+        ("syn0187_fu", "8C16S16"),
+    ]
+    .into_iter()
+    .map(|(name, config)| {
+        let ddg = &full
+            .iter()
+            .find(|l| l.ddg.name == name)
+            .unwrap_or_else(|| panic!("{name} missing from the default suite"))
+            .ddg;
+        (config, ddg)
+    })
+    .collect();
+    let mut pairs: Vec<(&IterativeScheduler, &str, &Ddg)> = Vec::new();
+    for (scheduler, config) in schedulers.iter().zip(configs) {
+        pairs.extend(small.iter().map(|l| (scheduler, config, &l.ddg)));
+        for &(storm_config, ddg) in &storms {
+            if storm_config == config {
+                pairs.push((scheduler, config, ddg));
+            }
+        }
+    }
+    let mut pool = ArenaPool::new();
+    let warm = schedule_pass(&mut pool, &pairs);
+    let steady = schedule_pass(&mut pool, &pairs);
+    for ((config, name, _, first), (_, _, _, second)) in warm.iter().zip(&steady) {
+        assert_eq!(first, second, "{name}@{config}: the passes diverged");
+    }
+    for (config, name) in storms.iter().map(|(c, d)| (c, &d.name)) {
+        let (.., exhausts) = steady
+            .iter()
+            .find(|(c, n, ..)| c == config && n == name)
+            .expect("storm pair scheduled");
+        assert!(
+            *exhausts >= 5,
+            "{name}@{config}: only {exhausts} budget-limited rungs, so it stresses nothing"
+        );
+    }
+    let over: Vec<_> = steady
+        .iter()
+        .filter(|(config, _, count, _)| {
+            let clusters = ConfiguredMachine::from_name(config)
+                .unwrap()
+                .machine
+                .clusters();
+            *count > per_pair_limit(clusters)
+        })
+        .collect();
+    assert!(
+        over.is_empty(),
+        "{} pairs allocated more than 2·(16 + clusters) times at steady state, first \
+         (machine, loop, allocations, budget exhaustions): {:?}",
+        over.len(),
+        &over[..over.len().min(8)]
     );
     assert_eq!(pool.builds(), 1);
 }
