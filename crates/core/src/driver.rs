@@ -119,6 +119,16 @@ impl RunOptions {
         self
     }
 
+    /// The scheduler parameters a run schedules with: `scheduler`, with the
+    /// final kernel kept whenever `real_memory` is set, since the memory
+    /// simulation replays it (an unkept kernel would replay no access and
+    /// report no stall).
+    pub fn scheduler_params(&self) -> SchedulerParams {
+        let mut params = self.scheduler;
+        params.keep_schedule |= self.real_memory;
+        params
+    }
+
     /// Use the given number of worker threads.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -182,7 +192,7 @@ pub fn run_suite_traced(
     telemetry: &Telemetry,
 ) -> SuiteRun {
     let started = std::time::Instant::now();
-    let scheduler = IterativeScheduler::new(config.machine.clone(), options.scheduler)
+    let scheduler = IterativeScheduler::new(config.machine.clone(), options.scheduler_params())
         .with_telemetry(telemetry.clone());
     let engine = Engine::new(options.threads)
         .with_telemetry(telemetry.clone())

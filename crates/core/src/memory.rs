@@ -11,24 +11,24 @@ use hcrf_sched::ScheduleResult;
 /// was scheduled at the hit latency and every miss will stall.
 ///
 /// Returns an empty vector when the schedule was produced without keeping the
-/// final graph (`SchedulerParams::keep_schedule == false`).
+/// final kernel (`SchedulerParams::keep_schedule == false`).
 pub fn kernel_accesses(
     schedule: &ScheduleResult,
     machine: &MachineConfig,
     binding_prefetch: bool,
 ) -> Vec<ScheduledAccess> {
-    let (Some(graph), Some(placements)) = (&schedule.final_graph, &schedule.placements) else {
+    let Some(kernel) = &schedule.kernel else {
         return Vec::new();
     };
     let mut out = Vec::new();
-    for (id, node) in graph.nodes() {
+    for (node, p) in kernel.nodes.iter().zip(kernel.placements.iter()) {
         let Some(mem) = node.mem else { continue };
         if !node.kind.is_memory() {
             continue;
         }
         let is_load = node.kind == hcrf_ir::OpKind::Load;
         let assumed = if is_load {
-            if binding_prefetch && is_prefetchable(graph, id) {
+            if binding_prefetch && is_prefetchable(node) {
                 machine.latencies.load_miss
             } else {
                 machine.latencies.load
@@ -37,7 +37,7 @@ pub fn kernel_accesses(
             machine.latencies.store
         };
         out.push(ScheduledAccess {
-            issue_cycle: placements[id.index()].cycle,
+            issue_cycle: p.cycle,
             is_load,
             access: mem,
             assumed_latency: assumed,

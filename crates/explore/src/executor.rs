@@ -81,7 +81,6 @@ impl ExploreOptions {
         if matches!(self.scenario, Scenario::Real) {
             options.real_memory = true;
             options.scheduler.binding_prefetch = true;
-            options.scheduler.keep_schedule = true; // the simulator replays it
         }
         options
     }
@@ -233,8 +232,9 @@ pub fn explore_traced(
     let progress = AtomicUsize::new(completed);
     let evaluate_loop = |pool: &mut ArenaPool, ctx: hcrf_engine::TaskCtx| {
         let (_, configured, _) = &pending[ctx.group];
-        let scheduler = IterativeScheduler::new(configured.machine.clone(), run_options.scheduler)
-            .with_telemetry(telemetry.clone());
+        let scheduler =
+            IterativeScheduler::new(configured.machine.clone(), run_options.scheduler_params())
+                .with_telemetry(telemetry.clone());
         run_loop_traced(
             &scheduler,
             configured,

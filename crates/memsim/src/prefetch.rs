@@ -8,7 +8,7 @@
 //! (stretching a recurrence would inflate RecMII), and loops with very few
 //! iterations are excluded to keep prologues short.
 
-use hcrf_ir::{Ddg, Loop, NodeId, OpKind};
+use hcrf_ir::{Loop, Node, OpKind};
 
 /// Which loads are scheduled with the miss latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,12 +42,11 @@ impl PrefetchPolicy {
     }
 }
 
-/// Whether a specific load node is scheduled with the miss latency under the
+/// Whether a load operation is scheduled with the miss latency under the
 /// selective binding-prefetching policy: it must be a load, not on a
 /// recurrence, and not a spill reload (spill reloads are identified by their
 /// synthetic spill array id, `base >= 1 << 16`).
-pub fn is_prefetchable(ddg: &Ddg, node: NodeId) -> bool {
-    let n = ddg.node(node);
+pub fn is_prefetchable(n: &Node) -> bool {
     if n.kind != OpKind::Load {
         return false;
     }
@@ -74,7 +73,7 @@ mod tests {
         let a = b.op(OpKind::FAdd);
         b.flow(l, a, 0).flow(a, l, 1); // load participates in the recurrence
         let g = b.build();
-        assert!(!is_prefetchable(&g, l));
+        assert!(!is_prefetchable(g.node(l)));
     }
 
     #[test]
@@ -84,8 +83,8 @@ mod tests {
         let s = b.store(1, 8);
         b.flow(l, s, 0);
         let g = b.build();
-        assert!(is_prefetchable(&g, l));
-        assert!(!is_prefetchable(&g, s));
+        assert!(is_prefetchable(g.node(l)));
+        assert!(!is_prefetchable(g.node(s)));
     }
 
     #[test]
@@ -98,7 +97,7 @@ mod tests {
             size: 8,
         });
         let g = b.build();
-        assert!(!is_prefetchable(&g, l));
+        assert!(!is_prefetchable(g.node(l)));
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 use crate::mrt::ResourceCaps;
 use crate::order::{priority_order_into, OrderScratch};
+use crate::scheduler::KernelScratch;
 use crate::store::PlacementStore;
 use crate::types::SchedulerStats;
 use crate::workgraph::WorkGraph;
@@ -277,7 +278,10 @@ pub struct WarmReset {
 /// [`crate::IterativeScheduler::schedule_with_timings_pooled`] takes the
 /// arena out ([`ArenaPool::take`] rebinds it to the new loop instead of
 /// allocating) and returns it when the ladder finishes. The first loop a
-/// worker ever schedules pays the one fresh build.
+/// worker ever schedules pays the one fresh build. The pool also keeps the
+/// scratch buffers of the per-pair work outside the arena (the MII's
+/// RecMII, a warm start's snapshot and a kept kernel), so they grow once
+/// per worker, not once per pair.
 ///
 /// The pool deliberately counts its rebinds *outside*
 /// [`crate::types::SchedulerStats`]: whether a given loop's arena was
@@ -291,6 +295,11 @@ pub struct ArenaPool {
     /// Buffers of [`crate::IterativeScheduler::mii`]'s RecMII, reused
     /// across the pool's loops.
     recurrences: RecurrenceAnalysis,
+    /// The surviving placements of a ladder's last failed attempt, which a
+    /// warm attempt remaps into its store.
+    pub(crate) warm_snap: Vec<(NodeId, i64, u32)>,
+    /// The buffers a kept kernel is built in.
+    pub(crate) kernel: KernelScratch,
     rebinds: u64,
     builds: u64,
 }

@@ -67,5 +67,7 @@ pub use scheduler::{
     EJECTION_GUARD_LIMIT,
 };
 pub use store::{PlacementStore, SlotIndex};
-pub use types::{BankAssignment, Placement, ScheduleResult, SchedulerParams, SchedulerStats};
+pub use types::{
+    BankAssignment, Kernel, Placement, ScheduleResult, SchedulerParams, SchedulerStats,
+};
 pub use validate::{validate_schedule, validate_store};

@@ -31,15 +31,14 @@ pub struct PortRequirement {
 /// spread the issues over the rows). The requirement of the loop is the
 /// worst bank's value.
 pub fn measure_ports(result: &ScheduleResult, clusters: u32) -> PortRequirement {
-    let (Some(graph), Some(placements)) = (&result.final_graph, &result.placements) else {
+    let Some(kernel) = &result.kernel else {
         return PortRequirement { lp: 0, sp: 0 };
     };
     let ii = result.ii.max(1);
     let c = clusters.max(1) as usize;
     let mut loadr = vec![0u32; c];
     let mut storer = vec![0u32; c];
-    for (id, node) in graph.nodes() {
-        let p = &placements[id.index()];
+    for (node, p) in kernel.nodes.iter().zip(kernel.placements.iter()) {
         let cl = (p.cluster as usize).min(c - 1);
         match node.kind {
             OpKind::LoadR => loadr[cl] += 1,

@@ -30,10 +30,11 @@
 use crate::arena::{ArenaPool, AttemptArena};
 use crate::cluster::select_cluster;
 use crate::pressure::{pick_spill_candidate_from, pressure, Pressure, PressureQuery};
-use crate::types::{BankAssignment, Placement, ScheduleResult, SchedulerParams, SchedulerStats};
-use crate::workgraph::WorkGraph;
+use crate::types::{
+    BankAssignment, Kernel, Placement, ScheduleResult, SchedulerParams, SchedulerStats,
+};
 use hcrf_ir::analysis::RecurrenceAnalysis;
-use hcrf_ir::{mii as mii_mod, Ddg, DepKind, NodeId, OpKind, OpLatencies};
+use hcrf_ir::{mii as mii_mod, Ddg, DepKind, Edge, Node, NodeId, OpKind, OpLatencies};
 use hcrf_machine::MachineConfig;
 use hcrf_telemetry::{Telemetry, TraceBuf};
 use std::time::{Duration, Instant};
@@ -174,8 +175,8 @@ enum Failure {
 type Attempt = Result<(), Failure>;
 
 /// The per-`schedule()` state of the II ladder: the loop, the pool its arena
-/// comes from, the arena of the latest attempt and the accumulators every
-/// attempt folds into.
+/// and scratch buffers come from, the arena of the latest attempt and the
+/// accumulators every attempt folds into.
 struct Ladder<'a> {
     ddg: &'a Ddg,
     pool: &'a mut ArenaPool,
@@ -183,16 +184,6 @@ struct Ladder<'a> {
     stats: SchedulerStats,
     timings: PhaseTimings,
     trace: TraceBuf,
-    /// The surviving placements of the last failed attempt, which a warm
-    /// attempt remaps into its store.
-    warm_snap: Vec<(NodeId, i64, u32)>,
-}
-
-impl Ladder<'_> {
-    /// The arena of the latest attempt.
-    fn arena(&self) -> &AttemptArena {
-        self.arena.as_ref().expect("attempt ran")
-    }
 }
 
 impl IterativeScheduler {
@@ -289,10 +280,11 @@ impl IterativeScheduler {
     /// [`AttemptArena`] from (and returning it to) a caller-owned
     /// [`ArenaPool`], so consecutive loops scheduled through the same pool
     /// rebind one arena's allocations instead of rebuilding per loop. The
-    /// execution engine gives each worker its own pool. Pooling is
-    /// decision-invisible: results are bit-identical to an empty pool's
-    /// (which this method degenerates to in reference mode — fresh builds
-    /// never touch the pool).
+    /// execution engine gives each worker its own pool. The pool also holds
+    /// the scratch buffers the MII, a warm start's snapshot and a kept
+    /// kernel are built in, in both modes; only reference mode's fresh
+    /// arenas never touch it. Pooling is decision-invisible: results are
+    /// bit-identical to an empty pool's.
     pub fn schedule_with_timings_pooled(
         &self,
         ddg: &Ddg,
@@ -307,7 +299,6 @@ impl IterativeScheduler {
             stats: SchedulerStats::default(),
             timings: PhaseTimings::default(),
             trace: self.telemetry.trace_buf(),
-            warm_snap: Vec::new(),
         };
         let sched_start = l.trace.now_ns();
         let mut ii = mii.max(1);
@@ -317,8 +308,8 @@ impl IterativeScheduler {
         let mut last_failed: Option<u32> = None;
         let mut streak = 0u32;
         let mut found: Option<ScheduleResult> = None;
-        // Whether the next rung warm-starts from `l.warm_snap` (see the
-        // capture rules in the `Err` arm below).
+        // Whether the next rung warm-starts from the pool's `warm_snap` (see
+        // the capture rules in the `Err` arm below).
         let mut warm = false;
         while ii <= max_ii {
             let mut outcome = self.run_attempt(&mut l, ii, warm);
@@ -335,7 +326,7 @@ impl IterativeScheduler {
             }
             match outcome {
                 Ok(()) => {
-                    let mut best = self.finalize(ddg, l.arena(), mii);
+                    let mut best = self.finalize(&mut l, mii);
                     // Success after a skip: the gap IIs were never attempted,
                     // so scan them from below and keep the first success —
                     // exactly the II the unit ladder would have returned
@@ -349,7 +340,7 @@ impl IterativeScheduler {
                         for g in (p + 1)..ii {
                             l.stats.ii_skips -= 1;
                             if self.run_attempt(&mut l, g, false).is_ok() {
-                                best = self.finalize(ddg, l.arena(), mii);
+                                best = self.finalize(&mut l, mii);
                                 break;
                             }
                         }
@@ -371,8 +362,8 @@ impl IterativeScheduler {
                         let eligible = !self.cold_attempts
                             && a.w.active_nodes().any(|n| !a.store.is_placed(n));
                         if eligible {
-                            a.capture_warm_snapshot(&mut l.warm_snap);
-                            warm = !l.warm_snap.is_empty();
+                            a.capture_warm_snapshot(&mut l.pool.warm_snap);
+                            warm = !l.pool.warm_snap.is_empty();
                         }
                         streak += 1;
                     } else {
@@ -484,7 +475,8 @@ impl IterativeScheduler {
     /// Prepare the ladder's arena (reset, or build in reference mode) and
     /// run one attempt at `ii`, folding its counters and phase times into
     /// the ladder accumulators. With `warm`, the reset seeds the store by
-    /// modulo-remapping `l.warm_snap`'s placements instead of starting empty.
+    /// modulo-remapping the pool's `warm_snap` placements instead of starting
+    /// empty.
     fn run_attempt(&self, l: &mut Ladder, ii: u32, warm: bool) -> Attempt {
         let lat = &self.machine.latencies;
         if l.arena.is_none() || self.reference {
@@ -523,7 +515,7 @@ impl IterativeScheduler {
         let t = Instant::now();
         let mut warm_unplaced = None;
         let (order_time, warm_time) = if warm {
-            let r = a.reset_warm(ii, lat, &l.warm_snap, self.params.binding_prefetch);
+            let r = a.reset_warm(ii, lat, &l.pool.warm_snap, self.params.binding_prefetch);
             stats.warm_starts += 1;
             stats.warm_nodes_retained += r.retained as u64;
             warm_unplaced = Some((a.w.active_count() as u32).saturating_sub(r.retained));
@@ -601,8 +593,7 @@ impl IterativeScheduler {
             total_ops: ddg.num_nodes() as u32,
             original_ops: ddg.num_nodes() as u32,
             stats: SchedulerStats::default(),
-            final_graph: None,
-            placements: None,
+            kernel: None,
         }
     }
 
@@ -1153,20 +1144,31 @@ impl IterativeScheduler {
         Ok(())
     }
 
-    /// Build the public result from a successful attempt. The `stats` field
-    /// is left default: the ladder in [`IterativeScheduler::schedule_with_timings`]
-    /// owns all counter accumulation across II restarts and overwrites it.
+    /// Build the public result from the ladder's successful attempt. The
+    /// `stats` field is left default: the ladder in
+    /// [`IterativeScheduler::schedule_with_timings`] owns all counter
+    /// accumulation across II restarts and overwrites it.
+    ///
+    /// A kept [`Kernel`] is copied out of the pool's [`KernelScratch`] into
+    /// exact-size arrays, four allocations and about 1 KB per pair on the
+    /// paper's loops. As a [`Ddg`] with per-node adjacency lists, which none
+    /// of its readers walk, it cost about 2.9 KB and 31 allocations, and the
+    /// kept graphs set `fig6_real`'s peak memory.
     ///
     /// MaxLive comes from a batch [`pressure`] walk over the placements
     /// normalised so the earliest operation issues at cycle 0, in both
-    /// modes. Reading it from the store's incremental tracker instead
-    /// (normalising only rotates each bank's rows, so the maxima agree) kept
-    /// every result but measured slower end to end: `explore_sweep`
-    /// `sweep_s` lost 10 of 10 paired runs against this walk.
-    fn finalize(&self, original: &Ddg, state: &AttemptArena, mii: u32) -> ScheduleResult {
+    /// modes, in freshly allocated buffers. Reading it from the store's
+    /// incremental tracker instead (normalising only rotates each bank's
+    /// rows, so the maxima agree) kept every result but measured slower end
+    /// to end: `explore_sweep` `sweep_s` lost 10 of 10 paired runs against
+    /// this walk. Running the walk and the normalised placements in pooled
+    /// buffers made the pair allocate only its result, but read slower too:
+    /// `fig6_real` `loop_p50_us` +3.5%, slower in 17 of 20 paired runs.
+    fn finalize(&self, l: &mut Ladder, mii: u32) -> ScheduleResult {
+        let state = l.arena.as_ref().expect("attempt ran");
+        let w = &state.w;
         let ii = state.ii;
-        let (min_cycle, max_cycle) = state
-            .w
+        let (min_cycle, max_cycle) = w
             .active_nodes()
             .filter_map(|n| state.store.placement(n).map(|(c, _)| c))
             .fold(None, |span, c| match span {
@@ -1175,29 +1177,60 @@ impl IterativeScheduler {
             })
             .unwrap_or((0, 0));
         let sc = (max_cycle - min_cycle) as u32 / ii + 1;
-        let mut shifted: Vec<Option<(i64, u32)>> = vec![None; state.w.ddg.num_nodes()];
-        for n in state.w.active_nodes() {
+        let mut shifted: Vec<Option<(i64, u32)>> = vec![None; w.ddg.num_nodes()];
+        for n in w.active_nodes() {
             shifted[n.index()] = state.store.placement(n).map(|(c, cl)| (c - min_cycle, cl));
         }
         let pr = pressure(
-            &state.w,
+            w,
             &shifted,
             ii,
             self.machine.clusters(),
             &self.machine.latencies,
             self.params.binding_prefetch,
         );
-        let (loadr, storer, moves, spill_loads, spill_stores) = state.w.inserted_counts();
-        let memory_ops = state.w.active_memory_ops();
-        let total_ops = state.w.active_count() as u32;
-        let (final_graph, final_placements) = if self.params.keep_schedule {
-            let (g, p) = active_subgraph(&state.w, &shifted);
-            (Some(g), Some(p))
-        } else {
-            (None, None)
-        };
+        let (loadr, storer, moves, spill_loads, spill_stores) = w.inserted_counts();
+        let kernel = self.params.keep_schedule.then(|| {
+            // The active subgraph with compacted node ids (every active node
+            // is placed), copied into exact-size arrays.
+            let KernelScratch {
+                kernel_ids,
+                nodes,
+                edges,
+                placements,
+            } = &mut l.pool.kernel;
+            kernel_ids.clear();
+            kernel_ids.resize(w.ddg.num_nodes(), None);
+            nodes.clear();
+            placements.clear();
+            for n in w.active_nodes() {
+                kernel_ids[n.index()] = Some(NodeId(nodes.len() as u32));
+                nodes.push(w.ddg.node(n).clone());
+                let (cycle, cluster) = shifted[n.index()].expect("active node placed");
+                placements.push(Placement {
+                    cycle: cycle as u32,
+                    cluster,
+                });
+            }
+            edges.clear();
+            for (id, e) in w.ddg.edges() {
+                if !w.edge_is_active(id) {
+                    continue;
+                }
+                if let (Some(src), Some(dst)) =
+                    (kernel_ids[e.src.index()], kernel_ids[e.dst.index()])
+                {
+                    edges.push(Edge { src, dst, ..*e });
+                }
+            }
+            Box::new(Kernel {
+                nodes: nodes.as_slice().into(),
+                edges: edges.as_slice().into(),
+                placements: placements.as_slice().into(),
+            })
+        });
         ScheduleResult {
-            loop_name: original.name.clone(),
+            loop_name: l.ddg.name.clone(),
             config: self.machine.rf.to_string(),
             ii,
             mii,
@@ -1211,46 +1244,26 @@ impl IterativeScheduler {
             move_ops: moves,
             spill_loads,
             spill_stores,
-            memory_ops,
-            original_memory_ops: state.w.original_mem_ops() as u32,
-            total_ops,
-            original_ops: state.w.original_nodes() as u32,
+            memory_ops: w.active_memory_ops(),
+            original_memory_ops: w.original_mem_ops() as u32,
+            total_ops: w.active_count() as u32,
+            original_ops: w.original_nodes() as u32,
             stats: SchedulerStats::default(),
-            final_graph,
-            placements: final_placements,
+            kernel,
         }
     }
 }
 
-/// Extract the active subgraph of a working graph together with the matching
-/// normalised placements (compacting node ids; every active node is placed).
-fn active_subgraph(w: &WorkGraph, placements: &[Option<(i64, u32)>]) -> (Ddg, Vec<Placement>) {
-    let mut g = Ddg::new(w.ddg.name.clone());
-    let mut mapping = vec![None; w.ddg.num_nodes()];
-    let mut out_place = Vec::new();
-    for n in w.active_nodes() {
-        let new_id = g.add_node(w.ddg.node(n).clone());
-        mapping[n.index()] = Some(new_id);
-        let (cycle, cluster) = placements[n.index()].expect("active node placed");
-        out_place.push(Placement {
-            cycle: cycle as u32,
-            cluster,
-        });
-    }
-    for (id, e) in w.ddg.edges() {
-        if !w.edge_is_active(id) {
-            continue;
-        }
-        if let (Some(src), Some(dst)) = (mapping[e.src.index()], mapping[e.dst.index()]) {
-            g.add_edge(hcrf_ir::Edge {
-                src,
-                dst,
-                kind: e.kind,
-                distance: e.distance,
-            });
-        }
-    }
-    (g, out_place)
+/// The buffers [`IterativeScheduler`]'s `finalize` builds a kept [`Kernel`]
+/// in before copying it into exact-size arrays, owned by the [`ArenaPool`]
+/// so they outlive the pair.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KernelScratch {
+    /// The kernel id of each working-graph node (`None` for inactive nodes).
+    kernel_ids: Vec<Option<NodeId>>,
+    nodes: Vec<Node>,
+    edges: Vec<Edge>,
+    placements: Vec<Placement>,
 }
 
 #[cfg(test)]

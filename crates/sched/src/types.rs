@@ -1,6 +1,6 @@
 //! Public parameter and result types of the schedulers.
 
-use hcrf_ir::Ddg;
+use hcrf_ir::{Edge, Node, NodeId};
 use hcrf_telemetry::Telemetry;
 
 /// Which register bank a value lives in.
@@ -35,6 +35,35 @@ impl Placement {
     }
 }
 
+/// The final kernel of a successful schedule: every operation of the
+/// scheduled loop body (original and inserted), the dependences between
+/// them and each operation's placement, as flat arrays indexed by the
+/// kernel's own [`NodeId`]s. It holds no adjacency lists and no loop name:
+/// its readers ([`crate::validate_schedule`], [`crate::port_profile`], the
+/// memory simulator's access replay) only walk the arrays.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Kernel {
+    /// Operations, in the order of the working graph they were scheduled in.
+    pub nodes: Box<[Node]>,
+    /// Dependences between the operations, in kernel node ids.
+    pub edges: Box<[Edge]>,
+    /// Placement of each operation, aligned with `nodes`, normalised so the
+    /// earliest operation issues at cycle 0.
+    pub placements: Box<[Placement]>,
+}
+
+impl Kernel {
+    /// The operation `id`.
+    pub fn node(&self, id: NodeId) -> &Node {
+        &self.nodes[id.index()]
+    }
+
+    /// Number of memory operations (original and spill).
+    pub fn memory_ops(&self) -> usize {
+        self.nodes.iter().filter(|n| n.kind.is_memory()).count()
+    }
+}
+
 /// Tuning knobs of the iterative scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerParams {
@@ -49,8 +78,10 @@ pub struct SchedulerParams {
     /// Schedule loads with the miss latency unless they sit on a recurrence
     /// or are spill reloads (selective binding prefetching, Section 6.2).
     pub binding_prefetch: bool,
-    /// Keep the final graph and per-node placements in the result (disable
-    /// to save memory in large sweeps).
+    /// Keep the final [`Kernel`] (operations, dependences and placements)
+    /// in the result. A kept kernel is three exact-size arrays behind one
+    /// box, about 1 KB and four allocations per pair on the paper's loops;
+    /// disable it in sweeps that only read the summary numbers.
     pub keep_schedule: bool,
 }
 
@@ -82,7 +113,7 @@ impl SchedulerParams {
         self
     }
 
-    /// Do not keep per-node placements in the result.
+    /// Do not keep the final [`Kernel`] in the result.
     pub fn without_schedule(mut self) -> Self {
         self.keep_schedule = false;
         self
@@ -191,7 +222,12 @@ impl SchedulerStats {
     }
 }
 
-/// Result of scheduling one loop for one machine configuration.
+/// Result of scheduling one loop for one machine configuration: the summary
+/// numbers every sweep reads and, when [`SchedulerParams::keep_schedule`] is
+/// set, the final [`Kernel`]. A kept kernel costs four allocations (the box
+/// and its three arrays), about 1 KB per pair on the paper's loops; the
+/// rest of the result is its loop name, configuration name and cluster
+/// MaxLive vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleResult {
     /// Loop name.
@@ -235,11 +271,10 @@ pub struct ScheduleResult {
     pub original_ops: u32,
     /// Work counters.
     pub stats: SchedulerStats,
-    /// The final dependence graph (original + inserted operations), kept only
-    /// when [`SchedulerParams::keep_schedule`] is set.
-    pub final_graph: Option<Ddg>,
-    /// Per-node placements aligned with `final_graph` (same condition).
-    pub placements: Option<Vec<Placement>>,
+    /// The final kernel of a successful schedule, kept only when
+    /// [`SchedulerParams::keep_schedule`] is set. Boxed, so an unkept
+    /// result pays one pointer for it.
+    pub kernel: Option<Box<Kernel>>,
 }
 
 impl ScheduleResult {
@@ -307,8 +342,7 @@ mod tests {
             total_ops: 20,
             original_ops: 14,
             stats: SchedulerStats::default(),
-            final_graph: None,
-            placements: None,
+            kernel: None,
         };
         assert_eq!(r.communication_ops(), 3);
         assert_eq!(r.spill_traffic(), 3);

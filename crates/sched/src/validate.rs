@@ -44,7 +44,7 @@ pub fn validate_store(
 ///
 /// Checks performed:
 /// 1. the achieved II is at least the MII;
-/// 2. every dependence of the final graph is respected
+/// 2. every dependence of the kept kernel is respected
 ///    (`start(dst) >= start(src) + delay - II * distance`);
 /// 3. no resource class is over-subscribed in any row of the kernel
 ///    (FUs and memory ports per cluster, buses, LoadR/StoreR ports);
@@ -65,22 +65,23 @@ pub fn validate_schedule(
     if result.ii < result.mii {
         return Err(format!("II {} below MII {}", result.ii, result.mii));
     }
-    let (Some(graph), Some(placements)) = (&result.final_graph, &result.placements) else {
-        // Without the detailed schedule only the summary checks are possible.
+    let Some(kernel) = &result.kernel else {
+        // Without the kept kernel only the summary checks are possible.
         return Ok(());
     };
-    if graph.num_nodes() != placements.len() {
+    let placements = &kernel.placements;
+    if kernel.nodes.len() != placements.len() {
         return Err("placement vector length mismatch".to_string());
     }
     let ii = result.ii.max(1);
     let lat = &machine.latencies;
 
     // 2. Dependences.
-    for (_, e) in graph.edges() {
+    for e in kernel.edges.iter() {
         let src = &placements[e.src.index()];
         let dst = &placements[e.dst.index()];
         let delay = match e.kind {
-            DepKind::Flow => lat.of(graph.node(e.src).kind) as i64,
+            DepKind::Flow => lat.of(kernel.node(e.src).kind) as i64,
             DepKind::Anti => 0,
             DepKind::Output | DepKind::Mem => 1,
         };
@@ -106,8 +107,7 @@ pub fn validate_schedule(
     let mut bus = vec![0u32; ii as usize];
     let mut lp = vec![vec![0u32; clusters]; ii as usize];
     let mut sp = vec![vec![0u32; clusters]; ii as usize];
-    for (id, node) in graph.nodes() {
-        let p = &placements[id.index()];
+    for (node, p) in kernel.nodes.iter().zip(placements.iter()) {
         let row = (p.cycle % ii) as usize;
         let cl = (p.cluster as usize).min(clusters - 1);
         match node.kind.resource_class() {
@@ -194,7 +194,7 @@ pub fn validate_schedule(
 
     // 5. No original memory operation lost.
     let orig_mem = original.memory_ops();
-    let final_mem: usize = graph.memory_ops();
+    let final_mem = kernel.memory_ops();
     if final_mem < orig_mem {
         return Err(format!(
             "memory operations lost: {final_mem} in schedule vs {orig_mem} in loop"
@@ -203,12 +203,12 @@ pub fn validate_schedule(
 
     // 6. Bank consistency for hierarchical organizations.
     if hierarchical {
-        for (_, e) in graph.edges() {
+        for e in kernel.edges.iter() {
             if e.kind != DepKind::Flow {
                 continue;
             }
-            let src_kind = graph.node(e.src).kind;
-            let dst_kind = graph.node(e.dst).kind;
+            let src_kind = kernel.node(e.src).kind;
+            let dst_kind = kernel.node(e.dst).kind;
             let produced_in_shared = matches!(src_kind, OpKind::Load | OpKind::StoreR);
             let consumed_from_shared = matches!(dst_kind, OpKind::Store | OpKind::LoadR);
             match (produced_in_shared, consumed_from_shared) {
@@ -279,11 +279,10 @@ mod tests {
         let g = simple();
         let m = MachineConfig::paper_baseline(RfOrganization::monolithic(64));
         let mut r = schedule_loop(&g, &m, &SchedulerParams::default());
-        if let Some(p) = r.placements.as_mut() {
-            // Move the store before the add: the flow dependence breaks.
-            p[2].cycle = 0;
-            p[1].cycle = 50;
-        }
+        let p = &mut r.kernel.as_mut().expect("kernel kept").placements;
+        // Move the store before the add: the flow dependence breaks.
+        p[2].cycle = 0;
+        p[1].cycle = 50;
         assert!(validate_schedule(&g, &m, &r).is_err());
     }
 

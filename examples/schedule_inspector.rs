@@ -69,14 +69,13 @@ fn main() {
         cluster_res_mii(&kernel.ddg, &m.latencies, res.fus_per_cluster),
     );
 
-    let (Some(graph), Some(placements)) = (&result.final_graph, &result.placements) else {
+    let Some(kernel) = &result.kernel else {
         println!("schedule not kept");
         return;
     };
     // Group operations by kernel row.
     let mut rows: Vec<Vec<String>> = vec![Vec::new(); result.ii as usize];
-    for (id, node) in graph.nodes() {
-        let p = &placements[id.index()];
+    for (node, p) in kernel.nodes.iter().zip(kernel.placements.iter()) {
         let row = (p.cycle % result.ii) as usize;
         let stage = p.cycle / result.ii;
         rows[row].push(format!(

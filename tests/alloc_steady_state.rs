@@ -15,9 +15,13 @@
 //! The same holds for whole schedules. The communication and spill chains
 //! an attempt inserts, and the reset that truncates them, reuse buffers the
 //! pool already owns: an inserted node gets no dependence-graph adjacency
-//! lists. So a second pass of full schedules allocates per pair only what
-//! `finalize` builds for the result, a count that does not grow with the
-//! chains the attempts inserted.
+//! lists. A warm start's snapshot and the buffers a kept kernel is built in
+//! also live in the pool. So a second pass of full schedules allocates per
+//! pair only what `finalize` builds for the result, plus the kept kernel's
+//! four exact-size arrays when `keep_schedule` is on, a count that does not
+//! grow with the chains the attempts inserted. The kept kernels hold
+//! exactly the operations the result counts, at normalised cycles, and pass
+//! `validate_schedule`.
 //!
 //! An attempt that keeps inserting communication chains grows its working
 //! graph on every pop until the attempt cap stops it, so the cap bounds the
@@ -25,8 +29,10 @@
 //! schedule within a fixed heap peak.
 
 use hcrf::driver::ConfiguredMachine;
-use hcrf_ir::{Ddg, Loop};
-use hcrf_sched::{ArenaPool, IterativeScheduler, SchedulerParams};
+use hcrf_ir::{Ddg, Loop, OpKind};
+use hcrf_sched::{
+    validate_schedule, ArenaPool, IterativeScheduler, ScheduleResult, SchedulerParams,
+};
 use hcrf_telemetry::{Telemetry, Verbosity};
 use hcrf_workloads::{small_suite, suite::suite, SuiteParams};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -156,109 +162,225 @@ fn second_pass_of_per_pair_setup_allocates_nothing() {
     assert_eq!(pool.builds(), 1);
 }
 
-/// One pass of full schedules over `pairs` through `pool`. Returns, per
-/// pair, the allocations of the schedule call and the ladder's budget
-/// exhaustions.
-fn schedule_pass(
-    pool: &mut ArenaPool,
-    pairs: &[(&IterativeScheduler, &str, &Ddg)],
-) -> Vec<(String, String, u64, u32)> {
-    pairs
-        .iter()
-        .map(|(scheduler, config, ddg)| {
-            let before = allocations();
-            let (result, _) = scheduler.schedule_with_timings_pooled(ddg, pool);
-            let count = allocations() - before;
-            let exhausts = result.stats.budget_exhausts;
-            drop(result);
-            (config.to_string(), ddg.name.clone(), count, exhausts)
-        })
-        .collect()
+/// What one `finalize` allocates for a result on a machine with `clusters`
+/// clusters: the result's three buffers (loop name, configuration name,
+/// cluster MaxLive vector), the normalised placements, and the batch
+/// MaxLive walk's rows (one per cluster plus four) and lifetime list (at
+/// most eight growth steps).
+fn result_allocations(clusters: u32) -> u64 {
+    16 + u64::from(clusters)
 }
 
-#[test]
-fn second_pass_of_full_schedules_allocates_only_for_the_result() {
-    // What `finalize` allocates: the result's three buffers (loop name,
-    // configuration name, cluster MaxLive vector), the normalised
-    // placements, and the batch MaxLive walk's rows (one per cluster plus
-    // four) and lifetime list (at most eight growth steps). A ladder
-    // finalizes at most twice, when the gap scan after a skip replaces its
-    // first success. Attempts start cold: a debug build rebuilds the
-    // store's tables after every warm start to cross-check them, which
-    // allocates per restart by design.
-    let per_pair_limit = |clusters: u32| 2 * (16 + u64::from(clusters));
-    let configs = ["S32", "4C64", "4C16S16", "8C16S16"];
-    let schedulers: Vec<IterativeScheduler> = configs
+/// What a kept kernel adds: the box and its node, edge and placement
+/// arrays, copied at exact size out of the pool's buffers.
+const KERNEL_ALLOCATIONS: u64 = 4;
+
+/// The machines the full-schedule tests run `small_suite(60)` on.
+const FULL_SCHEDULE_CONFIGS: [&str; 4] = ["S32", "4C64", "4C16S16", "8C16S16"];
+
+/// Spill storms of the default suite, with the machine each storms on:
+/// every rung of these ladders up to the last runs its attempt into the
+/// spill-round limit, inserting and truncating chains all the way.
+const STORMS: [(&str, &str); 3] = [
+    ("syn0220_fu", "S32"),
+    ("syn0574_fu", "4C16S16"),
+    ("syn0187_fu", "8C16S16"),
+];
+
+/// One scheduled pair of a full-schedule pass.
+struct PairRun {
+    config: &'static str,
+    name: String,
+    /// Allocations of the schedule call.
+    allocations: u64,
+    budget_exhausts: u32,
+    warm_starts: u32,
+}
+
+/// Schedule `small_suite(60)` on every [`FULL_SCHEDULE_CONFIGS`] machine
+/// plus the [`STORMS`] pairs, each through `check` on the scheduler built
+/// from `params` (and `cold`), twice through one pool. Checks that the
+/// passes agree and that every storm pair really storms, and returns the
+/// second pass.
+fn second_pass_of_full_schedules(
+    params: SchedulerParams,
+    cold: bool,
+    mut check: impl FnMut(&str, &Ddg, &ScheduleResult),
+) -> Vec<PairRun> {
+    let schedulers: Vec<IterativeScheduler> = FULL_SCHEDULE_CONFIGS
         .iter()
         .map(|name| {
             let machine = ConfiguredMachine::from_name(name).unwrap().machine;
-            IterativeScheduler::new(machine, SchedulerParams::default().without_schedule())
-                .with_cold_attempts()
+            let scheduler = IterativeScheduler::new(machine, params);
+            if cold {
+                scheduler.with_cold_attempts()
+            } else {
+                scheduler
+            }
         })
         .collect();
     let small = small_suite(60);
     let full = suite(SuiteParams::default());
-    // Spill storms: every rung of these ladders up to the last runs its
-    // attempt into the spill-round limit, inserting and truncating chains
-    // all the way.
-    let storms: Vec<(&str, &Ddg)> = [
-        ("syn0220_fu", "S32"),
-        ("syn0574_fu", "4C16S16"),
-        ("syn0187_fu", "8C16S16"),
-    ]
-    .into_iter()
-    .map(|(name, config)| {
-        let ddg = &full
+    let storm_ddg = |name: &str| {
+        &full
             .iter()
             .find(|l| l.ddg.name == name)
             .unwrap_or_else(|| panic!("{name} missing from the default suite"))
-            .ddg;
-        (config, ddg)
-    })
-    .collect();
-    let mut pairs: Vec<(&IterativeScheduler, &str, &Ddg)> = Vec::new();
-    for (scheduler, config) in schedulers.iter().zip(configs) {
+            .ddg
+    };
+    let mut pairs: Vec<(&IterativeScheduler, &'static str, &Ddg)> = Vec::new();
+    for (scheduler, config) in schedulers.iter().zip(FULL_SCHEDULE_CONFIGS) {
         pairs.extend(small.iter().map(|l| (scheduler, config, &l.ddg)));
-        for &(storm_config, ddg) in &storms {
+        for (name, storm_config) in STORMS {
             if storm_config == config {
-                pairs.push((scheduler, config, ddg));
+                pairs.push((scheduler, config, storm_ddg(name)));
             }
         }
     }
     let mut pool = ArenaPool::new();
-    let warm = schedule_pass(&mut pool, &pairs);
-    let steady = schedule_pass(&mut pool, &pairs);
-    for ((config, name, _, first), (_, _, _, second)) in warm.iter().zip(&steady) {
-        assert_eq!(first, second, "{name}@{config}: the passes diverged");
-    }
-    for (config, name) in storms.iter().map(|(c, d)| (c, &d.name)) {
-        let (.., exhausts) = steady
+    let mut pass = || -> Vec<PairRun> {
+        pairs
             .iter()
-            .find(|(c, n, ..)| c == config && n == name)
-            .expect("storm pair scheduled");
-        assert!(
-            *exhausts >= 5,
-            "{name}@{config}: only {exhausts} budget-limited rungs, so it stresses nothing"
+            .map(|&(scheduler, config, ddg)| {
+                let before = allocations();
+                let (result, _) = scheduler.schedule_with_timings_pooled(ddg, &mut pool);
+                let allocations = allocations() - before;
+                check(config, ddg, &result);
+                PairRun {
+                    config,
+                    name: ddg.name.clone(),
+                    allocations,
+                    budget_exhausts: result.stats.budget_exhausts,
+                    warm_starts: result.stats.warm_starts,
+                }
+            })
+            .collect()
+    };
+    let warm = pass();
+    let steady = pass();
+    for (first, second) in warm.iter().zip(&steady) {
+        assert_eq!(
+            (first.budget_exhausts, first.warm_starts),
+            (second.budget_exhausts, second.warm_starts),
+            "{}@{}: the passes diverged",
+            second.name,
+            second.config
         );
     }
-    let over: Vec<_> = steady
+    for (name, config) in STORMS {
+        let run = steady
+            .iter()
+            .find(|r| r.config == config && r.name == name)
+            .expect("storm pair scheduled");
+        assert!(
+            run.budget_exhausts >= 5,
+            "{name}@{config}: only {} budget-limited rungs, so it stresses nothing",
+            run.budget_exhausts
+        );
+    }
+    assert_eq!(pool.builds(), 1);
+    steady
+}
+
+/// Assert that no pair of `runs` allocated more than `limit(clusters)`
+/// times.
+fn assert_allocations_at_most(runs: &[PairRun], limit: impl Fn(u32) -> u64) {
+    let over: Vec<_> = runs
         .iter()
-        .filter(|(config, _, count, _)| {
-            let clusters = ConfiguredMachine::from_name(config)
+        .filter(|r| {
+            let clusters = ConfiguredMachine::from_name(r.config)
                 .unwrap()
                 .machine
                 .clusters();
-            *count > per_pair_limit(clusters)
+            r.allocations > limit(clusters)
         })
+        .map(|r| (r.config, &r.name, r.allocations, r.budget_exhausts))
         .collect();
     assert!(
         over.is_empty(),
-        "{} pairs allocated more than 2·(16 + clusters) times at steady state, first \
+        "{} pairs allocated more than their limit at steady state, first \
          (machine, loop, allocations, budget exhaustions): {:?}",
         over.len(),
         &over[..over.len().min(8)]
     );
-    assert_eq!(pool.builds(), 1);
+}
+
+#[test]
+fn second_pass_of_full_schedules_allocates_only_for_the_result() {
+    // A ladder finalizes at most twice, when the gap scan after a skip
+    // replaces its first success. Attempts start cold: a debug build
+    // rebuilds the store's tables after every warm start to cross-check
+    // them, which allocates per restart by design (the release-only warm
+    // variant below covers warm starts).
+    let runs = second_pass_of_full_schedules(
+        SchedulerParams::default().without_schedule(),
+        true,
+        |_, _, _| {},
+    );
+    assert_allocations_at_most(&runs, |clusters| 2 * result_allocations(clusters));
+}
+
+#[test]
+fn second_pass_of_kept_full_schedules_allocates_only_for_the_result_and_its_kernel() {
+    let runs = second_pass_of_full_schedules(SchedulerParams::default(), true, |_, _, _| {});
+    assert_allocations_at_most(&runs, |clusters| {
+        2 * (result_allocations(clusters) + KERNEL_ALLOCATIONS)
+    });
+}
+
+/// Warm starts take their snapshot buffer from the pool, so a warm-started
+/// ladder allocates nothing per restart either. Release builds only: a
+/// debug build cross-checks the store after every warm remap, and that
+/// check allocates by design.
+#[cfg(not(debug_assertions))]
+#[test]
+fn second_pass_of_warm_started_full_schedules_allocates_only_for_the_result() {
+    let runs = second_pass_of_full_schedules(
+        SchedulerParams::default().without_schedule(),
+        false,
+        |_, _, _| {},
+    );
+    assert!(
+        runs.iter().any(|r| r.warm_starts > 0),
+        "no pair warm-starts, so this checks nothing the cold variant does not"
+    );
+    assert_allocations_at_most(&runs, |clusters| 2 * result_allocations(clusters));
+}
+
+#[test]
+fn kept_kernels_hold_exactly_the_scheduled_operations() {
+    let mut kept = 0;
+    second_pass_of_full_schedules(SchedulerParams::default(), true, |config, ddg, r| {
+        let pair = format!("{}@{config}", ddg.name);
+        let Some(kernel) = &r.kernel else {
+            assert!(r.failed, "{pair}: a successful schedule kept no kernel");
+            return;
+        };
+        assert!(!r.failed, "{pair}: a failed schedule kept a kernel");
+        kept += 1;
+        let count = |kind: OpKind| kernel.nodes.iter().filter(|n| n.kind == kind).count() as u32;
+        assert_eq!(kernel.nodes.len() as u32, r.total_ops, "{pair}: operations");
+        assert_eq!(
+            kernel.placements.len(),
+            kernel.nodes.len(),
+            "{pair}: placements"
+        );
+        assert_eq!(
+            kernel.memory_ops() as u32,
+            r.memory_ops,
+            "{pair}: memory operations"
+        );
+        assert_eq!(count(OpKind::LoadR), r.loadr_ops, "{pair}: LoadR");
+        assert_eq!(count(OpKind::StoreR), r.storer_ops, "{pair}: StoreR");
+        assert_eq!(count(OpKind::Move), r.move_ops, "{pair}: Move");
+        let first = kernel.placements.iter().map(|p| p.cycle).min();
+        assert_eq!(first, Some(0), "{pair}: placements are not normalised");
+        let machine = ConfiguredMachine::from_name(config).unwrap().machine;
+        if let Err(e) = validate_schedule(ddg, &machine, r) {
+            panic!("{pair}: {e}");
+        }
+    });
+    assert!(kept > 0);
 }
 
 #[test]

@@ -154,6 +154,27 @@ fn real_memory_scenario_produces_stalls_and_prefetching_reduces_them() {
 }
 
 #[test]
+fn real_memory_runs_keep_the_kernel_they_replay() {
+    // A hand-built real-memory option set leaves `keep_schedule` at its
+    // default, off. The run must keep the kernels anyway: the memory
+    // simulation replays them, and an unkept kernel replays no access and
+    // reports no stall.
+    let loops = small_suite(0);
+    let cfg = ConfiguredMachine::from_name("S64").unwrap();
+    let hand_built = RunOptions {
+        real_memory: true,
+        ..Default::default()
+    };
+    assert!(!hand_built.scheduler.keep_schedule);
+    let mut reference = RunOptions::fast().with_real_memory();
+    reference.scheduler.binding_prefetch = false;
+    let expected = run_suite(&cfg, &loops, &reference).aggregate.stall_cycles;
+    assert!(expected > 0);
+    let got = run_suite(&cfg, &loops, &hand_built).aggregate.stall_cycles;
+    assert_eq!(got, expected);
+}
+
+#[test]
 fn fig6_relative_metrics_are_internally_consistent() {
     let loops = small_suite(0);
     let bars = fig6::run_configs(&loops, &fast(), &["S64", "4C32S16"]);
