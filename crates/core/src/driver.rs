@@ -238,10 +238,10 @@ pub fn run_suite_traced(
 }
 
 /// Schedule (and, in the real-memory scenario, simulate) ONE loop of a
-/// suite: the engine's inner task, shared by [`run_suite_traced`] and the
-/// explore executor's point-decomposed sweeps. The `worker` id labels the
-/// `loop` trace span; the pooled arena in `pool` makes consecutive calls on
-/// one worker rebind allocations instead of rebuilding them.
+/// suite: the engine's inner task of [`run_suite_traced`]. The `worker` id
+/// labels the `loop` trace span; the pooled arena in `pool` makes
+/// consecutive calls on one worker rebind allocations instead of
+/// rebuilding them.
 #[allow(clippy::too_many_arguments)]
 pub fn run_loop_traced(
     scheduler: &IterativeScheduler,
@@ -253,12 +253,38 @@ pub fn run_loop_traced(
     pool: &mut ArenaPool,
     worker: usize,
 ) -> LoopRun {
-    let mut buf = telemetry.trace_buf();
-    let t0 = buf.now_ns();
+    let t0 = telemetry.trace_buf().now_ns();
     let (schedule, phases) = scheduler.schedule_with_timings_pooled(&l.ddg, pool);
+    let performance =
+        measure_loop_traced(&schedule, config, l, index, options, telemetry, worker, t0);
+    LoopRun {
+        index,
+        schedule,
+        performance,
+        phases,
+    }
+}
+
+/// The performance of `schedule` as loop `l`'s schedule on `config`: in
+/// the real-memory scenario the cache simulation of its kept kernel
+/// supplies the stall cycles. Records the pair's labeled `loop` trace span,
+/// from `t0` (a [`hcrf_telemetry::TraceBuf::now_ns`] stamp) to now. The
+/// explore executor calls this once per design point, also for the points
+/// a sibling's schedule serves.
+#[allow(clippy::too_many_arguments)]
+pub fn measure_loop_traced(
+    schedule: &ScheduleResult,
+    config: &ConfiguredMachine,
+    l: &Loop,
+    index: usize,
+    options: &RunOptions,
+    telemetry: &Telemetry,
+    worker: usize,
+    t0: u64,
+) -> LoopPerformance {
     let stall = if options.real_memory && !schedule.failed {
         let accesses = crate::memory::kernel_accesses(
-            &schedule,
+            schedule,
             &config.machine,
             options.scheduler.binding_prefetch,
         );
@@ -274,7 +300,8 @@ pub fn run_loop_traced(
     } else {
         0
     };
-    let performance = LoopPerformance::from_schedule(&schedule, l, stall);
+    let performance = LoopPerformance::from_schedule(schedule, l, stall);
+    let mut buf = telemetry.trace_buf();
     buf.span_labeled(
         "loop",
         "driver",
@@ -288,12 +315,7 @@ pub fn run_loop_traced(
         ],
     );
     telemetry.flush(&mut buf);
-    LoopRun {
-        index,
-        schedule,
-        performance,
-        phases,
-    }
+    performance
 }
 
 /// Fold index-ordered per-loop results into the suite aggregate and the
@@ -303,11 +325,20 @@ pub fn fold_suite_aggregate(
     config: &ConfiguredMachine,
     loops: &[LoopRun],
 ) -> (SuiteAggregate, PhaseTimings) {
+    fold_aggregate(config, loops.iter().map(|r| (&r.performance, &r.phases)))
+}
+
+/// [`fold_suite_aggregate`] over bare (performance, phase timings) pairs,
+/// in suite order.
+pub fn fold_aggregate<'a>(
+    config: &ConfiguredMachine,
+    loops: impl IntoIterator<Item = (&'a LoopPerformance, &'a PhaseTimings)>,
+) -> (SuiteAggregate, PhaseTimings) {
     let mut aggregate = SuiteAggregate::new(config.name(), config.hardware.clock_ns);
     let mut phases = PhaseTimings::default();
-    for run in loops {
-        aggregate.add(&run.performance);
-        phases.absorb(&run.phases);
+    for (performance, timings) in loops {
+        aggregate.add(performance);
+        phases.absorb(timings);
     }
     (aggregate, phases)
 }

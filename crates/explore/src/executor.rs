@@ -2,26 +2,38 @@
 //!
 //! The executor turns a list of register-file organizations into evaluated
 //! points: it fingerprints the suite once, probes the [`ResultCache`] for
-//! every point, then submits the uncached points to the
-//! [`hcrf_engine::Engine`] as *two-level* tasks — each design point
-//! decomposes into one task per loop, so idle workers steal loops from a
-//! slow point (the paper's large-II S128 sweeps) instead of serializing
-//! behind it. Completed points stream back to the caller's thread, where
-//! they are persisted to the cache as they land — *before* any later
-//! worker panic propagates, so an interrupted sweep keeps every finished
-//! point. Results fold in fixed loop order per point and land in input
-//! order, making every [`PointResult`]'s aggregate bit-identical for any
-//! thread count.
+//! every point, then groups the uncached points by *scheduling class*
+//! ([`IterativeScheduler::class_key`]: the machine with its register
+//! capacities erased) and submits the classes to the
+//! [`hcrf_engine::Engine`] as *two-level* tasks — each class decomposes
+//! into one task per loop, so idle workers steal loops from a slow class
+//! (the paper's large-II S128 sweeps) instead of serializing behind it.
+//!
+//! A class's loop task walks its points largest capacity first. Each point
+//! is served by an earlier point's schedule whose
+//! [`hcrf_sched::CapacityWindow`] covers its capacities (every capacity
+//! check comes out the same there, so the schedule is identical), or is
+//! scheduled itself and adds its window to the list. Every point is still
+//! measured, folded, persisted and reported on its own.
+//!
+//! Completed classes stream back to the caller's thread, where their points
+//! are persisted to the cache as they land — *before* any later worker
+//! panic propagates, so an interrupted sweep keeps every finished class.
+//! Results fold in fixed loop order per point and land in input order,
+//! making every [`PointResult`]'s aggregate bit-identical for any thread
+//! count.
 
 use crate::cache::{CacheKey, CacheStats, CachedResult, ResultCache, Scenario};
 use hcrf::driver::{
-    fold_suite_aggregate, run_loop_traced, suite_fingerprint, ConfiguredMachine, RunOptions,
+    fold_aggregate, measure_loop_traced, suite_fingerprint, ConfiguredMachine, RunOptions,
 };
 use hcrf_engine::{Engine, FailurePolicy, FaultPlan, TaskFailure};
 use hcrf_ir::Loop;
-use hcrf_machine::RfOrganization;
-use hcrf_sched::{ArenaPool, IterativeScheduler, SchedulerParams};
+use hcrf_machine::{MachineConfig, RfOrganization};
+use hcrf_perf::LoopPerformance;
+use hcrf_sched::{ArenaPool, IterativeScheduler, PhaseTimings, ScheduleResult, SchedulerParams};
 use hcrf_telemetry::{Telemetry, Verbosity};
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Options of one exploration run.
@@ -101,8 +113,10 @@ pub struct PointResult {
     pub total_area: f64,
     /// Seconds of scheduler time the point cost: the summed per-loop phase
     /// totals (CPU time, not wall time — the point's loops interleave with
-    /// other points' on the engine workers). Cached points report the value
-    /// their original evaluation stored.
+    /// other points' on the engine workers). A loop a sibling point's
+    /// schedule served counts that schedule's phase times, so this is what
+    /// scheduling the point costs, not what this sweep paid for it. Cached
+    /// points report the value their original evaluation stored.
     pub scheduling_seconds: f64,
     /// Whether this point was served from the result cache.
     pub from_cache: bool,
@@ -111,14 +125,18 @@ pub struct PointResult {
 /// A design point whose evaluation was quarantined: one or more of its
 /// loop tasks kept panicking under [`FailurePolicy::Isolate`], so the
 /// point has no result — but the sweep completed and every other point
-/// persisted. The Pareto report lists these in its failure manifest.
+/// persisted. The Pareto report lists these in its failure manifest. A
+/// loop task serves every point of its scheduling class, so a task that
+/// keeps panicking quarantines each of them, each with its own copy of the
+/// class's failure list.
 #[derive(Debug, Clone)]
 pub struct QuarantinedPoint {
     /// The organization whose evaluation failed.
     pub rf: RfOrganization,
     /// Its `xCy-Sz` name.
     pub name: String,
-    /// The failed loop tasks (index = loop index in the suite), sorted.
+    /// The failed loop tasks (index = loop index in the suite, group = the
+    /// engine group of the point's scheduling class), sorted.
     pub failures: Vec<TaskFailure>,
 }
 
@@ -216,11 +234,21 @@ pub fn explore_traced(
         }
     }
 
-    // Evaluate the misses on the work-stealing engine: every pending point
-    // is a task group whose inner tasks are the suite's loops, each result
-    // is persisted to the cache on this thread as it lands (before any
-    // worker panic would propagate), and the per-point folds run over
-    // index-ordered loop results so aggregates are thread-count-invariant.
+    // Evaluate the misses on the work-stealing engine: every scheduling
+    // class is a task group whose inner tasks are the suite's loops, each
+    // class's points are persisted to the cache on this thread as they land
+    // (before any worker panic would propagate), and the per-point folds run
+    // over index-ordered loop results so aggregates are
+    // thread-count-invariant.
+    let params = run_options.scheduler_params();
+    let schedulers: Vec<IterativeScheduler> = pending
+        .iter()
+        .map(|(_, configured, _)| {
+            IterativeScheduler::new(configured.machine.clone(), params)
+                .with_telemetry(telemetry.clone())
+        })
+        .collect();
+    let classes = class_groups(&schedulers);
     let mut engine = Engine::new(options.threads)
         .with_telemetry(telemetry.clone())
         .with_failure_policy(options.failure);
@@ -230,70 +258,105 @@ pub fn explore_traced(
     let sweep_t0 = hit_buf.now_ns();
     telemetry.flush(&mut hit_buf);
     let progress = AtomicUsize::new(completed);
-    let evaluate_loop = |pool: &mut ArenaPool, ctx: hcrf_engine::TaskCtx| {
-        let (_, configured, _) = &pending[ctx.group];
-        let scheduler =
-            IterativeScheduler::new(configured.machine.clone(), run_options.scheduler_params())
-                .with_telemetry(telemetry.clone());
-        run_loop_traced(
-            &scheduler,
-            configured,
-            &suite[ctx.index],
-            ctx.index,
-            &run_options,
-            telemetry,
-            pool,
-            ctx.worker,
-        )
+    let evaluate_loop = |pool: &mut ArenaPool, ctx: hcrf_engine::TaskCtx| -> Vec<PairRun> {
+        let l = &suite[ctx.index];
+        let mut runs: Vec<(ScheduleResult, PhaseTimings)> = Vec::new();
+        let mut pairs = Vec::with_capacity(classes[ctx.group].len());
+        for &p in &classes[ctx.group] {
+            let (_, configured, _) = &pending[p];
+            let t0 = telemetry.trace_buf().now_ns();
+            let served = runs
+                .iter()
+                .position(|(r, _)| r.window.covers(&configured.machine));
+            let k = served.unwrap_or_else(|| {
+                runs.push(schedulers[p].schedule_with_timings_pooled(&l.ddg, pool));
+                runs.len() - 1
+            });
+            let (schedule, phases) = &runs[k];
+            let performance = measure_loop_traced(
+                schedule,
+                configured,
+                l,
+                ctx.index,
+                &run_options,
+                telemetry,
+                ctx.worker,
+                t0,
+            );
+            pairs.push(PairRun {
+                performance,
+                phases: *phases,
+                served: served.is_some(),
+            });
+        }
+        pairs
     };
-    let fold_point = |g: usize, loops: Vec<hcrf::LoopRun>| -> PointResult {
-        let (_, configured, _) = &pending[g];
-        let (aggregate, phases) = fold_suite_aggregate(configured, &loops);
-        let result = PointResult {
-            rf: configured.machine.rf,
-            name: configured.name(),
-            aggregate,
-            clock_ns: configured.hardware.clock_ns,
-            total_area: configured.hardware.total_area,
-            scheduling_seconds: phases.total().as_secs_f64(),
-            from_cache: false,
-        };
-        let mut buf = telemetry.trace_buf();
-        buf.span_labeled(
-            "design_point",
-            "explore",
-            sweep_t0,
-            Some(&result.name),
-            &[
-                ("sum_ii", result.aggregate.sum_ii as i64),
-                ("loops", result.aggregate.loops as i64),
-                ("failed", result.aggregate.failed_loops as i64),
-            ],
-        );
-        telemetry.flush(&mut buf);
-        let finished = progress.fetch_add(1, Ordering::Relaxed) + 1;
-        telemetry.progress(format!(
-            "[{finished:>3}/{total}] {:<10} evaluated in {:.2}s (ΣII {}, {} loops)",
-            result.name, result.scheduling_seconds, result.aggregate.sum_ii, result.aggregate.loops,
-        ));
-        result
+    let fold_class = |g: usize, loops: Vec<Vec<PairRun>>| -> Vec<PointResult> {
+        let served = loops.iter().flatten().filter(|r| r.served).count();
+        telemetry.counter_add("explore.shared_pairs", served as u64);
+        classes[g]
+            .iter()
+            .enumerate()
+            .map(|(m, &p)| {
+                let (_, configured, _) = &pending[p];
+                let (aggregate, phases) = fold_aggregate(
+                    configured,
+                    loops
+                        .iter()
+                        .map(|pairs| (&pairs[m].performance, &pairs[m].phases)),
+                );
+                let result = PointResult {
+                    rf: configured.machine.rf,
+                    name: configured.name(),
+                    aggregate,
+                    clock_ns: configured.hardware.clock_ns,
+                    total_area: configured.hardware.total_area,
+                    scheduling_seconds: phases.total().as_secs_f64(),
+                    from_cache: false,
+                };
+                let mut buf = telemetry.trace_buf();
+                buf.span_labeled(
+                    "design_point",
+                    "explore",
+                    sweep_t0,
+                    Some(&result.name),
+                    &[
+                        ("sum_ii", result.aggregate.sum_ii as i64),
+                        ("loops", result.aggregate.loops as i64),
+                        ("failed", result.aggregate.failed_loops as i64),
+                    ],
+                );
+                telemetry.flush(&mut buf);
+                let finished = progress.fetch_add(1, Ordering::Relaxed) + 1;
+                telemetry.progress(format!(
+                    "[{finished:>3}/{total}] {:<10} evaluated in {:.2}s (ΣII {}, {} loops)",
+                    result.name,
+                    result.scheduling_seconds,
+                    result.aggregate.sum_ii,
+                    result.aggregate.loops,
+                ));
+                result
+            })
+            .collect()
     };
-    let group_sizes = vec![suite.len(); pending.len()];
+    let group_sizes = vec![suite.len(); classes.len()];
     let run = engine.run_two_level(
         &group_sizes,
         |_| ArenaPool::new(),
         evaluate_loop,
-        fold_point,
-        |g, result| {
-            let cached = CachedResult {
-                config: result.name.clone(),
-                aggregate: result.aggregate.clone(),
-                clock_ns: result.clock_ns,
-                total_area: result.total_area,
-                scheduling_seconds: result.scheduling_seconds,
-            };
-            if let Err(e) = cache.store(&pending[g].2, &cached) {
-                telemetry.warn(format!("failed to cache {}: {e}", result.name));
+        fold_class,
+        |g, results| {
+            for (&p, result) in classes[g].iter().zip(results) {
+                let cached = CachedResult {
+                    config: result.name.clone(),
+                    aggregate: result.aggregate.clone(),
+                    clock_ns: result.clock_ns,
+                    total_area: result.total_area,
+                    scheduling_seconds: result.scheduling_seconds,
+                };
+                if let Err(e) = cache.store(&pending[p].2, &cached) {
+                    telemetry.warn(format!("failed to cache {}: {e}", result.name));
+                }
             }
         },
     );
@@ -301,15 +364,19 @@ pub fn explore_traced(
         let rebinds: u64 = run.states.iter().map(|p| p.rebinds()).sum();
         telemetry.counter_add("engine.arena_rebinds", rebinds);
     }
-    // A `None` group result is a quarantined point (isolate policy only):
-    // it stays out of `points` and lands in the failure manifest with its
-    // failed loop tasks. `run.quarantined` is sorted by (group, index), so
-    // per-point failure lists come out sorted by loop index and the
-    // manifest by input order.
-    let mut quarantined: Vec<QuarantinedPoint> = Vec::new();
-    for (g, ((index, configured, _), result)) in pending.iter().zip(run.results).enumerate() {
+    // A `None` group result is a quarantined class (isolate policy only):
+    // its points stay out of `points` and land in the failure manifest, each
+    // with the class's failed loop tasks. `run.quarantined` is sorted by
+    // (group, index), so per-point failure lists come out sorted by loop
+    // index; the manifest is sorted into input order.
+    let mut quarantined: Vec<(usize, QuarantinedPoint)> = Vec::new();
+    for (g, result) in run.results.into_iter().enumerate() {
         match result {
-            Some(result) => points[*index] = Some(result),
+            Some(results) => {
+                for (&p, result) in classes[g].iter().zip(results) {
+                    points[pending[p].0] = Some(result);
+                }
+            }
             None => {
                 let failures: Vec<TaskFailure> = run
                     .quarantined
@@ -317,18 +384,28 @@ pub fn explore_traced(
                     .filter(|f| f.group == g)
                     .cloned()
                     .collect();
-                telemetry.warn(format!(
-                    "{}: quarantined ({} loop task(s) kept panicking)",
-                    configured.name(),
-                    failures.len()
-                ));
-                quarantined.push(QuarantinedPoint {
-                    rf: configured.machine.rf,
-                    name: configured.name(),
-                    failures,
-                });
+                for &p in &classes[g] {
+                    let (index, configured, _) = &pending[p];
+                    quarantined.push((
+                        *index,
+                        QuarantinedPoint {
+                            rf: configured.machine.rf,
+                            name: configured.name(),
+                            failures: failures.clone(),
+                        },
+                    ));
+                }
             }
         }
+    }
+    quarantined.sort_by_key(|(index, _)| *index);
+    let quarantined: Vec<QuarantinedPoint> = quarantined.into_iter().map(|(_, q)| q).collect();
+    for q in &quarantined {
+        telemetry.warn(format!(
+            "{}: quarantined ({} loop task(s) kept panicking)",
+            q.name,
+            q.failures.len()
+        ));
     }
 
     let cache_stats = cache.stats().since(&stats_at_entry);
@@ -354,6 +431,42 @@ pub fn explore_traced(
         suite_loops: suite.len(),
         wall_seconds,
     }
+}
+
+/// One (loop, design point) pair of a class's loop task: what the point's
+/// fold reads. The schedule itself stays on the worker that produced it.
+struct PairRun {
+    performance: LoopPerformance,
+    /// The phase times of the schedule that served the pair: its own, or
+    /// the earlier point's whose window covered it.
+    phases: PhaseTimings,
+    /// Whether an earlier point's schedule served the pair.
+    served: bool,
+}
+
+/// The pending points grouped by scheduling class: groups in the order of
+/// their first point, each group's points by descending bank capacities
+/// (cluster bank first), so the largest capacity is scheduled first.
+fn class_groups(schedulers: &[IterativeScheduler]) -> Vec<Vec<usize>> {
+    let mut keys: Vec<MachineConfig> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (p, scheduler) in schedulers.iter().enumerate() {
+        let key = scheduler.class_key();
+        match keys.iter().position(|k| *k == key) {
+            Some(g) => groups[g].push(p),
+            None => {
+                keys.push(key);
+                groups.push(vec![p]);
+            }
+        }
+    }
+    for members in &mut groups {
+        members.sort_by_key(|&p| {
+            let m = schedulers[p].machine();
+            Reverse((m.cluster_regs(), m.shared_regs()))
+        });
+    }
+    groups
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ impl LoopPerformance {
     /// Build the per-loop record from a schedule and the stall count.
     pub fn from_schedule(result: &ScheduleResult, l: &Loop, stall_cycles: u64) -> Self {
         LoopPerformance {
-            name: result.loop_name.clone(),
+            name: l.ddg.name.clone(),
             ii: result.ii,
             mii: result.mii,
             sc: result.sc,

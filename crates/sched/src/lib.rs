@@ -68,6 +68,7 @@ pub use scheduler::{
 };
 pub use store::{PlacementStore, SlotIndex};
 pub use types::{
-    BankAssignment, Kernel, Placement, ScheduleResult, SchedulerParams, SchedulerStats,
+    BankAssignment, BankWindow, CapacityWindow, Kernel, Placement, ScheduleResult, SchedulerParams,
+    SchedulerStats,
 };
 pub use validate::{validate_schedule, validate_store};

@@ -31,11 +31,12 @@ use crate::arena::{ArenaPool, AttemptArena};
 use crate::cluster::select_cluster;
 use crate::pressure::{pick_spill_candidate_from, pressure, Pressure, PressureQuery};
 use crate::types::{
-    BankAssignment, Kernel, Placement, ScheduleResult, SchedulerParams, SchedulerStats,
+    BankAssignment, CapacityWindow, Kernel, Placement, ScheduleResult, SchedulerParams,
+    SchedulerStats,
 };
 use hcrf_ir::analysis::RecurrenceAnalysis;
 use hcrf_ir::{mii as mii_mod, Ddg, DepKind, Edge, Node, NodeId, OpKind, OpLatencies};
-use hcrf_machine::MachineConfig;
+use hcrf_machine::{Capacity, MachineConfig, RfOrganization};
 use hcrf_telemetry::{Telemetry, TraceBuf};
 use std::time::{Duration, Instant};
 
@@ -176,12 +177,13 @@ type Attempt = Result<(), Failure>;
 
 /// The per-`schedule()` state of the II ladder: the loop, the pool its arena
 /// and scratch buffers come from, the arena of the latest attempt and the
-/// accumulators every attempt folds into.
+/// accumulators every attempt folds into, the capacity window among them.
 struct Ladder<'a> {
     ddg: &'a Ddg,
     pool: &'a mut ArenaPool,
     arena: Option<AttemptArena>,
     stats: SchedulerStats,
+    window: CapacityWindow,
     timings: PhaseTimings,
     trace: TraceBuf,
 }
@@ -297,6 +299,7 @@ impl IterativeScheduler {
             pool,
             arena: None,
             stats: SchedulerStats::default(),
+            window: CapacityWindow::default(),
             timings: PhaseTimings::default(),
             trace: self.telemetry.trace_buf(),
         };
@@ -438,12 +441,13 @@ impl IterativeScheduler {
         }
         let mut result = found.unwrap_or_else(|| self.failed_result(ddg, mii));
         result.stats = l.stats;
+        result.window = l.window;
         if self.telemetry.is_enabled() {
             l.trace.span_labeled(
                 "schedule",
                 "sched",
                 sched_start,
-                Some(&result.loop_name),
+                Some(&ddg.name),
                 &[
                     ("ii", result.ii as i64),
                     ("mii", result.mii as i64),
@@ -506,6 +510,7 @@ impl IterativeScheduler {
         }
         let a = l.arena.as_mut().expect("just ensured");
         let stats = &mut l.stats;
+        let window = &mut l.window;
         let trace = &mut l.trace;
         if stats.ii_restarts > 0 {
             stats.arena_resets += 1;
@@ -540,7 +545,7 @@ impl IterativeScheduler {
         // swap the live one in for its duration (the arena's own stays a
         // recording-nothing default otherwise).
         std::mem::swap(&mut a.trace, trace);
-        let outcome = self.attempt(a, lat, warm_unplaced);
+        let outcome = self.attempt(a, lat, warm_unplaced, window);
         std::mem::swap(&mut a.trace, trace);
         l.timings.attempts += t.elapsed();
         if a.self_ejections > 0 {
@@ -571,11 +576,9 @@ impl IterativeScheduler {
     }
 
     /// The result reported when no schedule was found up to `max_ii`
-    /// (ladder-level stats are filled in by the caller).
+    /// (ladder-level stats and window are filled in by the caller).
     fn failed_result(&self, ddg: &Ddg, mii: u32) -> ScheduleResult {
         ScheduleResult {
-            loop_name: ddg.name.clone(),
-            config: self.machine.rf.to_string(),
             ii: self.params.max_ii,
             mii,
             sc: 0,
@@ -593,18 +596,21 @@ impl IterativeScheduler {
             total_ops: ddg.num_nodes() as u32,
             original_ops: ddg.num_nodes() as u32,
             stats: SchedulerStats::default(),
+            window: CapacityWindow::default(),
             kernel: None,
         }
     }
 
     /// One attempt at the arena's current II (the caller has just `reset`
     /// the arena for it). `warm_unplaced` is the number of active nodes the
-    /// warm remap left unplaced, when this attempt was warm-started.
+    /// warm remap left unplaced, when this attempt was warm-started. Every
+    /// capacity check the attempt makes is recorded in `window`.
     fn attempt(
         &self,
         state: &mut AttemptArena,
         lat: &OpLatencies,
         warm_unplaced: Option<u32>,
+        window: &mut CapacityWindow,
     ) -> Attempt {
         let ii = state.ii;
         // A warm attempt pays a budget proportional to the unplaced
@@ -683,7 +689,7 @@ impl IterativeScheduler {
             }
             // 4. Register pressure / spill.
             if self.has_bounded_banks() {
-                self.check_and_spill(state, u, lat, &mut spill_rounds, spill_round_limit)?;
+                self.check_and_spill(state, u, lat, &mut spill_rounds, spill_round_limit, window)?;
             }
             state.budget -= 1;
             if state.budget <= 0 {
@@ -706,7 +712,7 @@ impl IterativeScheduler {
             state.store.sync_pressure(&mut state.w);
             let batch = self.batch_snapshot(state, lat);
             if self
-                .over_capacity_bank(Self::pressure_source(state, &batch))
+                .over_capacity_bank(Self::pressure_source(state, &batch), window)
                 .is_some()
             {
                 return Err(Failure::Budget);
@@ -754,20 +760,65 @@ impl IterativeScheduler {
         }
     }
 
-    /// Find a bank whose MaxLive exceeds its capacity.
-    fn over_capacity_bank(&self, pr: &dyn PressureQuery) -> Option<BankAssignment> {
+    /// Find a bank whose MaxLive exceeds its capacity, recording every
+    /// comparison in `window`. With [`IterativeScheduler::has_bounded_banks`]
+    /// this is the only place the scheduler reads a register capacity.
+    fn over_capacity_bank(
+        &self,
+        pr: &dyn PressureQuery,
+        window: &mut CapacityWindow,
+    ) -> Option<BankAssignment> {
         let cluster_cap = self.machine.cluster_regs();
         for c in 0..self.machine.clusters() {
-            if pr.cluster_live(c) > cluster_cap {
+            if window.cluster.check(pr.cluster_live(c), cluster_cap) {
                 return Some(BankAssignment::Cluster(c));
             }
         }
         if let Some(shared_cap) = self.machine.shared_regs() {
-            if pr.shared_live() > shared_cap {
+            if window.shared.check(pr.shared_live(), shared_cap) {
                 return Some(BankAssignment::Shared);
             }
         }
         None
+    }
+
+    /// The scheduling class of this scheduler's machine: the
+    /// [`MachineConfig`] it reads, with every bounded register capacity
+    /// erased to zero (boundedness is kept) and, unless binding prefetching
+    /// is on, the load-miss latency erased too, since only prefetched loads
+    /// read it. Two schedulers with equal keys and equal parameters make the
+    /// same decisions wherever their capacity checks agree: a result
+    /// computed on one serves the other whenever its
+    /// [`CapacityWindow`] covers the other's machine.
+    pub fn class_key(&self) -> MachineConfig {
+        let erase = |c: Capacity| match c {
+            Capacity::Bounded(_) => Capacity::Bounded(0),
+            Capacity::Unbounded => Capacity::Unbounded,
+        };
+        let mut key = self.machine.clone();
+        key.rf = match key.rf {
+            RfOrganization::Monolithic { regs } => RfOrganization::Monolithic { regs: erase(regs) },
+            RfOrganization::Clustered {
+                clusters,
+                regs_per_cluster,
+            } => RfOrganization::Clustered {
+                clusters,
+                regs_per_cluster: erase(regs_per_cluster),
+            },
+            RfOrganization::Hierarchical {
+                clusters,
+                cluster_regs,
+                shared_regs,
+            } => RfOrganization::Hierarchical {
+                clusters,
+                cluster_regs: erase(cluster_regs),
+                shared_regs: erase(shared_regs),
+            },
+        };
+        if !self.params.binding_prefetch {
+            key.latencies.load_miss = 0;
+        }
+        key
     }
 
     /// Insert (and immediately schedule) the communication chains needed for
@@ -854,6 +905,7 @@ impl IterativeScheduler {
         lat: &OpLatencies,
         spill_rounds: &mut u32,
         spill_round_limit: u32,
+        window: &mut CapacityWindow,
     ) -> Attempt {
         loop {
             // One pressure probe per round: the over-capacity bank and, if
@@ -861,7 +913,7 @@ impl IterativeScheduler {
             state.store.sync_pressure(&mut state.w);
             let batch = self.batch_snapshot(state, lat);
             let probe = self
-                .over_capacity_bank(Self::pressure_source(state, &batch))
+                .over_capacity_bank(Self::pressure_source(state, &batch), window)
                 .map(|bank| {
                     let candidate = match &batch {
                         Some(pr) => pick_spill_candidate_from(&state.w, pr.lifetimes.iter(), bank),
@@ -1145,9 +1197,9 @@ impl IterativeScheduler {
     }
 
     /// Build the public result from the ladder's successful attempt. The
-    /// `stats` field is left default: the ladder in
-    /// [`IterativeScheduler::schedule_with_timings`] owns all counter
-    /// accumulation across II restarts and overwrites it.
+    /// `stats` and `window` fields are left default: the ladder in
+    /// [`IterativeScheduler::schedule_with_timings`] owns all accumulation
+    /// across II restarts and overwrites them.
     ///
     /// A kept [`Kernel`] is copied out of the pool's [`KernelScratch`] into
     /// exact-size arrays, four allocations and about 1 KB per pair on the
@@ -1230,8 +1282,6 @@ impl IterativeScheduler {
             })
         });
         ScheduleResult {
-            loop_name: l.ddg.name.clone(),
-            config: self.machine.rf.to_string(),
             ii,
             mii,
             sc,
@@ -1249,6 +1299,7 @@ impl IterativeScheduler {
             total_ops: w.active_count() as u32,
             original_ops: w.original_nodes() as u32,
             stats: SchedulerStats::default(),
+            window: CapacityWindow::default(),
             kernel,
         }
     }
@@ -1515,6 +1566,50 @@ mod tests {
             results.iter().any(|r| r.stats.ejections > 0),
             "no pair ejected, so the victim search was never asked"
         );
+    }
+
+    #[test]
+    fn class_key_erases_capacities_and_the_unread_miss_latency() {
+        let key = |cfg: &str, params: SchedulerParams| {
+            IterativeScheduler::new(machine(cfg), params).class_key()
+        };
+        let ideal = SchedulerParams::default();
+        assert_eq!(key("4C16S64", ideal), key("4C32S16", ideal));
+        assert_eq!(key("S16", ideal), key("S128", ideal));
+        // Boundedness, shape and cluster count stay in the key.
+        assert_ne!(key("S64", ideal), key("Sinf", ideal));
+        assert_ne!(key("4C16S64", ideal), key("4CinfS64", ideal));
+        assert_ne!(key("4C16S64", ideal), key("8C16S64", ideal));
+        assert_ne!(key("4C16", ideal), key("4C16S16", ideal));
+        // The load-miss latency is read only under binding prefetching.
+        let mut slow_miss = machine("S64");
+        slow_miss.latencies.load_miss += 5;
+        let with_miss = |m: MachineConfig, params| IterativeScheduler::new(m, params).class_key();
+        assert_eq!(with_miss(slow_miss.clone(), ideal), key("S64", ideal));
+        let prefetch = SchedulerParams {
+            binding_prefetch: true,
+            ..ideal
+        };
+        assert_ne!(with_miss(slow_miss, prefetch), key("S64", prefetch));
+    }
+
+    #[test]
+    fn window_covers_the_capacities_of_its_own_run() {
+        for cfg in ["S16", "4C16S64", "8C16S16", "4CinfSinf"] {
+            let m = machine(cfg);
+            for g in [daxpy(), recurrence_loop(), pressure_loop()] {
+                let r = schedule_loop(&g, &m, &SchedulerParams::default());
+                assert!(r.window.covers(&m), "{} / {cfg}: {:?}", g.name, r.window);
+            }
+        }
+        // The pressure loop overflows 16 registers at some rung, so its
+        // window on S16 excludes a larger file it never needed.
+        let r = schedule_loop(
+            &pressure_loop(),
+            &machine("S16"),
+            &SchedulerParams::default(),
+        );
+        assert!(r.window.cluster.max < u32::MAX, "{:?}", r.window);
     }
 
     #[test]

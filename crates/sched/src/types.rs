@@ -1,6 +1,7 @@
 //! Public parameter and result types of the schedulers.
 
 use hcrf_ir::{Edge, Node, NodeId};
+use hcrf_machine::MachineConfig;
 use hcrf_telemetry::Telemetry;
 
 /// Which register bank a value lives in.
@@ -10,6 +11,80 @@ pub enum BankAssignment {
     Cluster(u32),
     /// The shared second-level bank of a hierarchical organization.
     Shared,
+}
+
+/// The register capacities of one bank type for which every capacity check
+/// of a `schedule()` call comes out as it did: `min..=max`. `min` is the
+/// largest MaxLive a check found within capacity, `max` is one below the
+/// smallest MaxLive a check found over capacity. A check never made leaves
+/// the window at `0..=u32::MAX`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BankWindow {
+    /// Smallest capacity inside the window.
+    pub min: u32,
+    /// Largest capacity inside the window.
+    pub max: u32,
+}
+
+impl Default for BankWindow {
+    fn default() -> Self {
+        BankWindow {
+            min: 0,
+            max: u32::MAX,
+        }
+    }
+}
+
+impl BankWindow {
+    /// Record one capacity check, `live > capacity`, and return its outcome.
+    #[inline]
+    pub fn check(&mut self, live: u32, capacity: u32) -> bool {
+        if live > capacity {
+            self.max = self.max.min(live - 1);
+            true
+        } else {
+            self.min = self.min.max(live);
+            false
+        }
+    }
+
+    /// Whether `capacity` makes every recorded check come out the same.
+    pub fn contains(&self, capacity: u32) -> bool {
+        (self.min..=self.max).contains(&capacity)
+    }
+}
+
+/// The capacity window of one `schedule()` call, per bank type: every
+/// capacity check of every rung (cold and warm attempts, gap-scan rungs,
+/// the spill checks after each pop and the end-of-attempt check) folded
+/// into one [`BankWindow`] for the cluster banks and one for the shared
+/// bank.
+///
+/// The scheduler reads a machine's register capacities only in those
+/// checks. A machine of the same scheduling class
+/// ([`crate::IterativeScheduler::class_key`]) whose capacities the window
+/// [covers](CapacityWindow::covers) therefore makes every check, and so
+/// every decision, come out the same: its [`ScheduleResult`] is identical,
+/// window included.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CapacityWindow {
+    /// Capacities of the cluster banks (the single bank of a monolithic
+    /// organization).
+    pub cluster: BankWindow,
+    /// Capacities of the shared bank of a hierarchical organization.
+    pub shared: BankWindow,
+}
+
+impl CapacityWindow {
+    /// Whether `machine`'s bank capacities lie inside the window. Only
+    /// meaningful for a machine of the scheduling class the window was
+    /// recorded on.
+    pub fn covers(&self, machine: &MachineConfig) -> bool {
+        self.cluster.contains(machine.cluster_regs())
+            && machine
+                .shared_regs()
+                .is_none_or(|cap| self.shared.contains(cap))
+    }
 }
 
 /// Placement of one operation in the final modulo schedule.
@@ -226,14 +301,10 @@ impl SchedulerStats {
 /// numbers every sweep reads and, when [`SchedulerParams::keep_schedule`] is
 /// set, the final [`Kernel`]. A kept kernel costs four allocations (the box
 /// and its three arrays), about 1 KB per pair on the paper's loops; the
-/// rest of the result is its loop name, configuration name and cluster
-/// MaxLive vector.
+/// rest of the result allocates only its cluster MaxLive vector. It names
+/// neither the loop nor the machine: its caller knows both.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleResult {
-    /// Loop name.
-    pub loop_name: String,
-    /// Register file configuration the loop was scheduled for.
-    pub config: String,
     /// Achieved initiation interval.
     pub ii: u32,
     /// Lower bound `max(ResMII, RecMII, per-cluster span floor)` for this
@@ -271,6 +342,9 @@ pub struct ScheduleResult {
     pub original_ops: u32,
     /// Work counters.
     pub stats: SchedulerStats,
+    /// The register capacities, per bank type, that give this same result
+    /// on any machine of the scheduling class.
+    pub window: CapacityWindow,
     /// The final kernel of a successful schedule, kept only when
     /// [`SchedulerParams::keep_schedule`] is set. Boxed, so an unkept
     /// result pays one pointer for it.
@@ -323,8 +397,6 @@ mod tests {
     #[test]
     fn result_traffic_helpers() {
         let r = ScheduleResult {
-            loop_name: "l".into(),
-            config: "S64".into(),
             ii: 4,
             mii: 4,
             sc: 3,
@@ -342,6 +414,7 @@ mod tests {
             total_ops: 20,
             original_ops: 14,
             stats: SchedulerStats::default(),
+            window: CapacityWindow::default(),
             kernel: None,
         };
         assert_eq!(r.communication_ops(), 3);

@@ -163,12 +163,14 @@ fn second_pass_of_per_pair_setup_allocates_nothing() {
 }
 
 /// What one `finalize` allocates for a result on a machine with `clusters`
-/// clusters: the result's three buffers (loop name, configuration name,
-/// cluster MaxLive vector), the normalised placements, and the batch
-/// MaxLive walk's rows (one per cluster plus four) and lifetime list (at
-/// most eight growth steps).
+/// clusters: the result's one buffer (the cluster MaxLive vector; a result
+/// names neither its loop nor its machine), the normalised placements, and
+/// the batch MaxLive walk's rows (one per cluster plus four) and lifetime
+/// list (at most four growth steps, up to 32 lifetimes: the most these
+/// pairs reach). A result that also owned its loop and configuration names
+/// made two more, which these bounds do not allow.
 fn result_allocations(clusters: u32) -> u64 {
-    16 + u64::from(clusters)
+    10 + u64::from(clusters)
 }
 
 /// What a kept kernel adds: the box and its node, edge and placement

@@ -10,7 +10,9 @@
 //!   bit-identical to the single-threaded baseline;
 //! * the folded `SuiteAggregate`s are equal as whole values;
 //! * `explore` points (name, organization, aggregate, hardware numbers)
-//!   are invariant too, with only the timing fields allowed to differ;
+//!   are invariant too, with only the timing fields allowed to differ,
+//!   including on a space rich in sibling points whose loops are served
+//!   from a capacity window (the count of served pairs is invariant too);
 //! * the `engine.arena_rebinds` counter is positive, confirming that the
 //!   per-worker `AttemptArena` pool actually engaged instead of silently
 //!   rebuilding arenas from scratch.
@@ -26,7 +28,7 @@ use hcrf_ir::Loop;
 use hcrf_machine::RfOrganization;
 use hcrf_sched::SchedulerParams;
 use hcrf_telemetry::Telemetry;
-use hcrf_workloads::{churn_suite, small_suite, wide_window_suite};
+use hcrf_workloads::{churn_suite, small_suite, suite::suite, wide_window_suite, SuiteParams};
 
 const CONFIGS: [&str; 4] = ["S128", "4C32S16", "8C16S16", "4C16S64"];
 
@@ -164,6 +166,74 @@ fn explore_points_invariant_across_thread_counts() {
             assert!(!a.from_cache && !b.from_cache);
         }
         assert_eq!(outcome.cache.misses, baseline.cache.misses);
+    }
+}
+
+/// Sibling points (one scheduling class, different bank sizes) share their
+/// loop tasks: a class's task serves a point from an earlier point's
+/// capacity window. Which schedules are shared must not depend on the
+/// worker count either. The space's classes are `S64`/`S32`/`S16`,
+/// `1C32S64`/`1C16S16`, `2C16S128`/`2C16S64`/`2C16S32` and
+/// `4C16S64`/`4C16S32`; the suite adds three spill storms of the default
+/// suite to `small_suite`.
+#[test]
+fn explore_sibling_classes_invariant_across_thread_counts() {
+    let mut loops = small_suite(0);
+    loops.extend(
+        suite(SuiteParams::default())
+            .into_iter()
+            .filter(|l| ["syn0220_fu", "syn0574_fu", "syn0187_fu"].contains(&l.ddg.name.as_str())),
+    );
+    let orgs: Vec<RfOrganization> = [
+        "S64", "S32", "S16", "1C16S16", "1C32S64", "2C16S32", "2C16S64", "2C16S128", "4C16S32",
+        "4C16S64",
+    ]
+    .iter()
+    .map(|n| RfOrganization::parse(n).unwrap())
+    .collect();
+    let run_at = |threads: usize| {
+        let options = ExploreOptions {
+            threads,
+            ..Default::default()
+        };
+        let telemetry = Telemetry::enabled();
+        let outcome = explore_traced(
+            &orgs,
+            &loops,
+            &options,
+            &mut ResultCache::disabled(),
+            &telemetry,
+        );
+        let served = telemetry
+            .metrics_snapshot()
+            .counter("explore.shared_pairs")
+            .unwrap_or(0);
+        (outcome, served)
+    };
+    let (baseline, baseline_served) = run_at(1);
+    assert_eq!(baseline.points.len(), orgs.len());
+    assert!(
+        baseline_served > 0,
+        "no pair was served from a sibling's window"
+    );
+    for workers in thread_counts() {
+        let (outcome, served) = run_at(workers);
+        assert_eq!(
+            served, baseline_served,
+            "served pairs changed at {workers} workers"
+        );
+        assert_eq!(outcome.points.len(), baseline.points.len());
+        for (a, b) in baseline.points.iter().zip(outcome.points.iter()) {
+            assert_eq!(a.name, b.name, "point order changed at {workers} workers");
+            assert_eq!(a.rf, b.rf);
+            assert_eq!(
+                a.aggregate, b.aggregate,
+                "{}: aggregate diverged at {workers} workers",
+                a.name
+            );
+            assert_eq!(a.clock_ns, b.clock_ns);
+            assert_eq!(a.total_area, b.total_area);
+        }
     }
 }
 

@@ -15,6 +15,9 @@
 //!   rerun over the surviving cache serves the clean appends as hits,
 //!   re-evaluates the damaged ones, and its results are bit-identical to a
 //!   run that never saw a fault;
+//! * a loop task serves every point of its scheduling class, so a task that
+//!   keeps panicking quarantines each of the class's points, each with the
+//!   class's failure list, and leaves other classes untouched;
 //! * a plan with all rates at zero is a no-op.
 
 use hcrf::driver::{suite_fingerprint, ConfiguredMachine};
@@ -24,6 +27,7 @@ use hcrf_explore::{
 };
 use hcrf_ir::Loop;
 use hcrf_machine::RfOrganization;
+use hcrf_sched::IterativeScheduler;
 use hcrf_workloads::small_suite;
 use std::path::PathBuf;
 
@@ -77,6 +81,70 @@ fn point_key(org: RfOrganization, suite: &[Loop], options: &ExploreOptions) -> C
         options.scenario,
         options.max_simulated_iterations,
     )
+}
+
+/// `S64` and `S32` share a scheduling class, so the executor evaluates
+/// them as one engine group (group 0, the class of the first point) whose
+/// loop tasks serve both; `4C32S16` is a class of its own (group 1). A
+/// permanent fault in one of group 0's loop tasks quarantines both
+/// siblings, each with the same failure list, at every worker count.
+#[test]
+fn panicking_class_task_quarantines_every_point_of_the_class() {
+    let suite = small_suite(0);
+    let orgs: Vec<RfOrganization> = ["S64", "4C32S16", "S32"]
+        .iter()
+        .map(|n| RfOrganization::parse(n).unwrap())
+        .collect();
+    let params = ExploreOptions::default().run_options().scheduler_params();
+    let key = |rf: RfOrganization| {
+        IterativeScheduler::new(ConfiguredMachine::from_rf(rf).machine, params).class_key()
+    };
+    assert_eq!(key(orgs[0]), key(orgs[2]), "S64 and S32 must be siblings");
+    assert_ne!(key(orgs[0]), key(orgs[1]));
+
+    // The first plan seed that faults group 0 (the siblings) for good and
+    // leaves group 1 alone.
+    let plan = (1u64..)
+        .map(|seed| FaultPlan {
+            seed,
+            permanent_task_panics_per_mille: 40,
+            ..Default::default()
+        })
+        .find(|plan| {
+            !predicted_failed_loops(plan, 0, suite.len()).is_empty()
+                && predicted_failed_loops(plan, 1, suite.len()).is_empty()
+        })
+        .unwrap();
+    let predicted = predicted_failed_loops(&plan, 0, suite.len());
+    let baseline = explore(
+        &orgs,
+        &suite,
+        &ExploreOptions::default(),
+        &mut ResultCache::disabled(),
+    );
+    for threads in [1, 2, 4] {
+        let options = ExploreOptions {
+            threads,
+            failure: FailurePolicy::Isolate { retries: 1 },
+            fault_plan: Some(plan),
+            ..Default::default()
+        };
+        let outcome = explore(&orgs, &suite, &options, &mut ResultCache::disabled());
+        let names: Vec<&str> = outcome
+            .quarantined
+            .iter()
+            .map(|q| q.name.as_str())
+            .collect();
+        assert_eq!(names, ["S64", "S32"], "{threads} workers: input order");
+        for q in &outcome.quarantined {
+            let failed: Vec<usize> = q.failures.iter().map(|f| f.index).collect();
+            assert_eq!(failed, predicted, "{}: failed loop set", q.name);
+            assert!(q.failures.iter().all(|f| f.group == 0 && f.attempts == 2));
+        }
+        assert_eq!(outcome.points.len(), 1);
+        assert_eq!(outcome.points[0].name, "4C32S16");
+        assert_eq!(outcome.points[0].aggregate, baseline.points[1].aggregate);
+    }
 }
 
 fn assert_outcomes_match(a: &ExploreOutcome, b: &ExploreOutcome, what: &str) {
