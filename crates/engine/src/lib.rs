@@ -330,11 +330,6 @@ impl Engine {
         self.workers
     }
 
-    /// The configured failure policy.
-    pub fn failure_policy(&self) -> FailurePolicy {
-        self.failure
-    }
-
     /// Execute one task under the failure policy: fail-fast calls straight
     /// through (any panic, injected or real, propagates); isolate catches,
     /// rebuilds the worker state (the panic may have left pooled arenas

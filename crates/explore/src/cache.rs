@@ -330,11 +330,6 @@ impl ResultCache {
         self.stats
     }
 
-    /// The underlying store, if the cache is enabled.
-    pub fn store_ref(&self) -> Option<&ResultStore> {
-        self.store.as_ref()
-    }
-
     /// Look `key` up; quarantined, mismatched or missing entries are misses.
     pub fn lookup(&mut self, key: &CacheKey) -> Option<CachedResult> {
         match self.store.as_ref().and_then(|s| s.lookup(key)) {

@@ -380,20 +380,6 @@ impl Ddg {
         self.pred_edges(id).map(|(_, e)| e.src)
     }
 
-    /// Flow-dependence consumers of the value defined by `id`.
-    pub fn value_consumers(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.succ_edges(id)
-            .filter(|(_, e)| e.kind == DepKind::Flow)
-            .map(|(_, e)| e.dst)
-    }
-
-    /// Flow-dependence producers feeding `id`.
-    pub fn value_producers(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.pred_edges(id)
-            .filter(|(_, e)| e.kind == DepKind::Flow)
-            .map(|(_, e)| e.src)
-    }
-
     /// Add a linked node, returning its id.
     ///
     /// # Panics

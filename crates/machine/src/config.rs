@@ -1,6 +1,6 @@
 //! Complete machine configurations.
 
-use crate::ports::{BankPorts, PortCounts};
+use crate::ports::PortCounts;
 use crate::rf::{Capacity, RfOrganization};
 use hcrf_ir::{OpLatencies, ResourceCounts};
 
@@ -190,16 +190,6 @@ impl MachineConfig {
     /// hardware timing/area model.
     pub fn port_counts(&self) -> PortCounts {
         crate::ports::port_counts(self)
-    }
-
-    /// Ports of the first-level (cluster) bank.
-    pub fn cluster_bank_ports(&self) -> BankPorts {
-        self.port_counts().cluster
-    }
-
-    /// Ports of the shared bank, if any.
-    pub fn shared_bank_ports(&self) -> Option<BankPorts> {
-        self.port_counts().shared
     }
 
     /// Short configuration label (`"8+4 4C16S64"`).

@@ -1,15 +1,16 @@
 //! The per-attempt state arena of the iterative scheduler.
 //!
 //! [`AttemptArena`] owns the per-attempt machinery — the [`WorkGraph`]
-//! (loop body plus memory-interface chains), the
+//! (loop body plus memory interface), the
 //! [`crate::order::PriorityOrder`] and the [`PlacementStore`] (MRT, slot
 //! index, pressure tracker, worklist) — for the lifetime of one
 //! `schedule()` call and is *reset, not rebuilt*, across II restarts (churn
 //! loops restart ~74 times each):
 //!
-//! * the working graph snapshots its pristine state (loop body + permanent
-//!   memory-interface chains) once and [`WorkGraph::reset_to_pristine`]
-//!   truncates the communication/spill insertions of the failed attempt;
+//! * the working graph snapshots its pristine edge activity (loop body +
+//!   permanent memory interface) once per rebind, and
+//!   [`WorkGraph::reset_to_pristine`] truncates the communication/spill
+//!   chains of the failed attempt and restores that activity;
 //! * the priority order is recomputed in place (reusing its buffers) — and
 //!   skipped entirely when the graph has no loop-carried dependence, since
 //!   the ASAP/ALAP bounds it derives from are then II-independent;
@@ -42,7 +43,7 @@ use std::time::{Duration, Instant};
 /// `schedule()` call and [`AttemptArena::reset`] for every II attempt.
 #[derive(Debug, Clone, Default)]
 pub struct AttemptArena {
-    /// The working graph (pristine-marked at construction).
+    /// The working graph (pristine after every rebind).
     pub(crate) w: WorkGraph,
     /// The unified placement store (owns the order and worklist).
     pub(crate) store: PlacementStore,
@@ -105,7 +106,7 @@ impl AttemptArena {
 
     /// Bind the arena to a loop on a machine, reusing every allocation it
     /// has grown: [`WorkGraph::rebind`] refills the working graph in place
-    /// and marks it pristine, [`PlacementStore::rebind`] re-shapes the
+    /// as its pristine state, [`PlacementStore::rebind`] re-shapes the
     /// MRT/slot-index/tracker for the new capacities, the priority-order
     /// buffers are recomputed into by the next [`AttemptArena::reset`], and
     /// the scheduler scratch vectors keep their capacity.
@@ -114,7 +115,6 @@ impl AttemptArena {
     /// rebuilt per attempt (reference mode).
     pub fn rebind(&mut self, ddg: &Ddg, machine: &MachineConfig) {
         self.w.rebind(ddg, machine);
-        self.w.mark_pristine();
         self.pristine_nodes = self.w.ddg.num_nodes();
         self.order_ii_sensitive = self.w.has_loop_carried_deps();
         self.order_ready = false;

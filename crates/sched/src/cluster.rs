@@ -219,7 +219,7 @@ mod tests {
         let g = b.build();
         let (w, mrt, _) = setup("S64", &g);
         let place = vec![None; w.ddg.num_nodes()];
-        let p = pressure(&w, &place, 4, 1, &OpLatencies::paper_baseline(), false);
+        let p = pressure(&w, &place, 4, 1);
         let choice = select_cluster(a, &w, &mrt, &place, &p);
         assert_eq!(choice.cluster, 0);
     }
@@ -234,7 +234,7 @@ mod tests {
         let (w, mrt, _) = setup("4C16S64", &g);
         let mut place = vec![None; w.ddg.num_nodes()];
         place[p0.index()] = Some((0i64, 2u32));
-        let pr = pressure(&w, &place, 4, 4, &OpLatencies::paper_baseline(), false);
+        let pr = pressure(&w, &place, 4, 4);
         let choice = select_cluster(c0, &w, &mrt, &place, &pr);
         assert_eq!(choice.cluster, 2);
         assert_eq!(choice.comm_cost, 0);
@@ -256,7 +256,7 @@ mod tests {
             }
         }
         let place = vec![None; w.ddg.num_nodes()];
-        let p = pressure(&w, &place, 4, 2, &lat, false);
+        let p = pressure(&w, &place, 4, 2);
         let choice = select_cluster(a, &w, &mrt, &place, &p);
         assert_eq!(choice.cluster, 1);
     }
@@ -270,7 +270,7 @@ mod tests {
         let g = b.build();
         let (w, mrt, _) = setup("8C16S16", &g);
         let place = vec![None; w.ddg.num_nodes()];
-        let p = pressure(&w, &place, 4, 8, &OpLatencies::paper_baseline(), false);
+        let p = pressure(&w, &place, 4, 8);
         let choice = select_cluster(l, &w, &mrt, &place, &p);
         assert_eq!(choice.cluster, 0);
         assert_eq!(choice.comm_cost, 0);
@@ -294,12 +294,11 @@ mod tests {
             .flow(u, c0, 0);
         let g = b.build();
         let (w, mrt, _) = setup("4C16S64", &g);
-        let lat = OpLatencies::paper_baseline();
         let mut place = vec![None; w.ddg.num_nodes()];
         place[p0.index()] = Some((0i64, 0u32));
         place[p1.index()] = Some((0, 2));
         place[c0.index()] = Some((9, 2));
-        let pr = pressure(&w, &place, 4, 4, &lat, false);
+        let pr = pressure(&w, &place, 4, 4);
         let choice = select_cluster(u, &w, &mrt, &place, &pr);
         assert_eq!(
             choice.comm_cost,

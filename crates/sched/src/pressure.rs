@@ -16,7 +16,7 @@
 
 use crate::types::BankAssignment;
 use crate::workgraph::WorkGraph;
-use hcrf_ir::{DepKind, NodeId, OpLatencies};
+use hcrf_ir::{DepKind, NodeId};
 use std::cell::Cell;
 
 /// Lifetime of one value in one bank.
@@ -133,8 +133,6 @@ pub fn pressure<P: PlacementView + ?Sized>(
     placements: &P,
     ii: u32,
     clusters: u32,
-    lat: &OpLatencies,
-    binding_prefetch: bool,
 ) -> Pressure {
     let ii = ii.max(1);
     let mut lifetimes = Vec::new();
@@ -209,9 +207,6 @@ pub fn pressure<P: PlacementView + ?Sized>(
             rows[r] += 1;
         }
         lifetimes.push(lt);
-        // `binding_prefetch` influences latencies, not lifetimes directly;
-        // the parameter is accepted so call sites stay uniform.
-        let _ = (lat, binding_prefetch);
     }
 
     let cluster = rows_cluster
@@ -675,9 +670,8 @@ impl PressureTracker {
         &self,
         w: &WorkGraph,
         placements: &P,
-        lat: &OpLatencies,
     ) -> Option<String> {
-        let oracle = pressure(w, placements, self.ii, self.clusters, lat, false);
+        let oracle = pressure(w, placements, self.ii, self.clusters);
         for c in 0..self.clusters {
             if self.cluster_live(c) != oracle.of(BankAssignment::Cluster(c)) {
                 return Some(format!(
@@ -782,10 +776,6 @@ mod tests {
         MachineConfig::paper_baseline(RfOrganization::parse(cfg).unwrap())
     }
 
-    fn lat() -> OpLatencies {
-        OpLatencies::paper_baseline()
-    }
-
     #[test]
     fn single_chain_pressure() {
         // load -> add -> store scheduled at 0, 2, 6 with II = 2.
@@ -800,7 +790,7 @@ mod tests {
         place[l.index()] = Some((0i64, 0u32));
         place[a.index()] = Some((2, 0));
         place[s.index()] = Some((6, 0));
-        let p = pressure(&w, &place, 2, 1, &lat(), false);
+        let p = pressure(&w, &place, 2, 1);
         // load's value lives [0,3) -> 2 registers at peak; add's lives [2,7)
         // -> ceil(5/2) = 3 at peak; they overlap.
         assert_eq!(p.cluster.len(), 1);
@@ -846,7 +836,7 @@ mod tests {
             };
             place[n.index()] = Some((cyc as i64, 1u32));
         }
-        let p = pressure(&w, &place, 4, 4, &lat(), false);
+        let p = pressure(&w, &place, 4, 4);
         // The load's value and the StoreR copy live in the shared bank.
         assert!(p.shared >= 1);
         // The LoadR result and the add result live in cluster 1.
@@ -864,7 +854,7 @@ mod tests {
         let mut place = vec![None; w.ddg.num_nodes()];
         place[m1.index()] = Some((0i64, 0u32));
         place[m2.index()] = Some((1, 0));
-        let p = pressure(&w, &place, 2, 1, &lat(), false);
+        let p = pressure(&w, &place, 2, 1);
         // Each invariant reader pins one source register for the whole loop,
         // on top of the registers its own result occupies.
         assert!(p.cluster[0] >= 3, "pressure {:?}", p.cluster);
@@ -879,7 +869,7 @@ mod tests {
         let g = b.build();
         let w = WorkGraph::new(&g, &machine("S64"));
         let place = vec![None; w.ddg.num_nodes()];
-        let p = pressure(&w, &place, 2, 1, &lat(), false);
+        let p = pressure(&w, &place, 2, 1);
         assert_eq!(p.cluster[0], 0);
         assert!(p.lifetimes.is_empty());
     }
@@ -911,12 +901,12 @@ mod tests {
         for (step, n) in nodes.iter().enumerate() {
             place[n.index()] = Some((step as i64 * 2, (step as u32) % clusters));
             tracker.touch(&w, &place, *n);
-            assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);
+            assert_eq!(tracker.diff_from_batch(&w, &place), None);
         }
         for n in nodes.iter().step_by(2) {
             place[n.index()] = None;
             tracker.touch(&w, &place, *n);
-            assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);
+            assert_eq!(tracker.diff_from_batch(&w, &place), None);
         }
     }
 
@@ -945,9 +935,9 @@ mod tests {
             for at in [Some((read, 0)), None] {
                 place[c.index()] = at;
                 tracker.touch(&w, &place, c);
-                let batch = pressure(&w, &place, ii, 1, &lat(), false);
+                let batch = pressure(&w, &place, ii, 1);
                 assert_eq!(tracker.cluster_live(0), batch.cluster[0], "{at:?}");
-                assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);
+                assert_eq!(tracker.diff_from_batch(&w, &place), None);
             }
         }
     }
@@ -980,10 +970,10 @@ mod tests {
         for &n in &dirty {
             tracker.refresh(&w, &place, n);
         }
-        assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);
+        assert_eq!(tracker.diff_from_batch(&w, &place), None);
         place[new_nodes[0].index()] = Some((5, 1));
         tracker.touch(&w, &place, new_nodes[0]);
-        assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);
+        assert_eq!(tracker.diff_from_batch(&w, &place), None);
         // Undo the chain; the producer's lifetime must stretch to the
         // consumer again.
         let mut chains = Vec::new();
@@ -1000,7 +990,7 @@ mod tests {
         for n in dirty {
             tracker.refresh(&w, &place, n);
         }
-        assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);
+        assert_eq!(tracker.diff_from_batch(&w, &place), None);
         let producer_lt = tracker.live_lifetimes().find(|lt| lt.def == p).unwrap();
         assert_eq!(producer_lt.end, 10);
     }
@@ -1020,7 +1010,7 @@ mod tests {
         place[c.index()] = Some((0, 0));
         place[u1.index()] = Some((40, 0));
         place[u2.index()] = Some((5, 0));
-        let p = pressure(&w, &place, 4, 1, &lat(), false);
+        let p = pressure(&w, &place, 4, 1);
         let cand =
             pick_spill_candidate_from(&w, p.lifetimes.iter(), BankAssignment::Cluster(0)).unwrap();
         assert_eq!(cand.def, a);

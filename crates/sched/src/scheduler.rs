@@ -34,6 +34,7 @@ use crate::types::{
     BankAssignment, CapacityWindow, Kernel, Placement, ScheduleResult, SchedulerParams,
     SchedulerStats,
 };
+use crate::workgraph::WorkGraph;
 use hcrf_ir::analysis::RecurrenceAnalysis;
 use hcrf_ir::{mii as mii_mod, Ddg, DepKind, Edge, Node, NodeId, OpKind, OpLatencies};
 use hcrf_machine::{Capacity, MachineConfig, RfOrganization};
@@ -663,7 +664,7 @@ impl IterativeScheduler {
             // 1. Cluster selection, after bringing the tracker up to date
             // with the graph rewiring of the previous pop.
             state.store.sync_pressure(&mut state.w);
-            let batch = self.batch_snapshot(state, lat);
+            let batch = self.batch_snapshot(state);
             let choice = select_cluster(
                 u,
                 &state.w,
@@ -710,7 +711,7 @@ impl IterativeScheduler {
         }
         if self.has_bounded_banks() {
             state.store.sync_pressure(&mut state.w);
-            let batch = self.batch_snapshot(state, lat);
+            let batch = self.batch_snapshot(state);
             if self
                 .over_capacity_bank(Self::pressure_source(state, &batch), window)
                 .is_some()
@@ -735,15 +736,13 @@ impl IterativeScheduler {
     /// The batch pressure snapshot of the current placements in reference
     /// mode; `None` otherwise, where the store's incremental tracker answers
     /// every query.
-    fn batch_snapshot(&self, state: &AttemptArena, lat: &OpLatencies) -> Option<Pressure> {
+    fn batch_snapshot(&self, state: &AttemptArena) -> Option<Pressure> {
         self.reference.then(|| {
             pressure(
                 &state.w,
                 state.store.placements(),
                 state.ii,
                 self.machine.clusters(),
-                lat,
-                self.params.binding_prefetch,
             )
         })
     }
@@ -856,42 +855,53 @@ impl IterativeScheduler {
                 return Ok(());
             };
             let edge = *state.w.ddg.edge(edge_id);
-            let mut new_nodes = std::mem::take(&mut state.chain_nodes);
-            new_nodes.clear();
-            state
-                .w
-                .insert_communication_into(u, edge_id, &mut new_nodes);
-            state.store.grow(state.w.ddg.num_nodes());
-            state.budget += (self.params.budget_ratio as i64) * new_nodes.len() as i64;
-            for &node in &new_nodes {
-                let kind = state.w.ddg.node(node).kind;
-                let target_cluster = match kind {
-                    // StoreR executes in the cluster of its producer.
-                    OpKind::StoreR => state
-                        .store
-                        .placement(edge.src)
-                        .map(|(_, c)| c)
-                        .unwrap_or(cluster),
-                    // LoadR / Move execute in (write into) the consumer's cluster.
-                    _ => {
-                        if edge.dst == u {
-                            cluster
-                        } else {
-                            state
-                                .store
-                                .placement(edge.dst)
-                                .map(|(_, c)| c)
-                                .unwrap_or(cluster)
-                        }
-                    }
-                };
-                if let Err(failure) = self.schedule_node(state, node, target_cluster, lat) {
-                    state.chain_nodes = new_nodes;
-                    return Err(failure);
-                }
-            }
-            state.chain_nodes = new_nodes;
+            // A StoreR executes in its producer's cluster; LoadR and Move
+            // execute in (write into) the consumer's cluster. `u` itself is
+            // unplaced until step 3, so its side reads `cluster`.
+            self.insert_and_schedule_chain(
+                state,
+                |w, out| w.insert_communication_into(u, edge_id, out),
+                |s, kind| {
+                    let side = if kind == OpKind::StoreR {
+                        edge.src
+                    } else {
+                        edge.dst
+                    };
+                    s.store.placement(side).map_or(cluster, |(_, c)| c)
+                },
+                lat,
+            )?;
         }
+    }
+
+    /// Insert one communication or spill chain with `insert`, grow the
+    /// budget by Budget_Ratio per inserted node and schedule the nodes in
+    /// dependence order, each on the cluster `target` gives its kind. The
+    /// target is read when the node is scheduled: forcing an earlier node
+    /// of the chain can unplace a memory-interface endpoint without
+    /// removing the chain.
+    fn insert_and_schedule_chain(
+        &self,
+        state: &mut AttemptArena,
+        insert: impl FnOnce(&mut WorkGraph, &mut Vec<NodeId>),
+        target: impl Fn(&AttemptArena, OpKind) -> u32,
+        lat: &OpLatencies,
+    ) -> Attempt {
+        let mut new_nodes = std::mem::take(&mut state.chain_nodes);
+        new_nodes.clear();
+        insert(&mut state.w, &mut new_nodes);
+        state.store.grow(state.w.ddg.num_nodes());
+        state.budget += (self.params.budget_ratio as i64) * new_nodes.len() as i64;
+        let mut result = Ok(());
+        for &node in &new_nodes {
+            let cluster = target(state, state.w.ddg.node(node).kind);
+            result = self.schedule_node(state, node, cluster, lat);
+            if result.is_err() {
+                break;
+            }
+        }
+        state.chain_nodes = new_nodes;
+        result
     }
 
     /// Check register pressure and insert spill code until every bank fits,
@@ -911,7 +921,7 @@ impl IterativeScheduler {
             // One pressure probe per round: the over-capacity bank and, if
             // any, the spill candidate picked from the same lifetime set.
             state.store.sync_pressure(&mut state.w);
-            let batch = self.batch_snapshot(state, lat);
+            let batch = self.batch_snapshot(state);
             let probe = self
                 .over_capacity_bank(Self::pressure_source(state, &batch), window)
                 .map(|bank| {
@@ -957,39 +967,34 @@ impl IterativeScheduler {
                 return Ok(());
             };
             *spill_rounds += 1;
-            let to_shared = state.w.is_hierarchical() && matches!(bank, BankAssignment::Cluster(_));
-            let mut new_nodes = std::mem::take(&mut state.chain_nodes);
-            new_nodes.clear();
-            if to_shared {
-                state
-                    .w
-                    .insert_spill_to_shared_into(owner, edge_id, &mut new_nodes);
-            } else {
-                state
-                    .w
-                    .insert_spill_to_memory_into(owner, edge_id, &mut new_nodes);
-            }
-            state.store.grow(state.w.ddg.num_nodes());
-            state.budget += (self.params.budget_ratio as i64) * new_nodes.len() as i64;
-            let producer_cluster = state.store.placement(def).map(|(_, c)| c).unwrap_or(0);
-            let consumer_cluster = state
+            let producer = state.store.placement(def).map_or(0, |(_, c)| c);
+            let consumer = state
                 .store
                 .placement(last_consumer)
-                .map(|(_, c)| c)
-                .unwrap_or(producer_cluster);
-            for i in 0..new_nodes.len() {
-                let node = new_nodes[i];
-                let kind = state.w.ddg.node(node).kind;
-                let target = match kind {
-                    OpKind::StoreR | OpKind::Store => producer_cluster,
-                    _ => consumer_cluster,
-                };
-                if let Err(failure) = self.schedule_node(state, node, target, lat) {
-                    state.chain_nodes = new_nodes;
-                    return Err(failure);
-                }
-            }
-            state.chain_nodes = new_nodes;
+                .map_or(producer, |(_, c)| c);
+            let target = |_: &AttemptArena, kind| match kind {
+                OpKind::StoreR | OpKind::Store => producer,
+                _ => consumer,
+            };
+            let insert = if state.w.is_hierarchical() && matches!(bank, BankAssignment::Cluster(_))
+            {
+                // A spill of a cluster-bank value into the shared bank is the
+                // StoreR + LoadR communication chain: the consumer reads a
+                // cluster bank, so the chain always ends in a LoadR.
+                debug_assert!(!matches!(
+                    state.w.ddg.node(last_consumer).kind,
+                    OpKind::Store | OpKind::LoadR
+                ));
+                WorkGraph::insert_communication_into
+            } else {
+                WorkGraph::insert_spill_to_memory_into
+            };
+            self.insert_and_schedule_chain(
+                state,
+                |w, out| insert(w, owner, edge_id, out),
+                target,
+                lat,
+            )?;
         }
     }
 
@@ -1233,14 +1238,7 @@ impl IterativeScheduler {
         for n in w.active_nodes() {
             shifted[n.index()] = state.store.placement(n).map(|(c, cl)| (c - min_cycle, cl));
         }
-        let pr = pressure(
-            w,
-            &shifted,
-            ii,
-            self.machine.clusters(),
-            &self.machine.latencies,
-            self.params.binding_prefetch,
-        );
+        let pr = pressure(w, &shifted, ii, self.machine.clusters());
         let (loadr, storer, moves, spill_loads, spill_stores) = w.inserted_counts();
         let kernel = self.params.keep_schedule.then(|| {
             // The active subgraph with compacted node ids (every active node

@@ -30,7 +30,7 @@
 use crate::mrt::{Mrt, ResourceCaps};
 use crate::order::PriorityOrder;
 use crate::pressure::{PlacementView, PressureTracker};
-use crate::workgraph::{ChainKind, WorkGraph};
+use crate::workgraph::WorkGraph;
 use hcrf_ir::{NodeId, OpKind, OpLatencies, ResourceClass};
 use std::cmp::Reverse;
 
@@ -726,16 +726,14 @@ impl PlacementStore {
         let mut count = 1u64;
         self.unplace(w, v, lat);
         if w.is_inserted(v) {
-            if let Some(chain) = w.chain_containing(v) {
+            if w.is_permanent(v) {
                 // Memory-interface operations are a permanent part of the
                 // graph for hierarchical targets: ejecting one just requeues
-                // it (like an original node), it never removes the chain.
-                if w.chain_kind(chain) == ChainKind::MemInterface {
-                    self.requeue(v);
-                    return count;
-                }
-                // Removing any other inserted node removes its whole chain
-                // and requeues (or recursively ejects) the owner.
+                // it, and unlike an original node it removes no chain.
+                self.requeue(v);
+            } else if let Some(chain) = w.chain_containing(v) {
+                // Removing a chain node removes its whole chain and requeues
+                // (or recursively ejects) the owner.
                 let owner = w.chain_owner(chain);
                 self.remove_chain_members(w, chain, lat);
                 if owner != v && w.is_active(owner) {
@@ -1039,6 +1037,50 @@ mod tests {
         assert_eq!(store.eject(&mut w, d, &lat()), 1);
         assert!(!store.is_placed(d));
         assert_eq!(store.prev_cycle(d), Some(3));
+        assert_eq!(store.check_consistency(&w, &lat()), None);
+    }
+
+    #[test]
+    fn ejecting_an_interface_loadr_requeues_it_and_keeps_its_chain() {
+        let mut b = DdgBuilder::new("iface");
+        let l = b.load(0, 8);
+        let a = b.op(OpKind::FAdd);
+        b.flow(l, a, 0);
+        let g = b.build();
+        let m = machine("4C16S64");
+        let mut w = WorkGraph::new(&g, &m);
+        // The memory interface feeds the add from a LoadR; communicate that
+        // value to the add's cluster.
+        let (edge, ldr) = w
+            .active_pred_edges(a)
+            .map(|(id, e)| (id, e.src))
+            .next()
+            .unwrap();
+        assert_eq!(w.ddg.node(ldr).kind, OpKind::LoadR);
+        let mut chain = Vec::new();
+        w.insert_communication_into(a, edge, &mut chain);
+        assert_eq!(chain.len(), 2);
+        let mut store = store_for(&w, &m, 4);
+        store.place(&w, l, 0, 0, &lat());
+        store.place(&w, ldr, 1, 0, &lat());
+        store.place(&w, chain[0], 2, 0, &lat());
+        store.place(&w, chain[1], 3, 1, &lat());
+
+        // The interface LoadR is permanent: ejecting it only requeues it,
+        // although the chain's replaced edge touches it.
+        assert_eq!(store.eject(&mut w, ldr, &lat()), 1);
+        assert_eq!(store.pop_worklist(), Some(ldr));
+        assert_eq!(store.pop_worklist(), None);
+        assert!(w.is_active(ldr));
+        assert!(chain.iter().all(|&n| w.is_active(n) && store.is_placed(n)));
+        assert!(w.chain_containing(chain[0]).is_some());
+        assert!(!w.edge_is_active(edge));
+        assert_eq!(store.check_consistency(&w, &lat()), None);
+
+        // Ejecting the original node at its other end removes the chain.
+        store.eject(&mut w, a, &lat());
+        assert!(chain.iter().all(|&n| !w.is_active(n)));
+        assert!(w.edge_is_active(edge));
         assert_eq!(store.check_consistency(&w, &lat()), None);
     }
 

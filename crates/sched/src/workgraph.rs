@@ -1,47 +1,48 @@
 //! The scheduler's working graph: the original dependence graph plus the
-//! communication and spill operations inserted while scheduling, with enough
-//! bookkeeping to undo insertions when backtracking ejects a node.
+//! memory-interface LoadR/StoreR operations inserted before scheduling and
+//! the communication and spill chains inserted while scheduling, with
+//! enough bookkeeping to undo a chain when backtracking ejects a node.
+//!
+//! The memory interface is part of the pristine graph: its nodes take the
+//! ids right after the loop body's and are never removed, so an inserted
+//! node is permanent exactly when its id is below the pristine node count.
+//! Every other insertion is a chain that replaces one edge and appends at
+//! most two nodes and three edges; since appended ids are consecutive, a
+//! chain is recorded as the id ranges its insertion appended.
 
 use crate::types::BankAssignment;
 use hcrf_ir::{Ddg, DepKind, Edge, EdgeId, MemAccess, Node, NodeId, OpKind, OpLatencies};
 use hcrf_machine::{MachineConfig, RfOrganization};
 
-/// Why a chain of operations was inserted into the working graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChainKind {
-    /// LoadR/StoreR inserted up-front so memory operations talk to the shared
-    /// bank (hierarchical organizations only). Never removed by ejection.
-    MemInterface,
-    /// Inter-cluster communication through the shared bank (StoreR + LoadR).
-    CommHierarchical,
-    /// Inter-cluster communication through a bus (`Move`).
-    CommClustered,
-    /// Spill of a cluster-bank value into the shared bank.
-    SpillToShared,
-    /// Spill of a value to memory (adds memory traffic).
-    SpillToMemory,
+/// Array id of the first spill slot: spill memory accesses use dedicated
+/// array ids so the cache simulator can distinguish them.
+const SPILL_BASE: u32 = 1 << 16;
+
+/// A communication or spill chain: the operations one insertion appended to
+/// replace one edge, removed together.
+#[derive(Debug, Clone, Copy)]
+struct CommChain {
+    /// Node whose scheduling caused the insertion (ejecting it removes the
+    /// chain).
+    owner: NodeId,
+    /// The edge the chain replaced (reactivated on removal).
+    replaced: EdgeId,
+    /// The node ids the insertion appended, `start..end`.
+    nodes: (u32, u32),
+    /// The edge ids the insertion appended, `start..end`.
+    edges: (u32, u32),
+    /// Whether the chain is currently active.
+    active: bool,
 }
 
-/// A group of operations inserted together (and removed together).
-#[derive(Debug, Clone)]
-pub struct CommChain {
-    /// Why the chain exists.
-    pub kind: ChainKind,
-    /// Node whose scheduling caused the insertion (ejecting it removes the
-    /// chain, except for `MemInterface` chains).
-    pub owner: NodeId,
-    /// The original edges the chain replaced (re-activated on removal).
-    pub replaced_edges: Vec<EdgeId>,
-    /// Nodes added by the chain.
-    pub nodes: Vec<NodeId>,
-    /// Edges added by the chain.
-    pub edges: Vec<EdgeId>,
-    /// Nodes whose `chains_touching` index lists this chain (owner plus
-    /// replaced-edge endpoints); remembered so removal can unindex them
-    /// without rescanning the replaced edges.
-    pub touched: Vec<NodeId>,
-    /// Whether the chain is currently active.
-    pub active: bool,
+impl CommChain {
+    fn nodes(&self) -> impl Iterator<Item = NodeId> {
+        (self.nodes.0..self.nodes.1).map(NodeId)
+    }
+
+    fn edges(&self) -> impl Iterator<Item = EdgeId> {
+        (self.edges.0..self.edges.1).map(EdgeId)
+    }
 }
 
 /// The working graph.
@@ -56,16 +57,19 @@ pub struct WorkGraph {
     pub ddg: Ddg,
     node_active: Vec<bool>,
     edge_active: Vec<bool>,
-    /// Marks nodes that are spill reloads (scheduled with hit latency even
-    /// under binding prefetching).
-    spill_reload: Vec<bool>,
     chains: Vec<CommChain>,
     original_nodes: usize,
     original_mem_ops: usize,
+    /// Node count of the pristine graph: the loop body plus the memory
+    /// interface.
+    pristine_nodes: usize,
+    /// Edge activity of the pristine graph (the memory interface
+    /// deactivates the edges it reroutes); its length is the pristine edge
+    /// count. [`WorkGraph::reset_to_pristine`] restores it.
+    pristine_edge_active: Vec<bool>,
     hierarchical: bool,
     clustered: bool,
-    /// Spill memory accesses use a dedicated array id so the cache simulator
-    /// can distinguish them.
+    /// Array id of the next spill slot.
     next_spill_base: u32,
     /// Per-node *active* outgoing edge ids, sorted ascending — exactly the
     /// sequence the `edge_active` filter over the full adjacency would
@@ -82,17 +86,16 @@ pub struct WorkGraph {
     /// edge was (de)activated; drained by the scheduler into the incremental
     /// [`crate::pressure::PressureTracker`] before its next query.
     pressure_dirty: Vec<NodeId>,
-    /// Chain that contains each (inserted) node, `None` for original nodes.
-    /// Chains never share nodes, so membership is unique; readers must still
-    /// check the chain's `active` flag.
+    /// Chain that contains each node, `None` for pristine nodes. Chains
+    /// never share nodes, so membership is unique; readers must still check
+    /// the chain's `active` flag.
     chain_of_node: Vec<Option<u32>>,
-    /// Per node, the removable chains whose owner it is or whose replaced
-    /// edges touch it — the set [`WorkGraph::chains_to_remove_into`] must
+    /// Per node, the chains whose owner it is or whose replaced edge
+    /// touches it — the set [`WorkGraph::chains_to_remove_into`] must
     /// enumerate. Indexed at insertion so the ejection path pays O(chains
     /// touching the node) instead of scanning every chain ever inserted
     /// (ejection storms query this hundreds of thousands of times per
-    /// attempt). `MemInterface` chains are never removable and are not
-    /// indexed.
+    /// attempt).
     chains_touching: Vec<Vec<u32>>,
     /// Bumped on every change to the edge/node topology (chain insertion or
     /// removal). Lets the scheduler detect that a snapshot of a node's
@@ -100,15 +103,6 @@ pub struct WorkGraph {
     /// cascade can only *unplace* nodes unless it also removed a chain,
     /// which reactivates replaced edges and shows up here.
     topo_version: u64,
-    /// Snapshot taken by [`WorkGraph::mark_pristine`]: the graph state right
-    /// after construction (loop body + memory-interface chains), before any
-    /// communication or spill chain of an II attempt. `None` until marked.
-    pristine: Option<PristineMark>,
-    /// Spent [`CommChain`]s recycled by [`WorkGraph::reset_to_pristine`];
-    /// chain insertion pops from here so the per-attempt insert/reset cycle
-    /// stops allocating (churn-heavy ladders insert tens of thousands of
-    /// chains per schedule).
-    chain_pool: Vec<CommChain>,
     /// Recycled active-adjacency lists of truncated nodes, in the order
     /// [`WorkGraph::push_node`] pops them (see `resize_node_lists`).
     edge_list_pool: Vec<Vec<EdgeId>>,
@@ -117,47 +111,6 @@ pub struct WorkGraph {
     /// Scratch of `insert_memory_interface`: the edges one memory op's
     /// LoadR/StoreR takes over.
     interface_edges: Vec<(EdgeId, Edge)>,
-}
-
-/// What [`WorkGraph::reset_to_pristine`] needs to restore: every container of
-/// the working graph is append-only between attempts (nodes, edges, chains),
-/// except `edge_active` and the sorted active-adjacency lists, whose pristine
-/// prefixes can be flipped both ways by chain insertion/removal and are
-/// therefore snapshotted wholesale.
-#[derive(Debug, Clone, Default)]
-struct PristineMark {
-    nodes: usize,
-    edges: usize,
-    chains: usize,
-    edge_active: Vec<bool>,
-    succ_active_edges: FlatLists,
-    pred_active_edges: FlatLists,
-    next_spill_base: u32,
-}
-
-/// Per-node edge-id lists stored back to back: node `i`'s list is
-/// `ids[start[i]..start[i + 1]]`. Refilling it reuses its two vectors, so
-/// re-marking the pristine snapshot allocates nothing at steady state.
-#[derive(Debug, Clone, Default)]
-struct FlatLists {
-    start: Vec<u32>,
-    ids: Vec<EdgeId>,
-}
-
-impl FlatLists {
-    fn fill_from(&mut self, lists: &[Vec<EdgeId>]) {
-        self.start.clear();
-        self.ids.clear();
-        self.start.push(0);
-        for l in lists {
-            self.ids.extend_from_slice(l);
-            self.start.push(self.ids.len() as u32);
-        }
-    }
-
-    fn get(&self, i: usize) -> &[EdgeId] {
-        &self.ids[self.start[i] as usize..self.start[i + 1] as usize]
-    }
 }
 
 impl WorkGraph {
@@ -170,40 +123,14 @@ impl WorkGraph {
         wg
     }
 
-    /// Snapshot the current state as the *pristine* baseline
-    /// [`WorkGraph::reset_to_pristine`] restores. Call right after
-    /// construction, before any communication/spill insertion: the pristine
-    /// graph is the loop body plus the permanent memory-interface chains.
-    /// Re-marking (after a rebind) refills the existing snapshot in place.
-    pub fn mark_pristine(&mut self) {
-        debug_assert_eq!(
-            self.ddg.num_linked_edges(),
-            self.ddg.num_edges(),
-            "the pristine graph is linked"
-        );
-        let mark = self.pristine.get_or_insert_with(PristineMark::default);
-        mark.nodes = self.ddg.num_nodes();
-        mark.edges = self.ddg.num_edges();
-        mark.chains = self.chains.len();
-        mark.edge_active.clone_from(&self.edge_active);
-        mark.succ_active_edges.fill_from(&self.succ_active_edges);
-        mark.pred_active_edges.fill_from(&self.pred_active_edges);
-        mark.next_spill_base = self.next_spill_base;
-    }
-
     /// Re-target this working graph at a *different* loop (and possibly a
     /// different machine), reusing every allocation the previous binding
     /// grew: the cloned dependence graph (adjacency lists included), the
-    /// activity vectors, the sorted active-adjacency lists, the per-node
-    /// chain indices and the chains themselves, which go back to the chain
-    /// pool for the memory interface to refill. [`WorkGraph::new`] is this
-    /// on an empty graph; the pooled [`crate::arena::AttemptArena`] calls
-    /// it once per loop instead of building a fresh graph, then re-marks
-    /// the pristine snapshot.
-    ///
-    /// The existing pristine mark (if any) describes the *previous* binding
-    /// and is left untouched; callers must call [`WorkGraph::mark_pristine`]
-    /// before the first reset, exactly as after `new`.
+    /// activity vectors, the sorted active-adjacency lists and the per-node
+    /// chain indices. [`WorkGraph::new`] is this on an empty graph; the
+    /// pooled [`crate::arena::AttemptArena`] calls it once per loop instead
+    /// of building a fresh graph. The result is the pristine graph that
+    /// [`WorkGraph::reset_to_pristine`] restores.
     pub fn rebind(&mut self, original: &Ddg, machine: &MachineConfig) {
         // The last attempt's communication and spill nodes are detached, so
         // `clone_from` parks at most the pristine graph's adjacency lists,
@@ -211,14 +138,6 @@ impl WorkGraph {
         self.ddg.clone_from(original);
         let n = original.num_nodes();
         self.resize_node_lists(n);
-        for (i, list) in self.succ_active_edges.iter_mut().enumerate() {
-            list.clear();
-            list.extend_from_slice(original.succ_edge_ids(NodeId(i as u32)));
-        }
-        for (i, list) in self.pred_active_edges.iter_mut().enumerate() {
-            list.clear();
-            list.extend_from_slice(original.pred_edge_ids(NodeId(i as u32)));
-        }
         for touched in &mut self.chains_touching {
             touched.clear();
         }
@@ -226,14 +145,13 @@ impl WorkGraph {
         self.node_active.resize(n, true);
         self.edge_active.clear();
         self.edge_active.resize(original.num_edges(), true);
-        self.spill_reload.clear();
-        self.spill_reload.resize(n, false);
-        self.recycle_chains(0);
+        self.refill_active_lists();
+        self.chains.clear();
         self.original_nodes = n;
         self.original_mem_ops = original.memory_ops();
         self.hierarchical = machine.rf.is_hierarchical();
         self.clustered = matches!(machine.rf, RfOrganization::Clustered { .. });
-        self.next_spill_base = 1 << 16;
+        self.next_spill_base = SPILL_BASE;
         self.pressure_dirty.clear();
         self.chain_of_node.clear();
         self.chain_of_node.resize(n, None);
@@ -241,6 +159,13 @@ impl WorkGraph {
         if self.hierarchical {
             self.insert_memory_interface();
         }
+        debug_assert_eq!(
+            self.ddg.num_linked_edges(),
+            self.ddg.num_edges(),
+            "the pristine graph is linked"
+        );
+        self.pristine_nodes = self.ddg.num_nodes();
+        self.pristine_edge_active.clone_from(&self.edge_active);
     }
 
     /// Resize the per-node active-adjacency and chain-index lists to `len`
@@ -283,61 +208,49 @@ impl WorkGraph {
             .push(self.edge_list_pool.pop().unwrap_or_default());
     }
 
-    /// Move the chains from index `from` on to the chain pool, emptied, the
-    /// last chain first so [`WorkGraph::take_chain`] hands chain `from` its
-    /// former shell back.
-    fn recycle_chains(&mut self, from: usize) {
-        for mut c in self.chains.drain(from..).rev() {
-            c.replaced_edges.clear();
-            c.nodes.clear();
-            c.edges.clear();
-            c.touched.clear();
-            self.chain_pool.push(c);
+    /// Refill every node's active-adjacency lists from the `Ddg` adjacency
+    /// filtered by `edge_active`. The adjacency lists hold ascending ids, so
+    /// the refilled lists come out sorted.
+    fn refill_active_lists(&mut self) {
+        let lists = self.succ_active_edges.iter_mut();
+        for (i, (succ, pred)) in lists.zip(&mut self.pred_active_edges).enumerate() {
+            let n = NodeId(i as u32);
+            let active = |e: &&EdgeId| self.edge_active[e.index()];
+            succ.clear();
+            succ.extend(self.ddg.succ_edge_ids(n).iter().filter(active));
+            pred.clear();
+            pred.extend(self.ddg.pred_edge_ids(n).iter().filter(active));
         }
     }
 
-    /// Undo every insertion since [`WorkGraph::mark_pristine`]: truncate the
-    /// appended nodes/edges/chains, restore the snapshotted edge activity
-    /// (chains can deactivate — and their removal reactivate — *pristine*
-    /// edges) and clear the per-attempt scratch. After this the graph is
-    /// indistinguishable from a freshly built one except for the monotonic
-    /// `topo_version` (never compared across attempts).
+    /// Undo every chain inserted since the last [`WorkGraph::rebind`]:
+    /// truncate the appended nodes/edges/chains, restore the pristine edge
+    /// activity (chains can deactivate — and their removal reactivate —
+    /// *pristine* edges), refill the active lists from it and clear the
+    /// per-attempt scratch. After this the graph is indistinguishable from
+    /// a freshly built one except for the monotonic `topo_version` (never
+    /// compared across attempts).
     ///
     /// Pristine per-node state needs no restore beyond truncation:
-    /// `node_active` is only cleared for *inserted* chain members
-    /// (`MemInterface` chains are never removed), `spill_reload` is only set
-    /// on inserted spill reloads, and `chain_of_node` entries of pristine
-    /// nodes are written once at interface insertion. `chains_touching` is
-    /// the one pristine-indexed container removable chains write into, so
-    /// its lists are cleared outright (pristine `MemInterface` chains are
-    /// never indexed there).
+    /// `node_active` is only cleared for chain members and `chain_of_node`
+    /// is `None` for every pristine node. `chains_touching` is the one
+    /// pristine-indexed container chains write into, so its lists are
+    /// cleared outright.
     pub fn reset_to_pristine(&mut self) {
-        let mark = self.pristine.as_ref().expect("mark_pristine not called");
-        let (nodes, edges, chains) = (mark.nodes, mark.edges, mark.chains);
+        let (nodes, edges) = (self.pristine_nodes, self.pristine_edge_active.len());
         self.topo_version += 1;
-        self.recycle_chains(chains);
+        self.chains.clear();
         self.resize_node_lists(nodes);
         self.ddg.truncate(nodes, edges);
         self.node_active.truncate(nodes);
         debug_assert!(self.node_active.iter().all(|a| *a));
-        self.spill_reload.truncate(nodes);
-        debug_assert!(self.spill_reload.iter().all(|s| !*s));
         self.chain_of_node.truncate(nodes);
         for touched in &mut self.chains_touching {
             touched.clear();
         }
-        let mark = self.pristine.as_ref().expect("marked");
-        self.edge_active.truncate(edges);
-        self.edge_active.copy_from_slice(&mark.edge_active);
-        for (i, cur) in self.succ_active_edges.iter_mut().enumerate() {
-            cur.clear();
-            cur.extend_from_slice(mark.succ_active_edges.get(i));
-        }
-        for (i, cur) in self.pred_active_edges.iter_mut().enumerate() {
-            cur.clear();
-            cur.extend_from_slice(mark.pred_active_edges.get(i));
-        }
-        self.next_spill_base = mark.next_spill_base;
+        self.edge_active.clone_from(&self.pristine_edge_active);
+        self.refill_active_lists();
+        self.next_spill_base = SPILL_BASE;
         self.pressure_dirty.clear();
     }
 
@@ -382,15 +295,22 @@ impl WorkGraph {
         self.edge_active[e.index()]
     }
 
-    /// Whether a node is a spill reload (load re-reading a spilled value).
+    /// Whether a node is a spill reload (load re-reading a spilled value):
+    /// the only loads the scheduler inserts.
     pub fn is_spill_reload(&self, n: NodeId) -> bool {
-        self.spill_reload[n.index()]
+        self.is_inserted(n) && self.ddg.node(n).kind == OpKind::Load
     }
 
     /// Whether the node was inserted by the scheduler (not part of the
     /// original body).
     pub fn is_inserted(&self, n: NodeId) -> bool {
         n.index() >= self.original_nodes
+    }
+
+    /// Whether the node belongs to the pristine graph (the loop body or the
+    /// memory interface), which no ejection removes.
+    pub fn is_permanent(&self, n: NodeId) -> bool {
+        n.index() < self.pristine_nodes
     }
 
     /// Iterate over the ids of all currently active nodes.
@@ -431,7 +351,7 @@ impl WorkGraph {
         if node.kind == OpKind::Load
             && binding_prefetch
             && !node.on_recurrence
-            && !self.spill_reload[n.index()]
+            && !self.is_spill_reload(n)
         {
             lat.load_miss
         } else {
@@ -533,65 +453,8 @@ impl WorkGraph {
     /// The per-node bookkeeping of an appended node.
     fn track_node(&mut self) {
         self.node_active.push(true);
-        self.spill_reload.push(false);
         self.chain_of_node.push(None);
         self.push_node_lists();
-    }
-
-    /// A fresh (or recycled) chain shell with empty member lists, ready for
-    /// one of the insertion paths to fill and [`WorkGraph::push_chain`].
-    fn take_chain(&mut self, kind: ChainKind, owner: NodeId) -> CommChain {
-        match self.chain_pool.pop() {
-            Some(mut c) => {
-                debug_assert!(
-                    c.replaced_edges.is_empty()
-                        && c.nodes.is_empty()
-                        && c.edges.is_empty()
-                        && c.touched.is_empty()
-                );
-                c.kind = kind;
-                c.owner = owner;
-                c.active = true;
-                c
-            }
-            None => CommChain {
-                kind,
-                owner,
-                replaced_edges: Vec::new(),
-                nodes: Vec::new(),
-                edges: Vec::new(),
-                touched: Vec::new(),
-                active: true,
-            },
-        }
-    }
-
-    /// Register a chain, indexing its member nodes and — for removable
-    /// chains — the nodes whose ejection must remove it. The touched-node
-    /// set is remembered on the chain so removal can unindex it again
-    /// (leaving dead chain ids in the index would make the ejection path
-    /// O(insertion history) at hub nodes during eject/insert storms).
-    fn push_chain(&mut self, mut chain: CommChain) {
-        let id = self.chains.len() as u32;
-        for n in &chain.nodes {
-            debug_assert!(self.chain_of_node[n.index()].is_none());
-            self.chain_of_node[n.index()] = Some(id);
-        }
-        if chain.kind != ChainKind::MemInterface {
-            debug_assert!(chain.touched.is_empty());
-            chain.touched.push(chain.owner);
-            for e in &chain.replaced_edges {
-                let edge = self.ddg.edge(*e);
-                chain.touched.push(edge.src);
-                chain.touched.push(edge.dst);
-            }
-            chain.touched.sort_unstable_by_key(|n| n.index());
-            chain.touched.dedup();
-            for t in &chain.touched {
-                self.chains_touching[t.index()].push(id);
-            }
-        }
-        self.chains.push(chain);
     }
 
     /// Append a communication or spill edge, detached (see
@@ -691,201 +554,109 @@ impl WorkGraph {
     /// Insert the memory-interface operations for a hierarchical target:
     /// a LoadR after every load whose value is consumed by a FU operation and
     /// a StoreR before every store whose data is produced by a FU operation.
-    /// Chains come from the pool and the rerouted edges go through one
-    /// scratch buffer, so rebinding a warm graph allocates nothing here.
+    /// They join the pristine graph, not a chain: no ejection removes them.
+    /// The rerouted edges go through one scratch buffer, so rebinding a warm
+    /// graph allocates nothing here.
     fn insert_memory_interface(&mut self) {
         let mut rerouted = std::mem::take(&mut self.interface_edges);
         for i in 0..self.ddg.num_nodes() as u32 {
             let n = NodeId(i);
+            let is_load = match self.ddg.node(n).kind {
+                OpKind::Load => true,
+                OpKind::Store => false,
+                _ => continue,
+            };
+            // Loads reroute their consumers that need the value in a cluster
+            // bank; stores their producers that hold it in one.
+            let (ids, far_kind) = if is_load {
+                (self.ddg.succ_edge_ids(n), OpKind::Store)
+            } else {
+                (self.ddg.pred_edge_ids(n), OpKind::Load)
+            };
             rerouted.clear();
-            match self.ddg.node(n).kind {
-                OpKind::Load => {
-                    // Consumers that need the value in a cluster bank.
-                    rerouted.extend(
-                        self.ddg
-                            .succ_edges(n)
-                            .filter(|(id, e)| {
-                                self.edge_active[id.index()]
-                                    && e.kind == DepKind::Flow
-                                    && !matches!(self.ddg.node(e.dst).kind, OpKind::Store)
-                            })
-                            .map(|(id, e)| (id, *e)),
-                    );
-                    if rerouted.is_empty() {
-                        continue;
-                    }
-                    let ldr = self.push_linked_node(Node::new(OpKind::LoadR));
-                    let mut ch = self.take_chain(ChainKind::MemInterface, n);
-                    ch.nodes.push(ldr);
-                    ch.edges.push(self.push_linked_edge(Edge {
-                        src: n,
-                        dst: ldr,
-                        kind: DepKind::Flow,
-                        distance: 0,
-                    }));
-                    for &(orig, e) in &rerouted {
-                        self.deactivate_edge(orig);
-                        ch.replaced_edges.push(orig);
-                        ch.edges.push(self.push_linked_edge(Edge {
-                            src: ldr,
-                            dst: e.dst,
-                            kind: DepKind::Flow,
-                            distance: e.distance,
-                        }));
-                    }
-                    self.push_chain(ch);
-                }
-                OpKind::Store => {
-                    rerouted.extend(
-                        self.ddg
-                            .pred_edges(n)
-                            .filter(|(id, e)| {
-                                self.edge_active[id.index()]
-                                    && e.kind == DepKind::Flow
-                                    && !matches!(self.ddg.node(e.src).kind, OpKind::Load)
-                            })
-                            .map(|(id, e)| (id, *e)),
-                    );
-                    if rerouted.is_empty() {
-                        continue;
-                    }
-                    let str_node = self.push_linked_node(Node::new(OpKind::StoreR));
-                    let mut ch = self.take_chain(ChainKind::MemInterface, n);
-                    ch.nodes.push(str_node);
-                    for &(orig, e) in &rerouted {
-                        self.deactivate_edge(orig);
-                        ch.replaced_edges.push(orig);
-                        ch.edges.push(self.push_linked_edge(Edge {
-                            src: e.src,
-                            dst: str_node,
-                            kind: DepKind::Flow,
-                            distance: e.distance,
-                        }));
-                    }
-                    ch.edges.push(self.push_linked_edge(Edge {
-                        src: str_node,
-                        dst: n,
-                        kind: DepKind::Flow,
-                        distance: 0,
-                    }));
-                    self.push_chain(ch);
-                }
-                _ => {}
+            rerouted.extend(
+                ids.iter()
+                    .map(|&id| (id, *self.ddg.edge(id)))
+                    .filter(|(id, e)| {
+                        let far = if is_load { e.dst } else { e.src };
+                        self.edge_active[id.index()]
+                            && e.kind == DepKind::Flow
+                            && self.ddg.node(far).kind != far_kind
+                    }),
+            );
+            if rerouted.is_empty() {
+                continue;
+            }
+            let kind = if is_load {
+                OpKind::LoadR
+            } else {
+                OpKind::StoreR
+            };
+            let op = self.push_linked_node(Node::new(kind));
+            if is_load {
+                self.push_linked_edge(flow(n, op, 0));
+            }
+            for &(orig, e) in &rerouted {
+                self.deactivate_edge(orig);
+                let (src, dst) = if is_load { (op, e.dst) } else { (e.src, op) };
+                self.push_linked_edge(flow(src, dst, e.distance));
+            }
+            if !is_load {
+                self.push_linked_edge(flow(op, n, 0));
             }
         }
         self.interface_edges = rerouted;
     }
 
-    /// Insert inter-cluster communication for `edge` (a flow dependence whose
-    /// producer and consumer live in different clusters), appending the newly
-    /// inserted nodes that must be scheduled to `out`, in dependence order.
+    /// Insert inter-cluster communication for `edge_id` (a flow dependence
+    /// whose producer and consumer live in different clusters), appending
+    /// the newly inserted nodes that must be scheduled to `out`, in
+    /// dependence order.
     ///
     /// `owner` is the node currently being scheduled (ejecting it undoes the
     /// chain). For hierarchical organizations the chain is StoreR (producer
     /// cluster) + LoadR (consumer cluster) — or just a LoadR when the value
-    /// already lives in the shared bank. For clustered organizations the
-    /// chain is a single bus `Move`.
+    /// already lives in the shared bank, and no LoadR when the consumer
+    /// reads the shared bank. For clustered organizations the chain is a
+    /// single bus `Move`.
+    ///
+    /// A spill of a cluster-bank value into the shared bank is the same
+    /// chain: no consumer of a cluster-bank value reads the shared bank
+    /// (the memory interface gives every store fed from a cluster a StoreR,
+    /// and only shared-bank values feed a LoadR), so the chain reloads it
+    /// with a LoadR.
     pub fn insert_communication_into(
         &mut self,
         owner: NodeId,
         edge_id: EdgeId,
         out: &mut Vec<NodeId>,
     ) {
-        self.topo_version += 1;
-        let edge = *self.ddg.edge(edge_id);
-        debug_assert!(self.edge_active[edge_id.index()]);
-        if self.hierarchical {
-            self.insert_hier_communication(owner, edge_id, edge, out);
-        } else {
-            self.insert_move_communication(owner, edge_id, edge, out);
-        }
-    }
-
-    fn insert_hier_communication(
-        &mut self,
-        owner: NodeId,
-        edge_id: EdgeId,
-        edge: Edge,
-        out: &mut Vec<NodeId>,
-    ) {
-        let src_kind = self.ddg.node(edge.src).kind;
-        let produced_in_shared = matches!(src_kind, OpKind::Load | OpKind::StoreR);
-        let consumed_from_shared =
-            matches!(self.ddg.node(edge.dst).kind, OpKind::Store | OpKind::LoadR);
-        self.deactivate_edge(edge_id);
-        let mut ch = self.take_chain(ChainKind::CommHierarchical, owner);
-        ch.replaced_edges.push(edge_id);
-        // Source of the value in the shared bank.
-        let shared_source = if produced_in_shared {
-            edge.src
-        } else {
-            // Reuse an existing StoreR fed by this producer if there is one
-            // (the paper inserts only one StoreR per multi-consumed value).
-            if let Some(existing) = self.existing_storer_for(edge.src) {
-                existing
-            } else {
-                let sr = self.push_node(Node::new(OpKind::StoreR));
-                ch.nodes.push(sr);
-                ch.edges.push(self.push_edge(Edge {
-                    src: edge.src,
-                    dst: sr,
-                    kind: DepKind::Flow,
-                    distance: 0,
-                }));
-                sr
+        self.insert_chain(owner, edge_id, out, |w, edge| {
+            if !w.hierarchical {
+                let mv = w.push_node(Node::new(OpKind::Move));
+                w.push_edge(flow(edge.src, mv, 0));
+                w.push_edge(flow(mv, edge.dst, edge.distance));
+                return;
             }
-        };
-        let final_src = if consumed_from_shared {
-            shared_source
-        } else {
-            let lr = self.push_node(Node::new(OpKind::LoadR));
-            ch.nodes.push(lr);
-            ch.edges.push(self.push_edge(Edge {
-                src: shared_source,
-                dst: lr,
-                kind: DepKind::Flow,
-                distance: 0,
-            }));
-            lr
-        };
-        ch.edges.push(self.push_edge(Edge {
-            src: final_src,
-            dst: edge.dst,
-            kind: DepKind::Flow,
-            distance: edge.distance,
-        }));
-        out.extend_from_slice(&ch.nodes);
-        self.push_chain(ch);
-    }
-
-    fn insert_move_communication(
-        &mut self,
-        owner: NodeId,
-        edge_id: EdgeId,
-        edge: Edge,
-        out: &mut Vec<NodeId>,
-    ) {
-        self.deactivate_edge(edge_id);
-        let mut ch = self.take_chain(ChainKind::CommClustered, owner);
-        ch.replaced_edges.push(edge_id);
-        let mv = self.push_node(Node::new(OpKind::Move));
-        let e1 = self.push_edge(Edge {
-            src: edge.src,
-            dst: mv,
-            kind: DepKind::Flow,
-            distance: 0,
+            let shared_src = if matches!(w.ddg.node(edge.src).kind, OpKind::Load | OpKind::StoreR) {
+                edge.src
+            } else if let Some(sr) = w.existing_storer_for(edge.src) {
+                // The paper inserts only one StoreR per multi-consumed value.
+                sr
+            } else {
+                let sr = w.push_node(Node::new(OpKind::StoreR));
+                w.push_edge(flow(edge.src, sr, 0));
+                sr
+            };
+            let final_src = if matches!(w.ddg.node(edge.dst).kind, OpKind::Store | OpKind::LoadR) {
+                shared_src
+            } else {
+                let lr = w.push_node(Node::new(OpKind::LoadR));
+                w.push_edge(flow(shared_src, lr, 0));
+                lr
+            };
+            w.push_edge(flow(final_src, edge.dst, edge.distance));
         });
-        let e2 = self.push_edge(Edge {
-            src: mv,
-            dst: edge.dst,
-            kind: DepKind::Flow,
-            distance: edge.distance,
-        });
-        ch.nodes.push(mv);
-        ch.edges.push(e1);
-        ch.edges.push(e2);
-        out.push(mv);
-        self.push_chain(ch);
     }
 
     /// Find an active StoreR already fed by `producer` (for StoreR reuse).
@@ -894,54 +665,6 @@ impl WorkGraph {
             .filter(|(_, e)| e.kind == DepKind::Flow)
             .map(|(_, e)| e.dst)
             .find(|&n| self.is_active(n) && self.ddg.node(n).kind == OpKind::StoreR)
-    }
-
-    /// Insert a spill of the value defined by `def` towards the shared bank:
-    /// the consumer reached through `edge_id` will re-load the value with a
-    /// LoadR instead of keeping it live in the cluster bank. The new nodes
-    /// are appended to `out`.
-    pub fn insert_spill_to_shared_into(
-        &mut self,
-        owner: NodeId,
-        edge_id: EdgeId,
-        out: &mut Vec<NodeId>,
-    ) {
-        self.topo_version += 1;
-        let edge = *self.ddg.edge(edge_id);
-        self.deactivate_edge(edge_id);
-        let mut ch = self.take_chain(ChainKind::SpillToShared, owner);
-        ch.replaced_edges.push(edge_id);
-        let shared_src = if matches!(self.ddg.node(edge.src).kind, OpKind::Load | OpKind::StoreR) {
-            edge.src
-        } else if let Some(sr) = self.existing_storer_for(edge.src) {
-            sr
-        } else {
-            let sr = self.push_node(Node::new(OpKind::StoreR));
-            ch.nodes.push(sr);
-            ch.edges.push(self.push_edge(Edge {
-                src: edge.src,
-                dst: sr,
-                kind: DepKind::Flow,
-                distance: 0,
-            }));
-            sr
-        };
-        let lr = self.push_node(Node::new(OpKind::LoadR));
-        ch.nodes.push(lr);
-        ch.edges.push(self.push_edge(Edge {
-            src: shared_src,
-            dst: lr,
-            kind: DepKind::Flow,
-            distance: 0,
-        }));
-        ch.edges.push(self.push_edge(Edge {
-            src: lr,
-            dst: edge.dst,
-            kind: DepKind::Flow,
-            distance: edge.distance,
-        }));
-        out.extend_from_slice(&ch.nodes);
-        self.push_chain(ch);
     }
 
     /// Insert a spill of the value defined by `def` to memory: a store after
@@ -955,59 +678,82 @@ impl WorkGraph {
         edge_id: EdgeId,
         out: &mut Vec<NodeId>,
     ) {
+        self.insert_chain(owner, edge_id, out, |w, edge| {
+            let access = MemAccess {
+                base: w.next_spill_base,
+                offset: 0,
+                stride: 0,
+                size: 8,
+            };
+            w.next_spill_base += 1;
+            let mut store = Node::new(OpKind::Store);
+            store.mem = Some(access);
+            let st = w.push_node(store);
+            let mut load = Node::new(OpKind::Load);
+            load.mem = Some(access);
+            let ld = w.push_node(load);
+            w.push_edge(flow(edge.src, st, 0));
+            w.push_edge(Edge {
+                src: st,
+                dst: ld,
+                kind: DepKind::Mem,
+                distance: 0,
+            });
+            w.push_edge(flow(ld, edge.dst, edge.distance));
+        });
+    }
+
+    /// The one insertion path of every chain: deactivate the `replaced`
+    /// edge, let `route` append the chain's nodes and edges, then record the
+    /// appended id ranges, index the chain and append its nodes to `out`.
+    fn insert_chain(
+        &mut self,
+        owner: NodeId,
+        replaced: EdgeId,
+        out: &mut Vec<NodeId>,
+        route: impl FnOnce(&mut Self, Edge),
+    ) {
+        debug_assert!(self.edge_active[replaced.index()]);
         self.topo_version += 1;
-        let edge = *self.ddg.edge(edge_id);
-        self.deactivate_edge(edge_id);
-        let base = self.next_spill_base;
-        self.next_spill_base += 1;
-        let access = MemAccess {
-            base,
-            offset: 0,
-            stride: 0,
-            size: 8,
+        self.deactivate_edge(replaced);
+        let edge = *self.ddg.edge(replaced);
+        let (nodes, edges) = (self.ddg.num_nodes() as u32, self.ddg.num_edges() as u32);
+        route(self, edge);
+        let chain = CommChain {
+            owner,
+            replaced,
+            nodes: (nodes, self.ddg.num_nodes() as u32),
+            edges: (edges, self.ddg.num_edges() as u32),
+            active: true,
         };
-        let mut store = Node::new(OpKind::Store);
-        store.mem = Some(access);
-        let st = self.push_node(store);
-        let mut load = Node::new(OpKind::Load);
-        load.mem = Some(access);
-        let ld = self.push_node(load);
-        self.spill_reload[ld.index()] = true;
-        let e1 = self.push_edge(Edge {
-            src: edge.src,
-            dst: st,
-            kind: DepKind::Flow,
-            distance: 0,
-        });
-        let e2 = self.push_edge(Edge {
-            src: st,
-            dst: ld,
-            kind: DepKind::Mem,
-            distance: 0,
-        });
-        let e3 = self.push_edge(Edge {
-            src: ld,
-            dst: edge.dst,
-            kind: DepKind::Flow,
-            distance: edge.distance,
-        });
-        let mut ch = self.take_chain(ChainKind::SpillToMemory, owner);
-        ch.replaced_edges.push(edge_id);
-        ch.nodes.push(st);
-        ch.nodes.push(ld);
-        ch.edges.push(e1);
-        ch.edges.push(e2);
-        ch.edges.push(e3);
-        out.push(st);
-        out.push(ld);
-        self.push_chain(ch);
+        let id = self.chains.len() as u32;
+        for n in chain.nodes() {
+            self.chain_of_node[n.index()] = Some(id);
+            out.push(n);
+        }
+        // Chain ids only grow, so every index list stays ascending.
+        for t in self.touched(&chain).into_iter().flatten() {
+            self.chains_touching[t.index()].push(id);
+        }
+        self.chains.push(chain);
+    }
+
+    /// The nodes whose ejection removes `chain`: its owner and the endpoints
+    /// of the edge it replaced, each once.
+    fn touched(&self, chain: &CommChain) -> [Option<NodeId>; 3] {
+        let (o, e) = (chain.owner, self.ddg.edge(chain.replaced));
+        let (s, d) = (e.src, e.dst);
+        [
+            Some(o),
+            (s != o).then_some(s),
+            (d != o && d != s).then_some(d),
+        ]
     }
 
     /// Append to `out` the chains that are removed when `node` is ejected —
-    /// every active removable chain owned by `node` or whose replaced edge
-    /// touches it — in ascending chain order. Served from the per-node index
-    /// built at insertion, so ejection storms pay O(chains touching the
-    /// node).
+    /// every active chain owned by `node` or whose replaced edge touches it
+    /// — in ascending chain order. Served from the per-node index built at
+    /// insertion, so ejection storms pay O(chains touching the node).
     pub fn chains_to_remove_into(&self, node: NodeId, out: &mut Vec<usize>) {
         out.extend(
             self.chains_touching[node.index()]
@@ -1017,8 +763,8 @@ impl WorkGraph {
         );
     }
 
-    /// The chain an inserted node belongs to, if any. O(1): chains never
-    /// share nodes, so membership is indexed at insertion.
+    /// The active chain an inserted node belongs to, if any. O(1): chains
+    /// never share nodes, so membership is indexed at insertion.
     pub fn chain_containing(&self, node: NodeId) -> Option<usize> {
         self.chain_of_node[node.index()]
             .map(|id| id as usize)
@@ -1030,32 +776,21 @@ impl WorkGraph {
         self.chains[chain].owner
     }
 
-    /// Kind of a chain.
-    pub fn chain_kind(&self, chain: usize) -> ChainKind {
-        self.chains[chain].kind
-    }
-
     /// Deactivate one chain, reactivating the edge it replaced, and append
-    /// the deactivated nodes to `out`. The chain's member lists are moved aside for the duration of the walk
-    /// and restored afterwards (no clones), so the insert/remove cycle of an
-    /// ejection storm never allocates.
+    /// the deactivated nodes to `out`. A reused StoreR belongs to the chain
+    /// that appended it, so it stays active.
     pub fn remove_chain_into(&mut self, chain: usize, out: &mut Vec<NodeId>) {
-        let c = &mut self.chains[chain];
+        let c = self.chains[chain];
         if !c.active {
             return;
         }
         self.topo_version += 1;
-        let c = &mut self.chains[chain];
-        c.active = false;
-        let nodes = std::mem::take(&mut c.nodes);
-        let edges = std::mem::take(&mut c.edges);
-        let replaced = std::mem::take(&mut c.replaced_edges);
-        let touched = std::mem::take(&mut c.touched);
+        self.chains[chain].active = false;
         // Unindex the (now permanently dead) chain from the nodes it
         // touched; the lists hold ascending chain ids, so the removal keeps
         // `chains_to_remove_into`'s ascending enumeration intact.
         let id = chain as u32;
-        for t in &touched {
+        for t in self.touched(&c).into_iter().flatten() {
             let list = &mut self.chains_touching[t.index()];
             match list.binary_search(&id) {
                 Ok(pos) => {
@@ -1064,21 +799,14 @@ impl WorkGraph {
                 Err(_) => debug_assert!(false, "chain {id} missing from touch index"),
             }
         }
-        for n in &nodes {
+        for n in c.nodes() {
             self.node_active[n.index()] = false;
         }
-        for e in &edges {
-            self.deactivate_edge(*e);
+        for e in c.edges() {
+            self.deactivate_edge(e);
         }
-        for e in &replaced {
-            self.reactivate_edge(*e);
-        }
-        out.extend_from_slice(&nodes);
-        let c = &mut self.chains[chain];
-        c.nodes = nodes;
-        c.edges = edges;
-        c.replaced_edges = replaced;
-        c.touched = touched;
+        self.reactivate_edge(c.replaced);
+        out.extend(c.nodes());
     }
 
     /// Counts of inserted operations currently active, by kind:
@@ -1110,6 +838,16 @@ impl WorkGraph {
         self.active_nodes()
             .filter(|&n| self.ddg.node(n).kind.is_memory())
             .count() as u32
+    }
+}
+
+/// A flow dependence.
+fn flow(src: NodeId, dst: NodeId, distance: u32) -> Edge {
+    Edge {
+        src,
+        dst,
+        kind: DepKind::Flow,
+        distance,
     }
 }
 
@@ -1234,6 +972,58 @@ mod tests {
         // second chain reuses the StoreR: only a LoadR is added
         assert_eq!(n2.len(), 1);
         assert_eq!(w.ddg.node(n2[0]).kind, OpKind::LoadR);
+    }
+
+    #[test]
+    fn removing_a_chain_deactivates_exactly_its_own_nodes() {
+        // p feeds c1 and c2 from other clusters; q's value spills to the
+        // shared bank on its way to r, as `check_and_spill` inserts it.
+        let mut b = DdgBuilder::new("remove");
+        let p = b.op(OpKind::FMul);
+        let c1 = b.op(OpKind::FAdd);
+        let c2 = b.op(OpKind::FAdd);
+        let q = b.op(OpKind::FMul);
+        let r = b.op(OpKind::FAdd);
+        b.flow(p, c1, 0).flow(p, c2, 0).flow(q, r, 2);
+        let g = b.build();
+        let mut w = WorkGraph::new(&g, &machine("4C16S64"));
+        let edge = |w: &WorkGraph, src, dst| {
+            w.active_succ_edges(src)
+                .find(|(_, e)| e.dst == dst)
+                .map(|(id, _)| id)
+                .unwrap()
+        };
+        let (e1, e2, e3) = (edge(&w, p, c1), edge(&w, p, c2), edge(&w, q, r));
+        let first = insert_communication(&mut w, c1, e1);
+        let reuse = insert_communication(&mut w, c2, e2);
+        let spill = insert_communication(&mut w, r, e3);
+        let storer = first[0];
+        assert_eq!(reuse.len(), 1, "the second chain reuses the StoreR");
+        assert_eq!(spill.len(), 2, "StoreR + LoadR");
+        let active = w.active_count();
+
+        // The reuse chain appended one node and two edges; removing it
+        // leaves the StoreR (and the first chain) active.
+        assert_eq!(remove_chains_for(&mut w, c2), reuse);
+        assert!(!w.is_active(reuse[0]));
+        assert!(first.iter().all(|&n| w.is_active(n)));
+        assert!(w.edge_is_active(e2));
+        let storer_succs: Vec<NodeId> = w.active_succ_edges(storer).map(|(_, e)| e.dst).collect();
+        assert_eq!(storer_succs, vec![first[1]]);
+        let c2_preds: Vec<EdgeId> = w.active_pred_edges(c2).map(|(id, _)| id).collect();
+        assert_eq!(c2_preds, vec![e2]);
+        assert_eq!(w.active_count(), active - 1);
+
+        // The spill chain's two nodes and three edges go; `q -> r` is back
+        // with its distance.
+        assert_eq!(remove_chains_for(&mut w, q), spill);
+        assert!(spill.iter().all(|&n| !w.is_active(n)));
+        assert!(w.active_succ_edges(spill[0]).next().is_none());
+        let r_preds: Vec<EdgeId> = w.active_pred_edges(r).map(|(id, _)| id).collect();
+        assert_eq!(r_preds, vec![e3]);
+        assert_eq!(w.ddg.edge(e3).distance, 2);
+        assert!(first.iter().all(|&n| w.is_active(n)));
+        assert_eq!(w.active_count(), active - 3);
     }
 
     #[test]

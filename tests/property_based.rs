@@ -210,7 +210,6 @@ proptest! {
         hier in any::<bool>(),
         ii in 1u32..9,
     ) {
-        let lat = OpLatencies::paper_baseline();
         let cfg = if hier { "4C16S64" } else { "S64" };
         let machine = MachineConfig::paper_baseline(RfOrganization::parse(cfg).unwrap());
         let clusters = machine.clusters();
@@ -233,7 +232,7 @@ proptest! {
                 placements[n.index()] = Some((cycle, cluster % clusters)); // place
             }
             tracker.touch(&w, &placements, n);
-            if let Some(diff) = tracker.diff_from_batch(&w, &placements, &lat) {
+            if let Some(diff) = tracker.diff_from_batch(&w, &placements) {
                 return Err(TestCaseError::fail(format!("{cfg} II={ii}: {diff}")));
             }
         }
