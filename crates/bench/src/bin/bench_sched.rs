@@ -11,7 +11,7 @@
 //! Committing the file after a scheduler-perf PR gives the next PR a
 //! baseline to compare against without re-running the old code.
 //!
-//! Each sweep runs on the work-stealing [`hcrf_engine::Engine`] with pooled
+//! Each sweep runs on the [`hcrf_engine::Engine`] with pooled
 //! `AttemptArena`s (`--threads N`, 0 = auto). Work counters are folded in
 //! loop-index order and are bit-identical for any thread count; only wall
 //! time depends on parallelism, so the resolved thread count is recorded in
@@ -181,9 +181,9 @@ fn run_sweep(
         sched = sched.with_reference();
     }
     let start = Instant::now();
-    // Loops scheduled on the work-stealing engine with a pooled arena per
-    // worker; the fold below walks the index-ordered results, so every
-    // counter is bit-identical regardless of thread count.
+    // Loops scheduled on the engine with a pooled arena per worker; the
+    // fold below walks the index-ordered results, so every counter is
+    // bit-identical regardless of thread count.
     let run = engine.map_indexed(
         loops.len(),
         |_| ArenaPool::new(),

@@ -1,10 +1,10 @@
 //! Parallel scheduling of a loop suite for one machine configuration.
 //!
-//! The suite sweep runs on the [`hcrf_engine`] work-stealing engine: one
-//! task per loop, one pooled [`ArenaPool`] per worker (so consecutive loops
-//! rebind one `AttemptArena` instead of rebuilding), and the aggregation
-//! folds the index-ordered results so the [`SuiteRun`] is bit-identical for
-//! any thread count.
+//! The suite sweep runs on the [`hcrf_engine`] engine: one task per loop,
+//! one pooled [`ArenaPool`] per worker (so consecutive loops rebind one
+//! `AttemptArena` instead of rebuilding), and the aggregation folds the
+//! index-ordered results so the [`SuiteRun`] is bit-identical for any
+//! thread count.
 
 use hcrf_engine::{Engine, FailurePolicy, TaskFailure};
 use hcrf_ir::Loop;

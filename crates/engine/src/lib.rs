@@ -1,17 +1,17 @@
-//! Work-stealing execution engine for the HCRF workspace.
+//! Execution engine for the HCRF workspace.
 //!
 //! Every compute surface of the repository — suite sweeps
 //! (`hcrf::run_suite`), design-space exploration (`hcrf_explore::explore`)
 //! and the bench binaries — funnels its parallelism through this crate
-//! instead of rolling its own thread pool. The engine provides four things
-//! the flat atomic-counter loops it replaced could not:
+//! instead of rolling its own thread pool. The engine provides four things:
 //!
-//! * **Work stealing across heterogeneous tasks.** Each worker owns a
-//!   Chase–Lev-style deque (owner pops the front, thieves batch-steal the
-//!   back half; implemented in safe code with short mutex critical
-//!   sections). Tasks are *two-level*: callers submit groups (design
-//!   points) that decompose into inner tasks (loops), and idle workers
-//!   steal loop tasks from a slow point instead of idling behind it.
+//! * **One worker loop over a shared task cursor.** Tasks are *two-level*:
+//!   callers submit groups (design points) that decompose into inner tasks
+//!   (loops). The flat task stream — groups in order, each group's tasks in
+//!   index order — sits behind one atomic cursor, and a worker takes its
+//!   next task with one `fetch_add`, so a slow task never holds another
+//!   task behind it. With one worker the loop runs on the caller's thread;
+//!   with more, scoped threads run the same loop.
 //!
 //! * **A deterministic reduction contract.** Inner results land in
 //!   index-ordered slots; the worker finishing a group's last task folds
@@ -20,11 +20,12 @@
 //!   `tests/engine_equivalence.rs` proves it across 1/2/4/8 workers on
 //!   every standard suite × configuration.
 //!
-//! * **Streaming that survives panics.** Group results are sent to the
-//!   *caller's* thread as they complete and handed to the `on_group` hook
-//!   there (the explore executor persists them to its result cache). The
-//!   channel drains fully before worker panics propagate, so a crash in one
-//!   design point can never lose the completed points before it.
+//! * **Streaming that survives panics.** Group results are handed to the
+//!   `on_group` hook on the *caller's* thread as they complete (the explore
+//!   executor persists them to its result cache): directly with one worker,
+//!   through a channel the caller drains with more. The channel drains
+//!   fully before worker panics propagate, so a crash in one design point
+//!   can never lose the completed points before it.
 //!
 //! * **Per-task isolation and retry.** Under the opt-in
 //!   [`FailurePolicy::Isolate`], a panicking task is caught
@@ -47,9 +48,8 @@
 #![forbid(unsafe_code)]
 
 use hcrf_telemetry::{Telemetry, TraceBuf};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 /// Default cap on auto-resolved workers (`threads == 0`). Sweeps are
@@ -60,9 +60,7 @@ pub const DEFAULT_WORKER_CAP: usize = 16;
 
 /// Resolve a requested thread count to a concrete worker count: `0` means
 /// one worker per available CPU, capped at [`DEFAULT_WORKER_CAP`]; any
-/// explicit request is honored verbatim. This is the single home of the
-/// resolution logic that used to be copy-pasted across the driver and the
-/// explore executor.
+/// explicit request is honored verbatim.
 pub fn resolve_workers(requested: usize) -> usize {
     if requested != 0 {
         return requested;
@@ -207,8 +205,8 @@ pub struct EngineReport {
     pub workers: usize,
     /// Inner tasks executed (counted once per task, not per retry attempt).
     pub tasks: u64,
-    /// Successful batch steals (a thief moving the back half of another
-    /// worker's deque into its own).
+    /// Always 0: workers share one task cursor and never steal. The field
+    /// stays because the `perfbench` harness still reads it.
     pub steals: u64,
 }
 
@@ -266,14 +264,13 @@ pub struct Engine {
 }
 
 /// Sets the poison flag when dropped during a panic, so sibling workers
-/// stop spinning for tasks that will never complete and the scope can join
-/// (propagating the panic) instead of hanging.
+/// start no new task after a fail-fast panic and the run ends sooner.
 struct PoisonGuard<'a>(&'a AtomicBool);
 
 impl Drop for PoisonGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.store(true, Ordering::SeqCst);
+            self.0.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -301,7 +298,7 @@ impl Engine {
     }
 
     /// Attach a telemetry sink: the run publishes `engine.tasks` /
-    /// `engine.steals` / `engine.runs` counters (plus
+    /// `engine.runs` counters (plus
     /// `engine.task_retries` / `engine.task_quarantined` under
     /// [`FailurePolicy::Isolate`]) and records one labeled `worker` span per
     /// worker.
@@ -408,21 +405,21 @@ impl Engine {
     /// neither depends on the worker count — only `on_group`'s *call order*
     /// (and which worker ran which task) varies between runs.
     ///
-    /// The task stream (groups in order, each group's inner tasks
-    /// contiguous and in index order) is seeded across the worker deques in
-    /// balanced contiguous shares *by task count*, so every worker starts
-    /// with work even when a few large groups dominate — seeding whole
-    /// groups round-robin used to leave `workers - groups` deques empty
-    /// behind steal chains. Stealing (which moves the back half of a deque)
-    /// still redistributes a slow share's tail across idle workers.
+    /// Every worker runs the same loop: take the next `(group, index)` from
+    /// the shared cursor over the task stream, run it, store its result in
+    /// the group's slot, and, on a group's last task, fold the group and
+    /// emit it. With one worker the loop runs on the caller's thread and
+    /// groups stream in group order (empty groups first: they fold before
+    /// any task runs).
     ///
-    /// If a task panics under the default fail-fast policy, completed
-    /// groups still stream to `on_group`, then the panic resumes on the
-    /// caller's thread. Under [`FailurePolicy::Isolate`] the task is
-    /// retried and, if it keeps panicking, quarantined: every other task of
-    /// its group still runs (retry bookkeeping is per-task, so counters and
-    /// sibling results stay thread-count-invariant), but the group's fold
-    /// is skipped, `on_group` never fires for it, and its result is `None`.
+    /// If a task panics under the default fail-fast policy, the other
+    /// workers start no new task, completed groups still stream to
+    /// `on_group`, then the panic resumes on the caller's thread. Under
+    /// [`FailurePolicy::Isolate`] the task is retried and, if it keeps
+    /// panicking, quarantined: every other task of its group still runs
+    /// (retry bookkeeping is per-task, so counters and sibling results stay
+    /// thread-count-invariant), but the group's fold is skipped, `on_group`
+    /// never fires for it, and its result is `None`.
     pub fn run_two_level<S, T, R>(
         &self,
         group_sizes: &[usize],
@@ -436,12 +433,16 @@ impl Engine {
         T: Send,
         R: Send,
     {
-        let total_tasks: usize = group_sizes.iter().sum();
-        let workers = self.workers.min(total_tasks).max(1);
+        let stream: Vec<(usize, usize)> = group_sizes
+            .iter()
+            .enumerate()
+            .flat_map(|(g, &size)| (0..size).map(move |index| (g, index)))
+            .collect();
+        let workers = self.workers.min(stream.len()).max(1);
         let mut results: Vec<Option<R>> = group_sizes.iter().map(|_| None).collect();
 
         // Empty groups fold immediately (in group order) on this thread:
-        // they have no tasks to schedule and must not hold up the drain.
+        // they have no tasks to run and must not hold up the drain.
         for (g, &size) in group_sizes.iter().enumerate() {
             if size == 0 {
                 let r = fold(g, Vec::new());
@@ -450,29 +451,123 @@ impl Engine {
             }
         }
 
-        let run = if workers <= 1 {
-            self.run_inline(group_sizes, &mut results, init, inner, fold, &mut on_group)
-        } else {
-            self.run_stealing(
-                workers,
-                group_sizes,
-                &mut results,
-                init,
-                inner,
-                fold,
-                &mut on_group,
-            )
+        // Reduction state: one result slot per task, in stream order, and
+        // per group the number of tasks not yet finished and whether one was
+        // quarantined (its last finisher then leaves the slots unfolded).
+        let slots: Vec<Mutex<Option<T>>> = stream.iter().map(|_| Mutex::new(None)).collect();
+        let left: Vec<AtomicUsize> = group_sizes.iter().map(|&s| AtomicUsize::new(s)).collect();
+        let failed: Vec<AtomicBool> = group_sizes.iter().map(|_| AtomicBool::new(false)).collect();
+        let cursor = AtomicUsize::new(0);
+        let poisoned = AtomicBool::new(false);
+        let failures = Mutex::new(Vec::new());
+
+        // The worker loop, shared by every worker count. `emit` receives
+        // each folded group; the loop returns the worker's state and the
+        // number of tasks it ran.
+        let work = |me: usize, emit: &mut dyn FnMut(usize, R)| -> (S, u64) {
+            let _guard = PoisonGuard(&poisoned);
+            let mut trace = self.telemetry.trace_buf();
+            let t0 = trace.now_ns();
+            let mut state = init(me);
+            let mut ran = 0u64;
+            while !poisoned.load(Ordering::Relaxed) {
+                let t = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&(g, index)) = stream.get(t) else {
+                    break;
+                };
+                let ctx = TaskCtx {
+                    worker: me,
+                    group: g,
+                    index,
+                };
+                match self.execute_task(&mut state, &mut trace, ctx, &init, &inner) {
+                    Ok(value) => *slots[t].lock().expect("slot poisoned") = Some(value),
+                    Err(failure) => {
+                        failed[g].store(true, Ordering::Relaxed);
+                        failures.lock().expect("failures poisoned").push(failure);
+                    }
+                }
+                ran += 1;
+                // The group's last finisher folds its slots, which start at
+                // this task's stream position minus its index.
+                if left[g].fetch_sub(1, Ordering::AcqRel) == 1 && !failed[g].load(Ordering::Relaxed)
+                {
+                    let first = t - index;
+                    let inners = slots[first..first + group_sizes[g]].iter().map(|s| {
+                        let value = s.lock().expect("slot poisoned").take();
+                        value.expect("group complete")
+                    });
+                    emit(g, fold(g, inners.collect()));
+                }
+            }
+            trace.span_labeled(
+                "worker",
+                "engine",
+                t0,
+                Some(&format!("w{me}")),
+                &[("tasks", ran as i64)],
+            );
+            self.telemetry.flush(&mut trace);
+            (state, ran)
         };
-        let (states, report, mut quarantined) = run;
+
+        let mut deliver = |g: usize, r: R| {
+            on_group(g, &r);
+            results[g] = Some(r);
+        };
+        let finished: Vec<(S, u64)> = if workers == 1 {
+            vec![work(0, &mut deliver)]
+        } else {
+            let (tx, rx) = mpsc::channel::<(usize, R)>();
+            let mut finished = Vec::with_capacity(workers);
+            let mut panic_payload = None;
+            std::thread::scope(|scope| {
+                let work = &work;
+                let handles: Vec<_> = (0..workers)
+                    .map(|me| {
+                        let tx = tx.clone();
+                        scope.spawn(move || {
+                            work(me, &mut |g, r| {
+                                let _ = tx.send((g, r));
+                            })
+                        })
+                    })
+                    .collect();
+                drop(tx);
+                // Drain until every sender is gone. A worker panic drops its
+                // sender, so this always ends — after delivering every group
+                // that *did* complete (the flush-before-panic guarantee
+                // `on_group` relies on).
+                for (g, r) in rx {
+                    deliver(g, r);
+                }
+                for h in handles {
+                    match h.join() {
+                        Ok(done) => finished.push(done),
+                        Err(payload) => panic_payload = Some(payload),
+                    }
+                }
+            });
+            if let Some(payload) = panic_payload {
+                std::panic::resume_unwind(payload);
+            }
+            finished
+        };
+
+        let mut quarantined = failures.into_inner().expect("failures poisoned");
         quarantined.sort_by_key(|f| (f.group, f.index));
         if quarantined.is_empty() {
             debug_assert!(results.iter().all(|r| r.is_some()));
         }
-
+        let (states, tasks): (Vec<S>, Vec<u64>) = finished.into_iter().unzip();
+        let report = EngineReport {
+            workers,
+            tasks: tasks.iter().sum(),
+            steals: 0,
+        };
         if self.telemetry.is_enabled() {
             self.telemetry.counter_add("engine.runs", 1);
             self.telemetry.counter_add("engine.tasks", report.tasks);
-            self.telemetry.counter_add("engine.steals", report.steals);
         }
         EngineRun {
             results,
@@ -480,282 +575,6 @@ impl Engine {
             states,
             report,
         }
-    }
-
-    /// The `workers <= 1` path: everything runs on the caller's thread, in
-    /// group and index order (tests pin the streaming hook's inline
-    /// ordering to exactly this sequence). Every task of a quarantined
-    /// group still runs, exactly as on the stealing path, so retry
-    /// counters and sibling failures are thread-count-invariant.
-    #[allow(clippy::too_many_arguments)]
-    fn run_inline<S, T, R>(
-        &self,
-        group_sizes: &[usize],
-        results: &mut [Option<R>],
-        init: impl Fn(usize) -> S,
-        inner: impl Fn(&mut S, TaskCtx) -> T,
-        fold: impl Fn(usize, Vec<T>) -> R,
-        on_group: &mut impl FnMut(usize, &R),
-    ) -> (Vec<S>, EngineReport, Vec<TaskFailure>) {
-        let mut state = init(0);
-        let mut trace = self.telemetry.trace_buf();
-        let mut tasks = 0u64;
-        let mut quarantined = Vec::new();
-        for (g, &size) in group_sizes.iter().enumerate() {
-            if size == 0 {
-                continue; // already folded
-            }
-            let mut inners: Vec<Option<T>> = Vec::with_capacity(size);
-            let mut failed = false;
-            for index in 0..size {
-                tasks += 1;
-                let ctx = TaskCtx {
-                    worker: 0,
-                    group: g,
-                    index,
-                };
-                match self.execute_task(&mut state, &mut trace, ctx, &init, &inner) {
-                    Ok(value) => inners.push(Some(value)),
-                    Err(failure) => {
-                        failed = true;
-                        quarantined.push(failure);
-                        inners.push(None);
-                    }
-                }
-            }
-            if !failed {
-                let r = fold(
-                    g,
-                    inners
-                        .into_iter()
-                        .map(|v| v.expect("group complete"))
-                        .collect(),
-                );
-                on_group(g, &r);
-                results[g] = Some(r);
-            }
-        }
-        self.telemetry.flush(&mut trace);
-        (
-            vec![state],
-            EngineReport {
-                workers: 1,
-                tasks,
-                steals: 0,
-            },
-            quarantined,
-        )
-    }
-
-    /// The work-stealing path. See the crate docs for the worker model.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stealing<S, T, R>(
-        &self,
-        workers: usize,
-        group_sizes: &[usize],
-        results: &mut [Option<R>],
-        init: impl Fn(usize) -> S + Sync,
-        inner: impl Fn(&mut S, TaskCtx) -> T + Sync,
-        fold: impl Fn(usize, Vec<T>) -> R + Sync,
-        on_group: &mut impl FnMut(usize, &R),
-    ) -> (Vec<S>, EngineReport, Vec<TaskFailure>)
-    where
-        S: Send,
-        T: Send,
-        R: Send,
-    {
-        // Seed the deques: the task stream (groups in order, inner tasks in
-        // index order) splits into balanced contiguous shares by *task*
-        // count — `workers <= total` (the caller clamps), so every worker
-        // starts with at least one task no matter how few groups there are.
-        let total: usize = group_sizes.iter().sum();
-        let mut seeded: Vec<VecDeque<(u32, u32)>> = (0..workers).map(|_| VecDeque::new()).collect();
-        let mut t = 0usize;
-        for (g, &size) in group_sizes.iter().enumerate() {
-            for index in 0..size {
-                seeded[t * workers / total].push_back((g as u32, index as u32));
-                t += 1;
-            }
-        }
-        let deques: Vec<Mutex<VecDeque<(u32, u32)>>> = seeded.into_iter().map(Mutex::new).collect();
-
-        // Per-group reduction state: index-ordered slots + a countdown the
-        // last finisher trips to fold and send. A quarantined task marks
-        // its group failed; the last finisher of a failed group discards
-        // the partial slots instead of folding.
-        let slots: Vec<Mutex<Vec<Option<T>>>> = group_sizes
-            .iter()
-            .map(|&size| Mutex::new((0..size).map(|_| None).collect()))
-            .collect();
-        let group_left: Vec<AtomicUsize> =
-            group_sizes.iter().map(|&s| AtomicUsize::new(s)).collect();
-        let group_failed: Vec<AtomicBool> =
-            group_sizes.iter().map(|_| AtomicBool::new(false)).collect();
-        let failures: Mutex<Vec<TaskFailure>> = Mutex::new(Vec::new());
-        let remaining = AtomicUsize::new(group_sizes.iter().sum());
-        let poisoned = AtomicBool::new(false);
-        let steals = AtomicU64::new(0);
-        let tasks_run = AtomicU64::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-
-        let mut states: Vec<Option<S>> = (0..workers).map(|_| None).collect();
-        let mut panic_payload = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|me| {
-                    let tx = tx.clone();
-                    let deques = &deques;
-                    let slots = &slots;
-                    let group_left = &group_left;
-                    let group_failed = &group_failed;
-                    let failures = &failures;
-                    let remaining = &remaining;
-                    let poisoned = &poisoned;
-                    let steals = &steals;
-                    let tasks_run = &tasks_run;
-                    let init = &init;
-                    let inner = &inner;
-                    let fold = &fold;
-                    let engine = &*self;
-                    let telemetry = self.telemetry.clone();
-                    scope.spawn(move || {
-                        let _guard = PoisonGuard(poisoned);
-                        let mut trace = telemetry.trace_buf();
-                        let t0 = trace.now_ns();
-                        let mut state = init(me);
-                        let mut my_tasks = 0u64;
-                        let mut my_steals = 0u64;
-                        'work: loop {
-                            // Drain own deque from the front.
-                            let task = deques[me].lock().expect("deque poisoned").pop_front();
-                            let (g, index) = match task {
-                                Some(t) => t,
-                                None => {
-                                    // Steal the back half of the first
-                                    // non-empty sibling deque.
-                                    let mut stolen = false;
-                                    for k in 1..workers {
-                                        let victim = (me + k) % workers;
-                                        let mut q = deques[victim].lock().expect("deque poisoned");
-                                        let n = q.len();
-                                        if n == 0 {
-                                            continue;
-                                        }
-                                        // Back half, rounded up (n == 1
-                                        // takes the lone task).
-                                        let batch = q.split_off(n / 2);
-                                        drop(q);
-                                        if !batch.is_empty() {
-                                            *deques[me].lock().expect("deque poisoned") = batch;
-                                            my_steals += 1;
-                                            stolen = true;
-                                            break;
-                                        }
-                                    }
-                                    if stolen {
-                                        continue 'work;
-                                    }
-                                    if remaining.load(Ordering::SeqCst) == 0
-                                        || poisoned.load(Ordering::SeqCst)
-                                    {
-                                        break 'work;
-                                    }
-                                    // Tasks are in flight on other workers;
-                                    // re-scan after yielding.
-                                    std::thread::yield_now();
-                                    continue 'work;
-                                }
-                            };
-                            let (g, index) = (g as usize, index as usize);
-                            let ctx = TaskCtx {
-                                worker: me,
-                                group: g,
-                                index,
-                            };
-                            let outcome =
-                                engine.execute_task(&mut state, &mut trace, ctx, init, inner);
-                            my_tasks += 1;
-                            match outcome {
-                                Ok(value) => {
-                                    slots[g].lock().expect("slots poisoned")[index] = Some(value);
-                                }
-                                Err(failure) => {
-                                    group_failed[g].store(true, Ordering::SeqCst);
-                                    failures.lock().expect("failures poisoned").push(failure);
-                                }
-                            }
-                            if group_left[g].fetch_sub(1, Ordering::SeqCst) == 1 {
-                                if group_failed[g].load(Ordering::SeqCst) {
-                                    // Quarantined group: discard the partial
-                                    // slots; the caller sees `None` plus the
-                                    // failure manifest.
-                                    slots[g]
-                                        .lock()
-                                        .expect("slots poisoned")
-                                        .iter_mut()
-                                        .for_each(|s| *s = None);
-                                } else {
-                                    // Last task of the group: fold the
-                                    // index-ordered slots and stream the
-                                    // result.
-                                    let inners: Vec<T> = slots[g]
-                                        .lock()
-                                        .expect("slots poisoned")
-                                        .iter_mut()
-                                        .map(|s| s.take().expect("group complete"))
-                                        .collect();
-                                    let r = fold(g, inners);
-                                    let _ = tx.send((g, r));
-                                }
-                            }
-                            remaining.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        steals.fetch_add(my_steals, Ordering::Relaxed);
-                        tasks_run.fetch_add(my_tasks, Ordering::Relaxed);
-                        trace.span_labeled(
-                            "worker",
-                            "engine",
-                            t0,
-                            Some(&format!("w{me}")),
-                            &[("tasks", my_tasks as i64), ("steals", my_steals as i64)],
-                        );
-                        telemetry.flush(&mut trace);
-                        state
-                    })
-                })
-                .collect();
-            drop(tx);
-
-            // Drain on the caller's thread until every sender is gone. A
-            // worker panic drops its sender mid-run, so this loop always
-            // terminates — after delivering every group that *did* complete
-            // (the flush-before-panic guarantee `on_group` relies on).
-            for (g, r) in rx {
-                on_group(g, &r);
-                results[g] = Some(r);
-            }
-            for (me, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(state) => states[me] = Some(state),
-                    Err(payload) => panic_payload = Some(payload),
-                }
-            }
-        });
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
-        (
-            states
-                .into_iter()
-                .map(|s| s.expect("worker joined"))
-                .collect(),
-            EngineReport {
-                workers,
-                tasks: tasks_run.load(Ordering::Relaxed),
-                steals: steals.load(Ordering::Relaxed),
-            },
-            failures.into_inner().expect("failures poisoned"),
-        )
     }
 
     /// Flat map over `0..count` (size-1 groups): `f(state, index)` lands in
@@ -771,30 +590,12 @@ impl Engine {
         S: Send,
         T: Send,
     {
-        self.map_indexed_each(count, init, f, |_, _| {})
-    }
-
-    /// [`Engine::map_indexed`] with a streaming hook invoked on the
-    /// caller's thread as each result completes (completion order; index
-    /// order on the inline path).
-    pub fn map_indexed_each<S, T>(
-        &self,
-        count: usize,
-        init: impl Fn(usize) -> S + Sync,
-        f: impl Fn(&mut S, TaskCtx) -> T + Sync,
-        on_result: impl FnMut(usize, &T),
-    ) -> EngineRun<T, S>
-    where
-        S: Send,
-        T: Send,
-    {
-        let sizes = vec![1usize; count];
         self.run_two_level(
-            &sizes,
+            &vec![1usize; count],
             init,
             f,
             |_, mut inners: Vec<T>| inners.pop().expect("size-1 group"),
-            on_result,
+            |_, _| {},
         )
     }
 }
@@ -803,7 +604,7 @@ impl Engine {
 mod tests {
     use super::*;
     use std::panic::AssertUnwindSafe;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
     #[test]
@@ -818,17 +619,19 @@ mod tests {
     fn inline_path_runs_in_index_order() {
         let engine = Engine::new(1);
         let mut seen = Vec::new();
-        let run = engine.map_indexed_each(
-            5,
+        let run = engine.run_two_level(
+            &[1usize; 5],
             |w| w,
             |state, ctx| {
                 assert_eq!(*state, 0);
                 assert_eq!(ctx.worker, 0);
                 ctx.group * 10
             },
+            |_, mut inners| inners.pop().unwrap(),
             |i, r| seen.push((i, *r)),
         );
-        // The inline hook fires in exact index order.
+        // With one worker the hook fires on the caller's thread in exact
+        // index order.
         assert_eq!(seen, vec![(0, 0), (1, 10), (2, 20), (3, 30), (4, 40)]);
         let (results, states, report) = run.expect_complete();
         assert_eq!(results, vec![0, 10, 20, 30, 40]);
@@ -841,8 +644,8 @@ mod tests {
     fn parallel_results_are_index_ordered_and_complete() {
         let engine = Engine::new(4);
         let mut seen = Vec::new();
-        let run = engine.map_indexed_each(
-            32,
+        let run = engine.run_two_level(
+            &[1usize; 32],
             |w| w,
             |_, ctx| {
                 // Uneven task costs exercise out-of-order completion.
@@ -851,6 +654,7 @@ mod tests {
                 }
                 ctx.group as u64 * 2
             },
+            |_, mut inners| inners.pop().unwrap(),
             |i, r| seen.push((i, *r)),
         );
         let (results, mut states, report) = run.expect_complete();
@@ -892,17 +696,29 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_from_loaded_deques() {
-        // Worker 0's seeded share (tasks 0..4) is slow and everything else
-        // is instant: the other workers drain their own shares long before
-        // the slow share finishes and must steal its tail to participate.
-        let engine = Engine::new(4);
-        let run = engine.run_two_level(
+    fn slow_task_holds_nothing_behind_it() {
+        // Task 0 waits until the other 15 have completed. Workers take
+        // tasks from one shared cursor, so the other three workers run all
+        // 15 while task 0's worker is busy, and that worker, once free,
+        // finds the stream empty.
+        let done = AtomicUsize::new(0);
+        let ran_on: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(usize::MAX)).collect();
+        let run = Engine::new(4).run_two_level(
             &[16usize],
             |w| w,
             |_, ctx| {
-                if ctx.index < 4 {
-                    std::thread::sleep(Duration::from_millis(20));
+                ran_on[ctx.index].store(ctx.worker, Ordering::SeqCst);
+                if ctx.index == 0 {
+                    // Bounded wait so a task stuck behind task 0 fails the
+                    // test instead of hanging it.
+                    for _ in 0..5000 {
+                        if done.load(Ordering::SeqCst) == 15 {
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                } else {
+                    done.fetch_add(1, Ordering::SeqCst);
                 }
                 ctx.index
             },
@@ -913,22 +729,23 @@ mod tests {
             run.results[0].as_ref().unwrap(),
             &(0..16).collect::<Vec<usize>>()
         );
-        assert!(
-            run.report.steals > 0,
-            "expected at least one steal, report: {:?}",
-            run.report
-        );
+        let slow = ran_on[0].load(Ordering::SeqCst);
+        for (index, worker) in ran_on.iter().enumerate().skip(1) {
+            assert_ne!(
+                worker.load(Ordering::SeqCst),
+                slow,
+                "task {index} ran on the slow task's worker"
+            );
+        }
+        assert_eq!(run.report.tasks, 16);
     }
 
     #[test]
-    fn task_balanced_seeding_gives_every_worker_work() {
-        // Two groups of 16 tasks on 8 workers: seeding whole groups
-        // round-robin would fill only two deques and leave six workers
-        // queueing behind steal chains; the task-balanced shares seed all
-        // eight deques with four tasks each. Every task holds until every
-        // worker has reported in — a worker cannot go idle (and so cannot
-        // steal) before its first pop, which comes from its own deque, so
-        // the all-workers-participate assertion is deterministic.
+    fn every_worker_takes_a_task() {
+        // Two groups of 16 tasks on 8 workers: every worker takes a task,
+        // however few groups there are. Every task holds until every worker
+        // has reported in, so no worker can take a second task before the
+        // last one takes its first, and the assertion is deterministic.
         let seen: Vec<AtomicBool> = (0..8).map(|_| AtomicBool::new(false)).collect();
         let run = Engine::new(8).run_two_level(
             &[16usize, 16],
@@ -1001,6 +818,33 @@ mod tests {
             .unwrap_or("<non-str payload>");
         assert_eq!(msg, "design point exploded");
         assert_eq!(*flushed.lock().unwrap(), vec![0], "group 0 streamed first");
+    }
+
+    #[test]
+    fn fail_fast_panic_stops_siblings_from_starting_new_tasks() {
+        // Task 0 panics at once; the other worker starts no new task once
+        // the panic has poisoned the run, so most of the 1 ms tasks never
+        // run.
+        let started = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            Engine::new(2).map_indexed(
+                200,
+                |_| (),
+                |_, ctx| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    if ctx.group == 0 {
+                        panic!("first task exploded");
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                },
+            );
+        }));
+        assert!(caught.is_err(), "the task panic must propagate");
+        let started = started.load(Ordering::SeqCst);
+        assert!(
+            started < 100,
+            "{started} of 200 tasks started despite the panic"
+        );
     }
 
     #[test]

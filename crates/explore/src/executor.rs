@@ -6,8 +6,9 @@
 //! ([`IterativeScheduler::class_key`]: the machine with its register
 //! capacities erased) and submits the classes to the
 //! [`hcrf_engine::Engine`] as *two-level* tasks — each class decomposes
-//! into one task per loop, so idle workers steal loops from a slow class
-//! (the paper's large-II S128 sweeps) instead of serializing behind it.
+//! into one task per loop, and workers take the loops of every class from
+//! one shared cursor, so a slow class (the paper's large-II S128 sweeps)
+//! does not serialize the sweep behind it.
 //!
 //! A class's loop task walks its points largest capacity first. Each point
 //! is served by an earlier point's schedule whose
@@ -234,12 +235,11 @@ pub fn explore_traced(
         }
     }
 
-    // Evaluate the misses on the work-stealing engine: every scheduling
-    // class is a task group whose inner tasks are the suite's loops, each
-    // class's points are persisted to the cache on this thread as they land
-    // (before any worker panic would propagate), and the per-point folds run
-    // over index-ordered loop results so aggregates are
-    // thread-count-invariant.
+    // Evaluate the misses on the engine: every scheduling class is a task
+    // group whose inner tasks are the suite's loops, each class's points are
+    // persisted to the cache on this thread as they land (before any worker
+    // panic would propagate), and the per-point folds run over index-ordered
+    // loop results so aggregates are thread-count-invariant.
     let params = run_options.scheduler_params();
     let schedulers: Vec<IterativeScheduler> = pending
         .iter()

@@ -1,4 +1,4 @@
-//! The work-stealing engine must be thread-count-invisible: suite runs and
+//! The execution engine must be thread-count-invisible: suite runs and
 //! exploration sweeps produce bit-identical results for any worker count.
 //!
 //! The engine's deterministic reduction contract (results land in
@@ -128,9 +128,10 @@ fn suite_runs_bit_identical_across_thread_counts_wide_suite() {
     );
 }
 
-/// The two-level decomposition (points into loop tasks, stealing across
-/// both) must leave every `PointResult` invariant: only the timing fields
-/// may depend on how work was distributed.
+/// The two-level decomposition (points into loop tasks, taken by any
+/// worker from one shared cursor) must leave every `PointResult`
+/// invariant: only the timing fields may depend on how work was
+/// distributed.
 #[test]
 fn explore_points_invariant_across_thread_counts() {
     let suite = small_suite(4);
