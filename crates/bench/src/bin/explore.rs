@@ -23,13 +23,12 @@
 //! `--retries N` switches the engine to the isolate failure policy: a
 //! panicking loop task is retried up to N times, then its design point is
 //! quarantined (reported in the failure manifest) instead of aborting the
-//! sweep. `--fsck` scans the result store without modifying it and exits
-//! nonzero if any segment holds torn or corrupt bytes; `--compact` rewrites
-//! the store to exactly its live records.
+//! sweep. `--fsck` scans the result store's segment (`results.seg`) without
+//! modifying it and exits nonzero if it holds torn or corrupt bytes;
+//! `--compact` rewrites the segment to exactly its live records.
 
 use hcrf_engine::FailurePolicy;
 use hcrf_explore::prelude::*;
-use hcrf_explore::ResultStore;
 use hcrf_telemetry::DEFAULT_TRACE_CAPACITY;
 use hcrf_workloads::{suite::suite, SuiteParams};
 use std::path::PathBuf;
@@ -185,15 +184,14 @@ fn write_report(path: &PathBuf, contents: String, what: &str) {
     }
 }
 
-/// `explore --fsck`: read-only store integrity scan. Exit 0 when every
+/// `explore --fsck`: read-only store integrity scan. Exit 0 when the
 /// segment is clean, 1 when torn or corrupt bytes are present.
 fn run_fsck(dir: &PathBuf) -> ! {
-    match ResultStore::fsck(dir) {
+    match ResultCache::fsck(dir) {
         Ok(report) => {
             println!(
-                "fsck {}: {} shard file(s), {} record(s), {} live key(s)",
+                "fsck {}: {} record(s), {} live key(s)",
                 dir.display(),
-                report.shards,
                 report.records,
                 report.live_keys,
             );
@@ -226,10 +224,10 @@ fn run_compact(dir: &PathBuf, verbosity: Verbosity) -> ! {
     let telemetry = Telemetry::reporter(verbosity);
     match ResultCache::open_traced(dir, &telemetry) {
         Ok(mut cache) => {
-            let before = ResultStore::fsck(dir).map(|r| r.records).unwrap_or(0);
+            let before = ResultCache::fsck(dir).map(|r| r.records).unwrap_or(0);
             match cache.compact() {
                 Ok(()) => {
-                    let after = ResultStore::fsck(dir).map(|r| r.records).unwrap_or(0);
+                    let after = ResultCache::fsck(dir).map(|r| r.records).unwrap_or(0);
                     println!(
                         "compacted {}: {} record(s) -> {} live record(s)",
                         dir.display(),

@@ -407,6 +407,14 @@ mod tests {
     }
 
     #[test]
+    fn from_rf_schedules_with_the_evaluated_latencies() {
+        let c = ConfiguredMachine::from_rf(RfOrganization::parse("4C32S16").unwrap());
+        assert_eq!(c.machine.latencies, c.hardware.latencies);
+        // Table 5: FU latency 7 cycles for this configuration.
+        assert_eq!(c.machine.latencies.fadd, 7);
+    }
+
+    #[test]
     fn run_small_suite_monolithic() {
         let loops = small_suite(0);
         let cfg = ConfiguredMachine::from_name("S128").unwrap();

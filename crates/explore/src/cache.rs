@@ -1,4 +1,4 @@
-//! Content-addressed cache of suite-run results.
+//! Content-addressed keys and payloads of suite-run results.
 //!
 //! A design-space sweep evaluates the same (machine, workload, scheduler,
 //! scenario) points over and over — across reruns, across incremental sweeps
@@ -12,25 +12,18 @@
 //! * the scheduler parameters actually in effect, and
 //! * the scenario (ideal / real memory) with its simulation depth,
 //!
-//! plus a format version. Persistence lives in the crash-safe sharded
-//! [`ResultStore`] (`store.rs`): append-only checksummed segment files with
-//! a recovery scan on open, so a torn or corrupted entry degrades into a
-//! miss (a re-run), never a wrong result. Every record embeds the full key
-//! components, verified on lookup, so a digest collision misses too.
-//! [`ResultCache`] is the thin session facade the executor talks to: it
-//! owns the hit/miss/store counters and the telemetry wiring.
+//! plus a format version. [`crate::store::ResultCache`] persists them in one
+//! crash-safe, append-only checksummed segment with a recovery scan on open,
+//! so a torn or corrupted entry degrades into a miss (a re-run), never a
+//! wrong result. Every record embeds the full key components, verified on
+//! lookup, so a digest collision misses too.
 
 use crate::json::Json;
-use crate::store::ResultStore;
-use hcrf_engine::FaultPlan;
 use hcrf_machine::stable::StableHasher;
 use hcrf_machine::MachineConfig;
 use hcrf_perf::SuiteAggregate;
 use hcrf_sched::SchedulerParams;
-use hcrf_telemetry::Telemetry;
 use std::fmt;
-use std::io;
-use std::path::Path;
 use std::str::FromStr;
 
 /// Bump when the entry layout, any hashed encoding, *or the behavior of the
@@ -231,18 +224,22 @@ impl CachedResult {
     }
 }
 
-/// Hit/miss counters of one cache session.
+/// Counters of one cache session: recovery, lookups and appends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from disk.
     pub hits: u64,
     /// Lookups that required evaluation.
     pub misses: u64,
-    /// Entries written.
+    /// Records appended.
     pub stores: u64,
     /// Corrupt entries found (and quarantined) when the session opened —
     /// distinguishable from a cold cache, which reports zero here.
     pub corrupt: u64,
+    /// Valid records the recovery scan accepted (duplicates included).
+    pub recovered: u64,
+    /// Bytes of torn tail the recovery scan truncated.
+    pub torn_bytes: u64,
 }
 
 impl CacheStats {
@@ -264,109 +261,16 @@ impl CacheStats {
             misses: self.misses - earlier.misses,
             stores: self.stores - earlier.stores,
             corrupt: self.corrupt - earlier.corrupt,
+            recovered: self.recovered - earlier.recovered,
+            torn_bytes: self.torn_bytes - earlier.torn_bytes,
         }
-    }
-}
-
-/// One session over the content-addressed result store: the facade the
-/// executor talks to. Persistence (sharding, recovery, compaction) lives in
-/// [`ResultStore`]; this type owns the session counters and telemetry.
-#[derive(Debug)]
-pub struct ResultCache {
-    store: Option<ResultStore>,
-    stats: CacheStats,
-    telemetry: Telemetry,
-}
-
-impl ResultCache {
-    /// Cache rooted at `dir` (created if missing). Opening runs the store's
-    /// recovery scan.
-    pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_traced(dir, &Telemetry::disabled())
-    }
-
-    /// [`ResultCache::open`] with a telemetry sink: recovery publishes
-    /// `explore.store.*` counters, corrupt entries land in
-    /// `explore.cache.corrupt`, and warnings name the damaged files.
-    pub fn open_traced(dir: impl AsRef<Path>, telemetry: &Telemetry) -> io::Result<Self> {
-        let store = ResultStore::open(dir, telemetry)?;
-        let corrupt = store.counters().corrupt;
-        if corrupt > 0 {
-            telemetry.counter_add("explore.cache.corrupt", corrupt);
-        }
-        Ok(ResultCache {
-            store: Some(store),
-            stats: CacheStats {
-                corrupt,
-                ..CacheStats::default()
-            },
-            telemetry: telemetry.clone(),
-        })
-    }
-
-    /// A disabled cache: every lookup misses, stores are dropped.
-    pub fn disabled() -> Self {
-        ResultCache {
-            store: None,
-            stats: CacheStats::default(),
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Inject deterministic store faults (write truncation, record
-    /// corruption). Test/drill seam; a disabled cache ignores the plan.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.store = self.store.map(|s| s.with_fault_plan(plan));
-        self
-    }
-
-    /// Whether the cache persists anything.
-    pub fn is_enabled(&self) -> bool {
-        self.store.is_some()
-    }
-
-    /// Session counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Look `key` up; quarantined, mismatched or missing entries are misses.
-    pub fn lookup(&mut self, key: &CacheKey) -> Option<CachedResult> {
-        match self.store.as_ref().and_then(|s| s.lookup(key)) {
-            Some(result) => {
-                self.stats.hits += 1;
-                Some(result.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Persist `result` under `key` (a durable checksummed append).
-    pub fn store(&mut self, key: &CacheKey, result: &CachedResult) -> io::Result<()> {
-        let Some(store) = self.store.as_mut() else {
-            return Ok(());
-        };
-        store.store(key, result)?;
-        self.stats.stores += 1;
-        Ok(())
-    }
-
-    /// Fold duplicate and quarantined records out of the underlying store.
-    pub fn compact(&mut self) -> io::Result<()> {
-        if let Some(store) = self.store.as_mut() {
-            store.compact()?;
-            self.telemetry.debug("explore store: compacted");
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ResultCache;
     use hcrf_machine::RfOrganization;
     use std::path::PathBuf;
 

@@ -24,7 +24,8 @@
 //! making every [`PointResult`]'s aggregate bit-identical for any thread
 //! count.
 
-use crate::cache::{CacheKey, CacheStats, CachedResult, ResultCache, Scenario};
+use crate::cache::{CacheKey, CacheStats, CachedResult, Scenario};
+use crate::store::ResultCache;
 use hcrf::driver::{
     fold_aggregate, measure_loop_traced, suite_fingerprint, ConfiguredMachine, RunOptions,
 };
@@ -84,18 +85,17 @@ impl ExploreOptions {
     /// the `threads` field here is fixed at 1 — parallelism is owned by the
     /// sweep-level [`Engine`], not by nested suite runs.
     pub fn run_options(&self) -> RunOptions {
-        let mut options = RunOptions {
+        let options = RunOptions {
             scheduler: self.scheduler,
             real_memory: false,
             max_simulated_iterations: self.max_simulated_iterations,
             threads: 1,
             failure: self.failure,
         };
-        if matches!(self.scenario, Scenario::Real) {
-            options.real_memory = true;
-            options.scheduler.binding_prefetch = true;
+        match self.scenario {
+            Scenario::Ideal => options,
+            Scenario::Real => options.with_real_memory(),
         }
-        options
     }
 }
 
@@ -531,6 +531,55 @@ mod tests {
         assert_eq!(third.cache.hits, 3);
         assert_eq!(third.cache.misses, 0);
         assert!((third.cache.hit_rate() - 1.0).abs() < 1e-12);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `run_options` takes the real-memory rule from
+    /// `RunOptions::with_real_memory`. Every default-space key must stay
+    /// what the hand-written rule (`binding_prefetch` on, `keep_schedule`
+    /// untouched) produced, or existing stores would stop hitting.
+    #[test]
+    fn run_options_keep_every_default_space_key() {
+        for scenario in [Scenario::Ideal, Scenario::Real] {
+            let options = ExploreOptions {
+                scenario,
+                ..Default::default()
+            };
+            let run = options.run_options();
+            assert_eq!(run.real_memory, scenario == Scenario::Real);
+            let mut by_hand = options.scheduler;
+            by_hand.binding_prefetch |= scenario == Scenario::Real;
+            for rf in DesignSpace::default().enumerate() {
+                let machine = ConfiguredMachine::from_rf(rf).machine;
+                let key = |params: &SchedulerParams| {
+                    CacheKey::for_run(&machine, 7, params, scenario, 64).digest()
+                };
+                assert_eq!(key(&run.scheduler), key(&by_hand), "{rf} {scenario}");
+            }
+        }
+    }
+
+    #[test]
+    fn cold_sweep_and_compaction_leave_only_the_segment() {
+        let dir =
+            std::env::temp_dir().join(format!("hcrf-explore-layout-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let orgs = tiny_space();
+        let mut cache = ResultCache::open(&dir).unwrap();
+        let cold = explore(
+            &orgs,
+            &small_suite(0),
+            &ExploreOptions::default(),
+            &mut cache,
+        );
+        assert_eq!(cold.cache.stores, orgs.len() as u64);
+        cache.compact().unwrap();
+        drop(cache);
+        let files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(files, ["results.seg"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,16 +7,18 @@
 //! * [`space`] — a **design-space generator**: enumerate every realizable
 //!   organization from declarative constraints (cluster counts, bank sizes,
 //!   register and port budgets) instead of a hard-coded list;
-//! * [`cache`] — a **content-addressed result cache**: suite aggregates keyed
-//!   by a stable hash of (machine config, suite fingerprint, scheduler
-//!   params, scenario) and persisted as JSON, so re-runs and incremental
-//!   sweeps are near-free;
+//! * [`cache`] — **content-addressed keys**: suite aggregates keyed by a
+//!   stable hash of (machine config, suite fingerprint, scheduler params,
+//!   scenario);
+//! * [`store`] — the **result store**, [`ResultCache`]: one crash-safe,
+//!   append-only segment of checksummed records, so re-runs and
+//!   incremental sweeps are near-free;
 //! * [`executor`] — an **exploration executor** that shards uncached points
 //!   across worker threads (reusing `hcrf::run_suite`) and streams progress;
 //! * [`report`] — **Pareto analysis**: frontier extraction over (execution
 //!   time, area, clock, memory traffic) with table / CSV / JSON emitters.
 //!
-//! The `explore` binary in `hcrf-bench` wraps the four into a CLI:
+//! The `explore` binary in `hcrf-bench` wraps them into a CLI:
 //!
 //! ```text
 //! cargo run --release --bin explore -- \
@@ -55,21 +57,22 @@ pub mod report;
 pub mod space;
 pub mod store;
 
-pub use cache::{CacheKey, CacheStats, CachedResult, ResultCache, Scenario, CACHE_FORMAT_VERSION};
+pub use cache::{CacheKey, CacheStats, CachedResult, Scenario, CACHE_FORMAT_VERSION};
 pub use executor::{
     explore, explore_traced, ExploreOptions, ExploreOutcome, PointResult, QuarantinedPoint,
 };
 pub use report::{build_report, RankedPoint, Report};
 pub use space::DesignSpace;
-pub use store::{FsckReport, ResultStore, StoreCounters};
+pub use store::{FsckReport, ResultCache};
 
 /// Convenience re-exports for downstream users.
 pub mod prelude {
-    pub use crate::cache::{CacheKey, CacheStats, ResultCache, Scenario};
+    pub use crate::cache::{CacheKey, CacheStats, Scenario};
     pub use crate::executor::{
         explore, explore_traced, ExploreOptions, ExploreOutcome, PointResult,
     };
     pub use crate::report::{build_report, Report};
     pub use crate::space::DesignSpace;
+    pub use crate::store::ResultCache;
     pub use hcrf_telemetry::{Telemetry, Verbosity};
 }

@@ -1,12 +1,11 @@
-//! Crash-safe sharded persistence of explore results.
+//! The crash-safe result store: one append-only segment file.
 //!
-//! The [`ResultStore`] replaces the one-JSON-file-per-point cache layout
-//! with 16 append-only segment files (shard = top digest nibble) under the
-//! cache directory:
+//! [`ResultCache`] persists `CacheKey -> CachedResult` records in two files
+//! under the cache directory:
 //!
 //! ```text
-//! <dir>/shard-00.seg .. shard-0f.seg   framed records, append-only
-//! <dir>/quarantine/shard-XX.bad        checksum-failed bytes, for autopsy
+//! <dir>/results.seg   framed records, append-only
+//! <dir>/results.bad   checksum-failed bytes, for autopsy
 //! ```
 //!
 //! Each record is framed as
@@ -22,38 +21,37 @@
 //! payload is pure-ASCII JSON — the magic can never occur inside a record
 //! body, which is what makes resynchronization after corruption exact.
 //!
-//! **Recovery.** Opening the store scans every shard: a record that extends
+//! **Recovery.** Opening the store scans the segment: a record that extends
 //! past the end of the file with no later magic is a *torn tail* (a crash
 //! mid-append) and is truncated away; a record whose checksum fails — or
 //! stray bytes where a header should be — is *quarantined*: the damaged
 //! byte range moves to the sidecar, the scan resynchronizes at the next
-//! magic, and the shard is rewritten with only the surviving records so the
-//! damage is counted once, not on every reopen. Either way the store never
-//! serves a record whose checksum does not match: corruption degrades into
-//! a re-evaluation, never a wrong result.
+//! magic, and the segment is rewritten with only the surviving records so
+//! the damage is counted once, not on every reopen. Either way the store
+//! never serves a record whose checksum does not match: corruption degrades
+//! into a re-evaluation, never a wrong result. A directory without
+//! `results.seg` (a cold cache, or one written in another layout) opens
+//! empty: every lookup misses and re-runs.
 //!
 //! **Writes** go through a single `write_all` on an `O_APPEND` handle
 //! followed by `sync_data`, so concurrent stores (same process or not)
 //! interleave whole records, never bytes, and a `kill -9` leaves at most
 //! one torn tail. Duplicate appends of one digest are resolved
 //! last-write-wins by the in-memory index and folded away by
-//! [`ResultStore::compact`]. Shard rewrites (recovery, compaction) go
-//! through a tmp file renamed over the shard; a tmp file a crash leaves
+//! [`ResultCache::compact`]. Segment rewrites (recovery, compaction) go
+//! through a tmp file renamed over the segment; a tmp file a crash leaves
 //! behind is never live data and is deleted on the next open.
 
-use crate::cache::{CacheKey, CachedResult};
+use crate::cache::{CacheKey, CacheStats, CachedResult};
 use crate::json::Json;
 use hcrf_engine::FaultPlan;
 use hcrf_machine::stable::StableHasher;
 use hcrf_telemetry::Telemetry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Number of segment files; a record lands in shard `digest >> 60`.
-pub const SHARDS: usize = 16;
 
 /// Record magic. Every byte is `>= 0x80` so the sequence cannot occur in a
 /// pure-ASCII JSON payload — resync-by-magic-scan has no false positives.
@@ -66,22 +64,15 @@ pub const RECORD_HEADER: usize = 4 + 4 + 8 + 8;
 /// a longer claimed length is treated as corruption, not an allocation.
 const MAX_PAYLOAD: u32 = 1 << 20;
 
+/// The segment every record is appended to.
+const SEGMENT: &str = "results.seg";
+
+/// The quarantine sidecar damaged bytes move to.
+const SIDECAR: &str = "results.bad";
+
 /// Distinguishes rewrite/compaction tmp files of concurrent stores in one
-/// process — `process::id()` alone collides there (the bug this store's
-/// predecessor had in `ResultCache::store`).
+/// process — `process::id()` alone collides there.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn shard_of(digest: u64) -> usize {
-    (digest >> 60) as usize
-}
-
-fn shard_file(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard:02x}.seg"))
-}
-
-fn quarantine_dir(dir: &Path) -> PathBuf {
-    dir.join("quarantine")
-}
 
 fn record_checksum(digest: u64, payload: &[u8]) -> u64 {
     let mut h = StableHasher::new();
@@ -108,27 +99,18 @@ fn next_magic(bytes: &[u8], from: usize) -> Option<usize> {
     (from..bytes.len() - 3).find(|&i| bytes[i..i + 4] == RECORD_MAGIC)
 }
 
-/// Operation counters of one store session (recovery + runtime).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreCounters {
-    /// Valid records accepted by the recovery scan.
-    pub recovered: u64,
-    /// Live keys in the index (last-write-wins over `recovered`).
-    pub live_keys: u64,
-    /// Checksum-failed or unparseable records quarantined to the sidecar.
-    pub corrupt: u64,
-    /// Bytes of torn tail truncated by recovery.
-    pub torn_bytes: u64,
-    /// Records appended this session.
-    pub appends: u64,
+/// The segment's bytes; a missing segment reads as empty.
+fn read_segment(path: &Path) -> io::Result<Vec<u8>> {
+    match std::fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
+    }
 }
 
 /// Read-only integrity report of a store directory (`explore --fsck`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FsckReport {
-    /// Segment files present.
-    pub shards: usize,
-    /// Valid records across all segments (duplicates included).
+    /// Valid records in the segment (duplicates included).
     pub records: u64,
     /// Distinct live keys after last-write-wins.
     pub live_keys: u64,
@@ -141,15 +123,15 @@ pub struct FsckReport {
 }
 
 impl FsckReport {
-    /// Whether every segment is clean (an existing quarantine sidecar is
-    /// not damage — it is already isolated).
+    /// Whether the segment is clean (an existing quarantine sidecar is not
+    /// damage — it is already isolated).
     pub fn is_clean(&self) -> bool {
         self.corrupt_records == 0 && self.torn_bytes == 0
     }
 }
 
-/// What a recovery scan found in one shard's bytes.
-struct ShardScan {
+/// What a recovery scan found in the segment's bytes.
+struct Scan {
     /// Byte ranges of valid records, in file order.
     good: Vec<(usize, usize)>,
     /// Byte ranges that failed validation (checksum, framing, stray bytes).
@@ -158,11 +140,11 @@ struct ShardScan {
     torn: usize,
 }
 
-/// Scan a shard's bytes: accept framed records with valid checksums,
+/// Scan the segment's bytes: accept framed records with valid checksums,
 /// resynchronize at the next magic after damage, and classify a record
 /// running past the end with nothing after it as a torn tail.
-fn scan_shard(bytes: &[u8]) -> ShardScan {
-    let mut scan = ShardScan {
+fn scan_segment(bytes: &[u8]) -> Scan {
+    let mut scan = Scan {
         good: Vec::new(),
         bad: Vec::new(),
         torn: 0,
@@ -224,58 +206,76 @@ fn scan_shard(bytes: &[u8]) -> ShardScan {
     scan
 }
 
-/// Crash-safe sharded store of `CacheKey -> CachedResult` records. See the
-/// module docs for the on-disk format and recovery semantics.
+/// One session over the content-addressed result store: the executor's
+/// lookups and appends, the in-memory index, the session counters and the
+/// telemetry wiring. See the module docs for the on-disk format and the
+/// recovery semantics.
 #[derive(Debug)]
-pub struct ResultStore {
-    dir: PathBuf,
-    /// Lazily opened `O_APPEND` handles, one per shard.
-    appenders: Vec<Option<File>>,
+pub struct ResultCache {
+    /// The store directory; `None` for a disabled cache.
+    dir: Option<PathBuf>,
+    /// `O_APPEND` handle on the segment, opened by the first append.
+    appender: Option<File>,
     index: HashMap<u64, (CacheKey, CachedResult)>,
-    counters: StoreCounters,
+    stats: CacheStats,
     fault_plan: Option<FaultPlan>,
     telemetry: Telemetry,
 }
 
-impl ResultStore {
-    /// Open (creating if missing) the store at `dir`: run the recovery scan
-    /// over every shard, rebuild the in-memory index, and delete tmp files
-    /// left behind by an interrupted shard rewrite.
-    pub fn open(dir: impl AsRef<Path>, telemetry: &Telemetry) -> io::Result<Self> {
+impl ResultCache {
+    /// Cache rooted at `dir` (created if missing). Opening runs the
+    /// recovery scan.
+    pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
+        Self::open_traced(dir, &Telemetry::disabled())
+    }
+
+    /// [`ResultCache::open`] with a telemetry sink: recovery publishes the
+    /// `explore.store.{recovered,corrupt,torn_bytes}` counters, and
+    /// warnings name the damaged offsets.
+    pub fn open_traced(dir: impl AsRef<Path>, telemetry: &Telemetry) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let mut store = ResultStore {
-            dir,
-            appenders: (0..SHARDS).map(|_| None).collect(),
-            index: HashMap::new(),
-            counters: StoreCounters::default(),
-            fault_plan: None,
+        let mut cache = ResultCache {
+            dir: Some(dir.clone()),
             telemetry: telemetry.clone(),
+            ..Self::disabled()
         };
-        for shard in 0..SHARDS {
-            store.recover_shard(shard)?;
+        cache.recover(&dir)?;
+        sweep_tmp_droppings(&dir)?;
+        let s = cache.stats;
+        telemetry.counter_add("explore.store.recovered", s.recovered);
+        telemetry.counter_add("explore.store.corrupt", s.corrupt);
+        telemetry.counter_add("explore.store.torn_bytes", s.torn_bytes);
+        Ok(cache)
+    }
+
+    /// A disabled cache: every lookup misses, stores are dropped.
+    pub fn disabled() -> Self {
+        ResultCache {
+            dir: None,
+            appender: None,
+            index: HashMap::new(),
+            stats: CacheStats::default(),
+            fault_plan: None,
+            telemetry: Telemetry::disabled(),
         }
-        store.sweep_tmp_droppings()?;
-        store.counters.live_keys = store.index.len() as u64;
-        store.publish_open_counters();
-        Ok(store)
     }
 
     /// Inject deterministic store faults (write truncation, record
-    /// corruption) according to `plan`. Test/drill seam.
+    /// corruption). Test/drill seam; a disabled cache ignores the plan.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// Whether the cache persists anything.
+    pub fn is_enabled(&self) -> bool {
+        self.dir.is_some()
     }
 
-    /// Session counters (recovery + runtime).
-    pub fn counters(&self) -> StoreCounters {
-        self.counters
+    /// Session counters (recovery + lookups + appends).
+    pub fn stats(&self) -> CacheStats {
+        self.stats
     }
 
     /// Number of live keys.
@@ -288,36 +288,46 @@ impl ResultStore {
         self.index.is_empty()
     }
 
-    /// Serve `key` from the in-memory index. The embedded key is compared in
-    /// full, so a digest collision is a miss, never a wrong result.
-    pub fn lookup(&self, key: &CacheKey) -> Option<&CachedResult> {
-        let (stored_key, result) = self.index.get(&key.digest())?;
-        (stored_key == key).then_some(result)
+    /// Look `key` up in the in-memory index. The embedded key is compared
+    /// in full, so a digest collision is a miss, never a wrong result;
+    /// quarantined and missing entries are misses too.
+    pub fn lookup(&mut self, key: &CacheKey) -> Option<CachedResult> {
+        let found = match self.index.get(&key.digest()) {
+            Some((stored, result)) if stored == key => Some(result.clone()),
+            _ => None,
+        };
+        if found.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+        found
     }
 
-    /// Append `result` under `key` and update the index (last write wins).
+    /// Persist `result` under `key` (a durable checksummed append) and
+    /// update the index (last write wins).
     pub fn store(&mut self, key: &CacheKey, result: &CachedResult) -> io::Result<()> {
+        let Some(dir) = &self.dir else {
+            return Ok(());
+        };
         let digest = key.digest();
         let payload = result.to_json(key).to_compact().into_bytes();
         let mut record = frame_record(digest, &payload);
-        let plan = self.fault_plan;
-        let shard = shard_of(digest);
-        if self.appenders[shard].is_none() {
-            self.appenders[shard] = Some(
+        if self.appender.is_none() {
+            self.appender = Some(
                 OpenOptions::new()
                     .create(true)
                     .append(true)
-                    .open(shard_file(&self.dir, shard))?,
+                    .open(dir.join(SEGMENT))?,
             );
         }
-        let file = self.appenders[shard]
-            .as_mut()
-            .expect("appender just opened");
-        if let Some(plan) = plan {
+        let file = self.appender.as_mut().expect("appender just opened");
+        if let Some(plan) = self.fault_plan {
             if plan.truncates_write(digest) {
                 // Simulated kill -9 mid-append: half the record reaches the
                 // disk, the caller sees the write fail. Recovery truncates
-                // the torn tail on next open.
+                // a torn tail, or quarantines the half record once later
+                // appends land behind it.
                 let cut = RECORD_HEADER + payload.len() / 2;
                 file.write_all(&record[..cut])?;
                 file.sync_data()?;
@@ -341,42 +351,39 @@ impl ResultStore {
         }
         file.write_all(&record)?;
         file.sync_data()?;
-        self.counters.appends += 1;
+        self.stats.stores += 1;
         self.telemetry.counter_add("explore.store.appends", 1);
         self.index.insert(digest, (*key, result.clone()));
-        self.counters.live_keys = self.index.len() as u64;
         Ok(())
     }
 
-    /// Rewrite every shard with exactly the live records (duplicates and
-    /// quarantined damage fold away), sorted by digest. Atomic per shard:
-    /// tmp file + rename, with a process-and-sequence-unique tmp name.
+    /// Rewrite the segment with exactly the live records (duplicates and
+    /// quarantined damage fold away), sorted by digest. Atomic: tmp file +
+    /// rename, with a process-and-sequence-unique tmp name.
     pub fn compact(&mut self) -> io::Result<()> {
-        let mut by_shard: Vec<Vec<u64>> = (0..SHARDS).map(|_| Vec::new()).collect();
-        for &digest in self.index.keys() {
-            by_shard[shard_of(digest)].push(digest);
+        let Some(dir) = &self.dir else {
+            return Ok(());
+        };
+        let mut digests: Vec<u64> = self.index.keys().copied().collect();
+        digests.sort_unstable();
+        let mut bytes = Vec::new();
+        for digest in digests {
+            let (key, result) = &self.index[&digest];
+            let payload = result.to_json(key).to_compact().into_bytes();
+            bytes.extend_from_slice(&frame_record(digest, &payload));
         }
-        for (shard, mut digests) in by_shard.into_iter().enumerate() {
-            digests.sort_unstable();
-            let mut bytes = Vec::new();
-            for digest in digests {
-                let (key, result) = &self.index[&digest];
-                let payload = result.to_json(key).to_compact().into_bytes();
-                bytes.extend_from_slice(&frame_record(digest, &payload));
+        // Drop the append handle before replacing the file: a handle kept
+        // across the rename would keep appending to the unlinked inode.
+        self.appender = None;
+        let path = dir.join(SEGMENT);
+        if bytes.is_empty() {
+            if path.exists() {
+                std::fs::remove_file(&path)?;
             }
-            // Drop the old append handle before replacing the file: a
-            // handle kept across the rename would keep appending to the
-            // unlinked inode.
-            self.appenders[shard] = None;
-            let path = shard_file(&self.dir, shard);
-            if bytes.is_empty() {
-                if path.exists() {
-                    std::fs::remove_file(&path)?;
-                }
-                continue;
-            }
-            self.rewrite_atomic(&path, &bytes)?;
+        } else {
+            rewrite_atomic(&path, &bytes)?;
         }
+        self.telemetry.debug("explore store: compacted");
         Ok(())
     }
 
@@ -384,51 +391,32 @@ impl ResultStore {
     /// quarantine. Safe to run concurrently with readers.
     pub fn fsck(dir: impl AsRef<Path>) -> io::Result<FsckReport> {
         let dir = dir.as_ref();
-        let mut report = FsckReport::default();
-        let mut live: HashMap<u64, ()> = HashMap::new();
-        for shard in 0..SHARDS {
-            let path = shard_file(dir, shard);
-            let Ok(bytes) = std::fs::read(&path) else {
-                continue;
-            };
-            report.shards += 1;
-            let scan = scan_shard(&bytes);
-            report.records += scan.good.len() as u64;
-            report.corrupt_records += scan.bad.len() as u64;
-            report.torn_bytes += scan.torn as u64;
-            for &(start, _) in &scan.good {
-                let digest = u64::from_le_bytes(bytes[start + 8..start + 16].try_into().unwrap());
-                live.insert(digest, ());
-            }
-        }
-        report.live_keys = live.len() as u64;
-        if let Ok(entries) = std::fs::read_dir(quarantine_dir(dir)) {
-            for entry in entries.flatten() {
-                if let Ok(meta) = entry.metadata() {
-                    report.quarantined_bytes += meta.len();
-                }
-            }
-        }
-        Ok(report)
+        let bytes = read_segment(&dir.join(SEGMENT))?;
+        let scan = scan_segment(&bytes);
+        let live: HashSet<&[u8]> = scan
+            .good
+            .iter()
+            .map(|&(start, _)| &bytes[start + 8..start + 16])
+            .collect();
+        Ok(FsckReport {
+            records: scan.good.len() as u64,
+            live_keys: live.len() as u64,
+            corrupt_records: scan.bad.len() as u64,
+            torn_bytes: scan.torn as u64,
+            quarantined_bytes: std::fs::metadata(dir.join(SIDECAR)).map_or(0, |m| m.len()),
+        })
     }
 
-    /// Recover one shard: scan, index the valid records (last write wins in
-    /// file order), quarantine damage, truncate torn tails. Any anomaly
-    /// rewrites the shard with only the surviving records so the damage is
-    /// counted once, not on every reopen.
-    fn recover_shard(&mut self, shard: usize) -> io::Result<()> {
-        let path = shard_file(&self.dir, shard);
-        let mut bytes = Vec::new();
-        match File::open(&path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes)?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        }
-        let scan = scan_shard(&bytes);
+    /// Recover the segment: scan, index the valid records (last write wins
+    /// in file order), quarantine damage, truncate a torn tail. Any anomaly
+    /// rewrites the segment with only the surviving records so the damage
+    /// is counted once, not on every reopen.
+    fn recover(&mut self, dir: &Path) -> io::Result<()> {
+        let path = dir.join(SEGMENT);
+        let bytes = read_segment(&path)?;
+        let scan = scan_segment(&bytes);
         for &(start, end) in &scan.good {
-            self.counters.recovered += 1;
+            self.stats.recovered += 1;
             let payload = &bytes[start + RECORD_HEADER..end];
             // The checksum already passed; a payload that still fails to
             // parse (impossible unless the writer was broken) is dropped
@@ -445,18 +433,16 @@ impl ResultStore {
         if scan.bad.is_empty() && scan.torn == 0 {
             return Ok(());
         }
-        // Quarantine the damaged ranges, then rewrite the shard with only
+        // Quarantine the damaged ranges, then rewrite the segment with only
         // the surviving records (atomic tmp + rename).
         if !scan.bad.is_empty() {
-            let qdir = quarantine_dir(&self.dir);
-            std::fs::create_dir_all(&qdir)?;
             let mut sidecar = OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(qdir.join(format!("shard-{shard:02x}.bad")))?;
+                .open(dir.join(SIDECAR))?;
             for &(start, end) in &scan.bad {
                 sidecar.write_all(&bytes[start..end])?;
-                self.counters.corrupt += 1;
+                self.stats.corrupt += 1;
                 self.telemetry.warn(format!(
                     "explore store: quarantined {} corrupt byte(s) from {} (offset {start})",
                     end - start,
@@ -466,7 +452,7 @@ impl ResultStore {
             sidecar.sync_data()?;
         }
         if scan.torn > 0 {
-            self.counters.torn_bytes += scan.torn as u64;
+            self.stats.torn_bytes += scan.torn as u64;
             self.telemetry.debug(format!(
                 "explore store: truncated {} torn byte(s) from {}",
                 scan.torn,
@@ -478,53 +464,38 @@ impl ResultStore {
             survivors.extend_from_slice(&bytes[start..end]);
         }
         if survivors.is_empty() {
-            std::fs::remove_file(&path)?;
+            std::fs::remove_file(&path)
         } else {
-            self.rewrite_atomic(&path, &survivors)?;
+            rewrite_atomic(&path, &survivors)
         }
-        Ok(())
     }
+}
 
-    /// Delete `.tmp.` files an interrupted [`ResultStore::rewrite_atomic`]
-    /// left behind: the rename never happened, so they are not live data.
-    fn sweep_tmp_droppings(&self) -> io::Result<()> {
-        for entry in std::fs::read_dir(&self.dir)?.flatten() {
-            if entry.file_name().to_string_lossy().contains(".tmp.") {
-                let _ = std::fs::remove_file(entry.path());
-            }
+/// Delete `.tmp.` files an interrupted [`rewrite_atomic`] left behind: the
+/// rename never happened, so they are not live data.
+fn sweep_tmp_droppings(dir: &Path) -> io::Result<()> {
+    for entry in std::fs::read_dir(dir)?.flatten() {
+        if entry.file_name().to_string_lossy().contains(".tmp.") {
+            let _ = std::fs::remove_file(entry.path());
         }
-        Ok(())
     }
+    Ok(())
+}
 
-    /// Replace `path` with `bytes` atomically. The tmp name carries the
-    /// process id *and* a process-global sequence number: two stores
-    /// rewriting in one process must never share a tmp file.
-    fn rewrite_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-        drop(f);
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    fn publish_open_counters(&self) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let c = self.counters;
-        self.telemetry
-            .counter_add("explore.store.recovered", c.recovered);
-        self.telemetry
-            .counter_add("explore.store.corrupt", c.corrupt);
-        self.telemetry
-            .counter_add("explore.store.torn_bytes", c.torn_bytes);
-    }
+/// Replace `path` with `bytes` atomically. The tmp name carries the process
+/// id *and* a process-global sequence number: two stores rewriting in one
+/// process must never share a tmp file.
+fn rewrite_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = path.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_data()?;
+    drop(f);
+    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
@@ -534,7 +505,6 @@ mod tests {
     use hcrf_machine::{MachineConfig, RfOrganization};
     use hcrf_perf::SuiteAggregate;
     use hcrf_sched::SchedulerParams;
-    use std::path::PathBuf;
 
     fn key_for(config: &str, suite: u64) -> CacheKey {
         CacheKey::for_run(
@@ -578,41 +548,39 @@ mod tests {
     #[test]
     fn store_lookup_survives_reopen() {
         let dir = temp_dir("reopen");
-        let telemetry = Telemetry::disabled();
         let key = key_for("4C32S16", 7);
         let result = result_for("4C32S16", 42);
         {
-            let mut store = ResultStore::open(&dir, &telemetry).unwrap();
+            let mut store = ResultCache::open(&dir).unwrap();
             assert!(store.lookup(&key).is_none());
             store.store(&key, &result).unwrap();
-            assert_eq!(store.lookup(&key), Some(&result));
+            assert_eq!(store.lookup(&key), Some(result.clone()));
         }
-        let store = ResultStore::open(&dir, &telemetry).unwrap();
-        assert_eq!(store.lookup(&key), Some(&result));
-        assert_eq!(store.counters().recovered, 1);
-        assert_eq!(store.counters().corrupt, 0);
+        let mut store = ResultCache::open(&dir).unwrap();
+        assert_eq!(store.lookup(&key), Some(result));
+        assert_eq!(store.stats().recovered, 1);
+        assert_eq!(store.stats().corrupt, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn last_write_wins_and_compaction_folds_duplicates() {
         let dir = temp_dir("lww");
-        let telemetry = Telemetry::disabled();
         let key = key_for("S64", 1);
-        let mut store = ResultStore::open(&dir, &telemetry).unwrap();
+        let mut store = ResultCache::open(&dir).unwrap();
         store.store(&key, &result_for("S64", 10)).unwrap();
         store.store(&key, &result_for("S64", 20)).unwrap();
         assert_eq!(store.lookup(&key).unwrap().aggregate.sum_ii, 20);
         drop(store);
 
-        let mut store = ResultStore::open(&dir, &telemetry).unwrap();
-        assert_eq!(store.counters().recovered, 2, "both records on disk");
+        let mut store = ResultCache::open(&dir).unwrap();
+        assert_eq!(store.stats().recovered, 2, "both records on disk");
         assert_eq!(store.lookup(&key).unwrap().aggregate.sum_ii, 20);
         store.compact().unwrap();
         drop(store);
 
-        let store = ResultStore::open(&dir, &telemetry).unwrap();
-        assert_eq!(store.counters().recovered, 1, "compaction deduplicated");
+        let mut store = ResultCache::open(&dir).unwrap();
+        assert_eq!(store.stats().recovered, 1, "compaction deduplicated");
         assert_eq!(store.lookup(&key).unwrap().aggregate.sum_ii, 20);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -620,8 +588,7 @@ mod tests {
     #[test]
     fn fsck_reports_a_clean_store_clean() {
         let dir = temp_dir("fsck");
-        let telemetry = Telemetry::disabled();
-        let mut store = ResultStore::open(&dir, &telemetry).unwrap();
+        let mut store = ResultCache::open(&dir).unwrap();
         store
             .store(&key_for("S64", 1), &result_for("S64", 5))
             .unwrap();
@@ -629,7 +596,7 @@ mod tests {
             .store(&key_for("S128", 1), &result_for("S128", 6))
             .unwrap();
         drop(store);
-        let report = ResultStore::fsck(&dir).unwrap();
+        let report = ResultCache::fsck(&dir).unwrap();
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(report.records, 2);
         assert_eq!(report.live_keys, 2);

@@ -1,4 +1,4 @@
-//! Crash-recovery and concurrency drills for the sharded result store.
+//! Crash-recovery and concurrency drills for the result store's segment.
 //!
 //! These tests attack the on-disk format the way a crash or bit rot would:
 //!
@@ -9,18 +9,21 @@
 //! * a record corrupted in place is quarantined to the sidecar exactly
 //!   once, later records behind it survive via magic resynchronization,
 //!   and the store never serves the damaged value;
+//! * an append cut short mid-record, followed by more appends from the same
+//!   handle, leaves a half record *inside* the segment: recovery
+//!   quarantines it once and keeps every record behind it;
 //! * N threads hammering appends of one hot key (plus a shared key set)
 //!   through independent store handles — followed by concurrent
-//!   compactions — leave every key readable and every segment clean. This
+//!   compactions — leave every key readable and the segment clean. This
 //!   is the regression drill for the old cache writer's pid-only tmp-file
 //!   names, which collided across same-process stores.
 
-use hcrf_explore::store::{RECORD_HEADER, SHARDS};
-use hcrf_explore::{CacheKey, CachedResult, ResultCache, ResultStore, Scenario};
+use hcrf_engine::FaultPlan;
+use hcrf_explore::store::RECORD_HEADER;
+use hcrf_explore::{CacheKey, CachedResult, ResultCache, Scenario};
 use hcrf_machine::{MachineConfig, RfOrganization};
 use hcrf_perf::SuiteAggregate;
 use hcrf_sched::SchedulerParams;
-use hcrf_telemetry::Telemetry;
 use std::path::{Path, PathBuf};
 use std::sync::Barrier;
 
@@ -54,36 +57,31 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn shard_path(dir: &Path, digest: u64) -> PathBuf {
-    dir.join(format!("shard-{:02x}.seg", digest >> 60))
+fn segment(dir: &Path) -> PathBuf {
+    dir.join("results.seg")
 }
 
-/// Two distinct keys whose digests land in the same shard, so one segment
-/// file carries both records.
-fn same_shard_keys() -> (CacheKey, CacheKey) {
-    let base = key_for("S64", 1);
-    let shard = base.digest() >> 60;
-    for suite in 2..10_000 {
-        let other = key_for("S64", suite);
-        if other.digest() >> 60 == shard && other.digest() != base.digest() {
-            return (base, other);
-        }
-    }
-    panic!("no same-shard key pair in 10k candidates");
+/// The store directory's file names, sorted.
+fn files_in(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 #[test]
 fn truncation_at_every_byte_boundary_recovers_cleanly() {
-    let (key1, key2) = same_shard_keys();
+    let (key1, key2) = (key_for("S64", 1), key_for("S64", 2));
     let r1 = result_for("S64", 11);
     let r2 = result_for("S64", 22);
 
-    // Build the reference segment: two whole records in one shard.
+    // Build the reference segment: two whole records.
     let build = temp_dir("trunc-build");
-    let telemetry = Telemetry::disabled();
-    let mut store = ResultStore::open(&build, &telemetry).unwrap();
+    let mut store = ResultCache::open(&build).unwrap();
     store.store(&key1, &r1).unwrap();
-    let seg = shard_path(&build, key1.digest());
+    let seg = segment(&build);
     let first_len = std::fs::metadata(&seg).unwrap().len() as usize;
     store.store(&key2, &r2).unwrap();
     drop(store);
@@ -94,13 +92,13 @@ fn truncation_at_every_byte_boundary_recovers_cleanly() {
     for cut in 0..=bytes.len() {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(shard_path(&dir, key1.digest()), &bytes[..cut]).unwrap();
+        std::fs::write(segment(&dir), &bytes[..cut]).unwrap();
 
         // First open: whatever the crash left, recovery must accept exactly
         // the fully-appended records and truncate the torn tail — never
         // quarantine (no checksum ever mismatches on a clean prefix).
-        let store = ResultStore::open(&dir, &telemetry).unwrap();
-        let c = store.counters();
+        let mut store = ResultCache::open(&dir).unwrap();
+        let c = store.stats();
         assert_eq!(c.corrupt, 0, "cut {cut}: truncation is not corruption");
         let expected_good = if cut >= bytes.len() {
             2
@@ -126,35 +124,34 @@ fn truncation_at_every_byte_boundary_recovers_cleanly() {
 
         // The torn tail was repaired on the first open: a second open and a
         // read-only fsck both see a clean store.
-        let store = ResultStore::open(&dir, &telemetry).unwrap();
-        assert_eq!(store.counters().torn_bytes, 0, "cut {cut}: repair sticks");
-        assert_eq!(store.counters().corrupt, 0, "cut {cut}");
+        let store = ResultCache::open(&dir).unwrap();
+        assert_eq!(store.stats().torn_bytes, 0, "cut {cut}: repair sticks");
+        assert_eq!(store.stats().corrupt, 0, "cut {cut}");
         drop(store);
-        let fsck = ResultStore::fsck(&dir).unwrap();
+        let fsck = ResultCache::fsck(&dir).unwrap();
         assert!(fsck.is_clean(), "cut {cut}: {fsck:?}");
         assert_eq!(fsck.live_keys, expected_good, "cut {cut}");
     }
 
     // The recovered store stays writable: re-append what the crash lost.
-    let mut store = ResultStore::open(&dir, &telemetry).unwrap();
+    let mut store = ResultCache::open(&dir).unwrap();
     store.store(&key1, &r1).unwrap();
     store.store(&key2, &r2).unwrap();
     drop(store);
-    let store = ResultStore::open(&dir, &telemetry).unwrap();
-    assert_eq!(store.lookup(&key1), Some(&r1));
-    assert_eq!(store.lookup(&key2), Some(&r2));
+    let mut store = ResultCache::open(&dir).unwrap();
+    assert_eq!(store.lookup(&key1), Some(r1));
+    assert_eq!(store.lookup(&key2), Some(r2));
     let _ = std::fs::remove_dir_all(&build);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn corruption_is_quarantined_once_and_later_records_survive() {
-    let (key1, key2) = same_shard_keys();
+    let (key1, key2) = (key_for("S64", 1), key_for("S64", 2));
     let dir = temp_dir("bitrot");
-    let telemetry = Telemetry::disabled();
-    let mut store = ResultStore::open(&dir, &telemetry).unwrap();
+    let mut store = ResultCache::open(&dir).unwrap();
     store.store(&key1, &result_for("S64", 11)).unwrap();
-    let seg = shard_path(&dir, key1.digest());
+    let seg = segment(&dir);
     let first_len = std::fs::metadata(&seg).unwrap().len() as usize;
     store.store(&key2, &result_for("S64", 22)).unwrap();
     drop(store);
@@ -166,47 +163,109 @@ fn corruption_is_quarantined_once_and_later_records_survive() {
 
     // Recovery quarantines the damaged record, resynchronizes at the next
     // magic, and keeps the record behind it.
-    let store = ResultStore::open(&dir, &telemetry).unwrap();
+    let mut store = ResultCache::open(&dir).unwrap();
     assert!(
         store.lookup(&key1).is_none(),
         "damaged record must not serve"
     );
     assert_eq!(store.lookup(&key2).unwrap().aggregate.sum_ii, 22);
-    assert_eq!(store.counters().corrupt, 1);
-    assert_eq!(store.counters().recovered, 1);
+    assert_eq!(store.stats().corrupt, 1);
+    assert_eq!(store.stats().recovered, 1);
     drop(store);
 
-    // The damaged bytes moved to the sidecar and the shard was rewritten:
+    // The damaged bytes moved to the sidecar and the segment was rewritten:
     // the corruption is counted once, not on every reopen.
-    let sidecar = dir
-        .join("quarantine")
-        .join(format!("shard-{:02x}.bad", key1.digest() >> 60));
+    let sidecar = dir.join("results.bad");
     assert_eq!(
         std::fs::metadata(&sidecar).unwrap().len() as usize,
         first_len,
         "sidecar holds exactly the damaged record"
     );
-    let store = ResultStore::open(&dir, &telemetry).unwrap();
-    assert_eq!(store.counters().corrupt, 0, "damage counted once");
-    assert_eq!(store.counters().recovered, 1);
+    let store = ResultCache::open(&dir).unwrap();
+    assert_eq!(store.stats().corrupt, 0, "damage counted once");
+    assert_eq!(store.stats().recovered, 1);
     drop(store);
-    let fsck = ResultStore::fsck(&dir).unwrap();
+    let fsck = ResultCache::fsck(&dir).unwrap();
     assert!(fsck.is_clean(), "{fsck:?}");
     assert_eq!(fsck.quarantined_bytes, first_len as u64);
 
     // A fresh append of the lost key restores it durably.
-    let mut store = ResultStore::open(&dir, &telemetry).unwrap();
+    let mut store = ResultCache::open(&dir).unwrap();
     store.store(&key1, &result_for("S64", 33)).unwrap();
     drop(store);
-    let store = ResultStore::open(&dir, &telemetry).unwrap();
+    let mut store = ResultCache::open(&dir).unwrap();
     assert_eq!(store.lookup(&key1).unwrap().aggregate.sum_ii, 33);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `kill -9`-style cut mid-append followed by more appends from the same
+/// handle: the half record sits between whole ones, so recovery quarantines
+/// it (once) instead of truncating it, and every later record survives.
+#[test]
+fn torn_append_followed_by_more_appends_is_quarantined_once() {
+    let plan = FaultPlan {
+        seed: 0x5e9,
+        truncated_writes_per_mille: 500,
+        ..FaultPlan::default()
+    };
+    let keys: Vec<CacheKey> = (1..100).map(|s| key_for("S64", s)).collect();
+    let torn = *keys
+        .iter()
+        .find(|k| plan.truncates_write(k.digest()))
+        .expect("the plan truncates some key");
+    let later: Vec<CacheKey> = keys
+        .iter()
+        .filter(|k| !plan.truncates_write(k.digest()))
+        .take(3)
+        .copied()
+        .collect();
+    assert_eq!(later.len(), 3);
+
+    let dir = temp_dir("torn-append");
+    let mut store = ResultCache::open(&dir).unwrap().with_fault_plan(plan);
+    let err = store.store(&torn, &result_for("S64", 1)).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
+    let half_len = std::fs::metadata(segment(&dir)).unwrap().len();
+    assert!(half_len > RECORD_HEADER as u64);
+    for (i, key) in later.iter().enumerate() {
+        store.store(key, &result_for("S64", 10 + i as u64)).unwrap();
+    }
+    drop(store);
+
+    let mut store = ResultCache::open(&dir).unwrap();
+    let c = store.stats();
+    assert_eq!(c.corrupt, 1, "the half record is quarantined");
+    assert_eq!(c.torn_bytes, 0, "it is not a tail");
+    assert_eq!(c.recovered, 3);
+    assert!(store.lookup(&torn).is_none(), "a half record never serves");
+    for (i, key) in later.iter().enumerate() {
+        assert_eq!(store.lookup(key).unwrap().aggregate.sum_ii, 10 + i as u64);
+    }
+    drop(store);
+    assert_eq!(
+        std::fs::metadata(dir.join("results.bad")).unwrap().len(),
+        half_len,
+        "sidecar holds exactly the half record"
+    );
+
+    // The segment was rewritten with the survivors: a reopen finds no
+    // damage, and fsck agrees.
+    let store = ResultCache::open(&dir).unwrap();
+    assert_eq!(store.stats().corrupt, 0, "damage counted once");
+    assert_eq!(store.stats().recovered, 3);
+    drop(store);
+    let fsck = ResultCache::fsck(&dir).unwrap();
+    assert!(fsck.is_clean(), "{fsck:?}");
+    assert_eq!(fsck.live_keys, 3);
+    assert_eq!(fsck.quarantined_bytes, half_len);
+    assert_eq!(files_in(&dir), ["results.bad", "results.seg"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Regression drill for the pid-only tmp-name collision of the old cache
 /// writer: many same-process handles storing the same hot key (and a shared
 /// key set) concurrently, then compacting concurrently, must leave every
-/// key readable and every segment clean.
+/// key readable and the segment clean.
 #[test]
 fn concurrent_stores_and_compactions_stay_clean() {
     const THREADS: usize = 8;
@@ -242,19 +301,19 @@ fn concurrent_stores_and_compactions_stay_clean() {
         }
     });
 
-    let store = ResultStore::open(&dir, &Telemetry::disabled()).unwrap();
-    let c = store.counters();
-    assert_eq!(c.corrupt, 0, "interleaved appends corrupted a segment");
-    assert_eq!(c.torn_bytes, 0, "interleaved appends tore a segment");
+    let mut store = ResultCache::open(&dir).unwrap();
+    let c = store.stats();
+    assert_eq!(c.corrupt, 0, "interleaved appends corrupted the segment");
+    assert_eq!(c.torn_bytes, 0, "interleaved appends tore the segment");
     assert_eq!(store.len(), keys.len() + 1);
     assert_eq!(store.lookup(&hot).unwrap().config, "S128");
     for key in &keys {
         assert_eq!(store.lookup(key).unwrap().config, "4C32S16");
     }
     drop(store);
-    let fsck = ResultStore::fsck(&dir).unwrap();
+    let fsck = ResultCache::fsck(&dir).unwrap();
     assert!(fsck.is_clean(), "{fsck:?}");
     assert_eq!(fsck.live_keys as usize, keys.len() + 1);
-    assert!(fsck.shards <= SHARDS);
+    assert_eq!(files_in(&dir), ["results.seg"]);
     let _ = std::fs::remove_dir_all(&dir);
 }

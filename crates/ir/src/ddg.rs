@@ -473,66 +473,6 @@ impl Ddg {
         self.preds.truncate(num_nodes);
     }
 
-    /// Remove a set of nodes (and every edge touching them), compacting ids.
-    ///
-    /// Returns the mapping `old NodeId -> new NodeId` (removed nodes map to
-    /// `None`). The result is fully linked: surviving detached nodes and
-    /// edges join the adjacency lists.
-    pub fn remove_nodes(&mut self, remove: &[NodeId]) -> Vec<Option<NodeId>> {
-        let mut keep = vec![true; self.nodes.len()];
-        for id in remove {
-            keep[id.index()] = false;
-        }
-        let mut mapping: Vec<Option<NodeId>> = Vec::with_capacity(self.nodes.len());
-        let mut next = 0u32;
-        for k in &keep {
-            if *k {
-                mapping.push(Some(NodeId(next)));
-                next += 1;
-            } else {
-                mapping.push(None);
-            }
-        }
-        let old_nodes = std::mem::take(&mut self.nodes);
-        let old_edges = std::mem::take(&mut self.edges);
-        self.succs.clear();
-        self.preds.clear();
-        for (i, n) in old_nodes.into_iter().enumerate() {
-            if keep[i] {
-                self.nodes.push(n);
-                self.succs.push(Vec::new());
-                self.preds.push(Vec::new());
-            }
-        }
-        for e in old_edges {
-            if let (Some(src), Some(dst)) = (mapping[e.src.index()], mapping[e.dst.index()]) {
-                let id = EdgeId(self.edges.len() as u32);
-                self.succs[src.index()].push(id);
-                self.preds[dst.index()].push(id);
-                self.edges.push(Edge { src, dst, ..e });
-            }
-        }
-        self.linked_edges = self.edges.len();
-        mapping
-    }
-
-    /// Count of nodes of each source kind `(fadd, fmul, fdiv, fsqrt, load, store)`.
-    pub fn kind_histogram(&self) -> [usize; 6] {
-        let mut h = [0usize; 6];
-        for n in &self.nodes {
-            match n.kind {
-                OpKind::FAdd => h[0] += 1,
-                OpKind::FMul => h[1] += 1,
-                OpKind::FDiv => h[2] += 1,
-                OpKind::FSqrt => h[3] += 1,
-                OpKind::Load => h[4] += 1,
-                OpKind::Store => h[5] += 1,
-                _ => {}
-            }
-        }
-        h
-    }
-
     /// Number of memory operations (loads + stores) in the loop body.
     pub fn memory_ops(&self) -> usize {
         self.nodes.iter().filter(|n| n.kind.is_memory()).count()
@@ -634,12 +574,6 @@ impl Loop {
             weight: 1.0,
         }
     }
-
-    /// Memory traffic of the loop in accesses for the whole run when no spill
-    /// code is added: `N * (#loads + #stores)`.
-    pub fn base_memory_traffic(&self) -> u64 {
-        self.iterations * self.ddg.memory_ops() as u64
-    }
 }
 
 #[cfg(test)]
@@ -669,20 +603,6 @@ mod tests {
         assert_eq!(g.successors(NodeId(0)).count(), 2);
         assert_eq!(g.predecessors(NodeId(3)).count(), 2);
         assert_eq!(g.successors(NodeId(3)).count(), 0);
-    }
-
-    #[test]
-    fn remove_nodes_remaps_edges() {
-        let mut g = diamond();
-        let mapping = g.remove_nodes(&[NodeId(1)]);
-        assert_eq!(g.num_nodes(), 3);
-        assert_eq!(mapping[1], None);
-        assert_eq!(mapping[0], Some(NodeId(0)));
-        assert_eq!(mapping[2], Some(NodeId(1)));
-        assert_eq!(mapping[3], Some(NodeId(2)));
-        // Edges through the removed node are gone: a->m2->s remain.
-        assert_eq!(g.num_edges(), 2);
-        g.validate().unwrap();
     }
 
     #[test]
@@ -785,7 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_histogram_counts() {
+    fn memory_and_fu_op_counts() {
         let mut b = DdgBuilder::new("h");
         let l = b.load(0, 8);
         let a = b.op(OpKind::FAdd);
@@ -795,7 +715,6 @@ mod tests {
         b.flow(a, d, 0);
         b.flow(d, s, 0);
         let g = b.build();
-        assert_eq!(g.kind_histogram(), [1, 0, 1, 0, 1, 1]);
         assert_eq!(g.memory_ops(), 2);
         assert_eq!(g.fu_ops(), 2);
     }
@@ -832,19 +751,6 @@ mod tests {
         let a1 = MemAccess::unit(1);
         assert_ne!(a0.address(0), a1.address(0));
         assert_eq!(a0.address(1) - a0.address(0), 8);
-    }
-
-    #[test]
-    fn loop_memory_traffic() {
-        let g = {
-            let mut b = DdgBuilder::new("t");
-            let l = b.load(0, 8);
-            let s = b.store(1, 8);
-            b.flow(l, s, 0);
-            b.build()
-        };
-        let lp = Loop::new(g, 100, 1);
-        assert_eq!(lp.base_memory_traffic(), 200);
     }
 
     #[test]

@@ -162,15 +162,6 @@ impl SuiteAggregate {
         }
         self.execution_time_ns() / base
     }
-
-    /// Cycle count relative to `baseline`.
-    pub fn relative_cycles(&self, baseline: &SuiteAggregate) -> f64 {
-        let base = baseline.total_cycles();
-        if base == 0 {
-            return 0.0;
-        }
-        self.total_cycles() as f64 / base as f64
-    }
 }
 
 #[cfg(test)]
@@ -228,7 +219,6 @@ mod tests {
         // Same cycles, half the clock period: exactly 2x speedup.
         assert!((fast.speedup_vs(&slow) - 2.0).abs() < 1e-9);
         assert!((fast.relative_time(&slow) - 0.5).abs() < 1e-9);
-        assert!((fast.relative_cycles(&slow) - 1.0).abs() < 1e-9);
         assert_eq!(fast.loops, 1);
         assert_eq!(fast.percent_at_mii(), 100.0);
     }

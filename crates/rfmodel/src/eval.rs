@@ -48,12 +48,6 @@ impl HardwareEval {
     pub fn inter_level_latency(&self) -> u32 {
         self.latencies.loadr
     }
-
-    /// Speed ratio of this configuration's clock relative to another
-    /// (greater than 1 means this configuration has a faster clock).
-    pub fn clock_speedup_vs(&self, other: &HardwareEval) -> f64 {
-        other.clock_ns / self.clock_ns
-    }
 }
 
 /// Evaluate a machine configuration, preferring the paper's published
@@ -167,16 +161,6 @@ fn from_analytic(
     }
 }
 
-/// Produce the machine configuration with its latencies replaced by the ones
-/// derived from the hardware evaluation — this is what the experiment driver
-/// feeds to the scheduler so that each RF organization is scheduled with its
-/// own operation latencies (Table 5, last column).
-pub fn configure_latencies(m: &MachineConfig) -> (MachineConfig, HardwareEval) {
-    let hw = evaluate(m);
-    let m2 = m.clone().with_latencies(hw.latencies);
-    (m2, hw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,21 +213,6 @@ mod tests {
         assert!(hier.latencies.fadd > mono.latencies.fadd);
         assert!(hier.latencies.load > mono.latencies.load);
         assert!(hier.latencies.load_miss > mono.latencies.load_miss);
-    }
-
-    #[test]
-    fn configure_latencies_rewrites_machine() {
-        let (m, hw) = configure_latencies(&cfg("4C32S16"));
-        assert_eq!(m.latencies, hw.latencies);
-        assert_eq!(m.latencies.fadd, 7); // Table 5: FU latency 7 for 4C32S16
-    }
-
-    #[test]
-    fn clock_speedup_helper() {
-        let mono = evaluate(&cfg("S64"));
-        let hier = evaluate(&cfg("8C16S16"));
-        let s = hier.clock_speedup_vs(&mono);
-        assert!(s > 2.0 && s < 3.5, "speedup {s}");
     }
 
     #[test]

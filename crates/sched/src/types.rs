@@ -362,12 +362,6 @@ impl ScheduleResult {
     pub fn communication_ops(&self) -> u32 {
         self.loadr_ops + self.storer_ops + self.move_ops
     }
-
-    /// Spill traffic added per iteration (memory accesses beyond the
-    /// original loop body).
-    pub fn spill_traffic(&self) -> u32 {
-        self.memory_ops.saturating_sub(self.original_memory_ops)
-    }
 }
 
 #[cfg(test)]
@@ -418,7 +412,6 @@ mod tests {
             kernel: None,
         };
         assert_eq!(r.communication_ops(), 3);
-        assert_eq!(r.spill_traffic(), 3);
         assert_eq!(r.memory_traffic_per_iteration(), 9);
     }
 }

@@ -54,15 +54,6 @@ pub fn small_suite(extra: usize) -> Vec<Loop> {
     })
 }
 
-/// The standard suite extended with `churn` ejection-churn-heavy loops (see
-/// [`crate::churn`]): the scenario where backtracking, not pressure
-/// checking, dominates scheduling time.
-pub fn small_suite_with_churn(extra: usize, churn: usize) -> Vec<Loop> {
-    let mut loops = small_suite(extra);
-    loops.extend(crate::churn::churn_suite(churn));
-    loops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,16 +87,6 @@ mod tests {
         let s = small_suite(100);
         let names: HashSet<_> = s.iter().map(|l| l.ddg.name.clone()).collect();
         assert_eq!(names.len(), s.len());
-    }
-
-    #[test]
-    fn churn_extension_appends_the_churn_family() {
-        let base = small_suite(4);
-        let s = small_suite_with_churn(4, 6);
-        assert_eq!(s.len(), base.len() + 6);
-        assert!(s[base.len()..]
-            .iter()
-            .all(|l| l.ddg.name.starts_with("churn")));
     }
 
     #[test]

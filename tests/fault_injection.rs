@@ -22,9 +22,7 @@
 
 use hcrf::driver::{suite_fingerprint, ConfiguredMachine};
 use hcrf_engine::{FailurePolicy, FaultPlan};
-use hcrf_explore::{
-    build_report, explore, CacheKey, ExploreOptions, ExploreOutcome, ResultCache, ResultStore,
-};
+use hcrf_explore::{build_report, explore, CacheKey, ExploreOptions, ExploreOutcome, ResultCache};
 use hcrf_ir::Loop;
 use hcrf_machine::RfOrganization;
 use hcrf_sched::IterativeScheduler;
@@ -264,7 +262,7 @@ fn faulted_sweep_degrades_gracefully_and_rerun_matches_baseline() {
 
     // After recovery + rerun the store is whole again: fsck is clean and a
     // third sweep is all hits.
-    let fsck = ResultStore::fsck(&dir).unwrap();
+    let fsck = ResultCache::fsck(&dir).unwrap();
     assert!(fsck.is_clean(), "{fsck:?}");
     assert_eq!(fsck.live_keys, orgs.len() as u64);
     let mut cache = ResultCache::open(&dir).unwrap();
